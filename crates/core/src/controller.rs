@@ -115,90 +115,106 @@ impl Controller {
             topo.tier_count() >= 2,
             "Presto controller requires a multi-path topology"
         );
-        let live = |h: HostId| active.is_none_or(|a| a.get(h.index()).copied().unwrap_or(false));
         topo.install_basic_routing_for(active);
-
         let trees = Self::allocate_trees(topo);
-        let leaves = topo.leaves.clone();
-        let hosts = topo.hosts.clone();
+        Self::install_shadow_labels(topo, &trees, active);
+        Self::install_failover_groups(topo);
+        Controller { trees }
+    }
 
-        // Leaf tier: destination port entries plus first-hop uplinks.
-        for (t, tree) in trees.iter().enumerate() {
-            let t = t as u32;
-            for &h in &hosts {
-                if !live(h) {
-                    continue;
+    /// One L2 entry per (active destination host, tree) at every switch,
+    /// switch by switch. A switch routes a label to the host port when
+    /// the host hangs off it, down the tree's parallel index when the
+    /// host sits below it, and otherwise up: along the tree's chain at a
+    /// leaf, toward the tree's k-th continuation at a transit switch.
+    /// Transit switches carry entries for EVERY tree's labels (not just
+    /// the trees that transit them), so fast-failover redirected traffic
+    /// still routes. The paper notes Trident II-class chips have 288k L2
+    /// entries — hosts × trees fits easily.
+    ///
+    /// Every host behind one attachment switch gets the same egress per
+    /// tree, so each switch computes its per-tree uplinks once and its
+    /// per-tree downlinks once per attachment switch, then writes them
+    /// for the whole group.
+    fn install_shadow_labels(topo: &mut Topology, trees: &[TreePath], active: Option<&[bool]>) {
+        let groups = topo.hosts_by_attachment(active);
+        let live: usize = groups.iter().map(|(_, hosts)| hosts.len()).sum();
+        let mut ups = Vec::with_capacity(trees.len());
+        let mut downs = Vec::with_capacity(trees.len());
+        for tier in 0..topo.tier_count() {
+            for pos in 0..topo.tiers[tier].len() {
+                let sw = topo.tiers[tier][pos];
+                // Per tree, the egress of labels this switch sends up
+                // (none at the top tier).
+                ups.clear();
+                let above = topo.up_neighbors(sw);
+                if tier == 0 {
+                    ups.extend(trees.iter().map(|tree| {
+                        let hop = tree.chains[pos][0];
+                        let grp = topo.links_between(sw, hop.up);
+                        grp[hop.link.min(grp.len() - 1)]
+                    }));
+                } else if !above.is_empty() {
+                    ups.extend(trees.iter().map(|tree| {
+                        let u = above[tree.link.min(above.len() - 1)];
+                        let grp = topo.links_between(sw, u);
+                        grp[tree.link.min(grp.len() - 1)]
+                    }));
                 }
-                let mac = Mac::shadow(h, t);
-                let dst_leaf = topo.host_leaf[h.index()];
-                // Destination leaf: label → host port.
-                let down = topo.host_down[h.index()];
-                topo.fabric.switch_mut(dst_leaf).install_l2(mac, down);
-                // Source leaves: label → first ascending hop of the chain.
-                for (li, &leaf) in leaves.iter().enumerate() {
-                    if leaf != dst_leaf {
-                        let hop = tree.chains[li][0];
-                        let grp = &topo.pair_links[&(leaf, hop.up)];
-                        let up = grp[hop.link.min(grp.len() - 1)];
-                        topo.fabric.switch_mut(leaf).install_l2(mac, up);
-                    }
-                }
-            }
-        }
-        // Transit tiers: entries for EVERY tree's labels (not just the
-        // trees that transit this switch), so fast-failover redirected
-        // traffic still routes. The paper notes Trident II-class chips
-        // have 288k L2 entries — hosts × trees fits easily. A switch
-        // routes a label down when the host sits below it (using the
-        // tree's parallel index) and otherwise climbs toward the tree's
-        // k-th continuation.
-        for tier in 1..topo.tier_count() {
-            let switches = topo.tiers[tier].clone();
-            for &sw in &switches {
-                for (t, tree) in trees.iter().enumerate() {
-                    for &h in &hosts {
-                        if !live(h) {
-                            continue;
+                topo.fabric.switch_mut(sw).reserve_l2(trees.len() * live);
+                for (attach, hosts) in &groups {
+                    let attach = *attach;
+                    if attach == sw {
+                        let switch = topo.fabric.switch_mut(sw);
+                        for &h in hosts {
+                            let port = topo.host_down[h.index()];
+                            for t in 0..trees.len() {
+                                switch.install_l2(Mac::shadow(h, t as u32), port);
+                            }
                         }
-                        let out = if topo.host_below(sw, h) {
-                            let attach = topo.host_leaf[h.index()];
-                            topo.down_link_toward(sw, attach, tree.link)
-                        } else {
-                            let ups = topo.up_neighbors(sw);
-                            let u = ups[tree.link.min(ups.len() - 1)];
-                            let grp = &topo.pair_links[&(sw, u)];
-                            grp[tree.link.min(grp.len() - 1)]
-                        };
-                        topo.fabric
-                            .switch_mut(sw)
-                            .install_l2(Mac::shadow(h, t as u32), out);
+                        continue;
+                    }
+                    let egress: &[LinkId] = if topo.switch_below(sw, attach) {
+                        let grp = topo.down_group_toward(sw, attach);
+                        downs.clear();
+                        downs.extend(trees.iter().map(|tree| grp[tree.link.min(grp.len() - 1)]));
+                        &downs
+                    } else {
+                        assert!(!ups.is_empty(), "{attach:?} is unreachable from {sw:?}");
+                        &ups
+                    };
+                    let switch = topo.fabric.switch_mut(sw);
+                    for &h in hosts {
+                        for (t, &out) in egress.iter().enumerate() {
+                            switch.install_l2(Mac::shadow(h, t as u32), out);
+                        }
                     }
                 }
             }
         }
-        // Fast-failover groups at every non-top tier: the uplink toward
-        // neighbor p backs up onto the uplink toward neighbor (p+1) % n
-        // (same parallel index, clamped).
+    }
+
+    /// Fast-failover groups at every non-top tier: the uplink toward
+    /// neighbor p backs up onto the uplink toward neighbor (p+1) % n
+    /// (same parallel index, clamped).
+    fn install_failover_groups(topo: &mut Topology) {
         for tier in 0..topo.tier_count() - 1 {
-            let switches = topo.tiers[tier].clone();
-            for &sw in &switches {
-                let ups = topo.up_neighbors(sw).to_vec();
+            for &sw in &topo.tiers[tier] {
+                let ups = &topo.up_adj[sw.index()];
                 if ups.len() <= 1 {
                     continue;
                 }
+                let switch = topo.fabric.switch_mut(sw);
                 for (p, &u) in ups.iter().enumerate() {
                     let next = ups[(p + 1) % ups.len()];
-                    let primaries = topo.pair_links[&(sw, u)].clone();
-                    let backups = topo.pair_links[&(sw, next)].clone();
+                    let primaries = &topo.pair_links[&(sw, u)];
+                    let backups = &topo.pair_links[&(sw, next)];
                     for (j, &primary) in primaries.iter().enumerate() {
-                        let backup = backups[j.min(backups.len() - 1)];
-                        topo.fabric.switch_mut(sw).install_failover(primary, backup);
+                        switch.install_failover(primary, backups[j.min(backups.len() - 1)]);
                     }
                 }
             }
         }
-
-        Controller { trees }
     }
 
     /// Enumerate the disjoint spanning trees of `topo`: uplink-position
@@ -645,8 +661,8 @@ mod tests {
     fn failure_prunes_affected_trees_only() {
         let (mut topo, ctl) = testbed();
         // Kill the S1-L1 link (spine 0, leaf 0) — the Fig 17 scenario.
-        let bad_up = topo.leaf_spine[&(topo.leaves[0], topo.spines[0])][0];
-        let bad_down = topo.spine_leaf[&(topo.spines[0], topo.leaves[0])][0];
+        let bad_up = topo.links_between(topo.leaves[0], topo.spines[0])[0];
+        let bad_down = topo.links_between(topo.spines[0], topo.leaves[0])[0];
         topo.fabric.set_link_down(bad_up);
         topo.fabric.set_link_down(bad_down);
 
@@ -669,8 +685,8 @@ mod tests {
         // core (group 0, index 0).
         let agg = topo.tiers[1][0];
         let core = ctl.trees[0].chains[0][1].up;
-        let up = topo.pair_links[&(agg, core)][0];
-        let down = topo.pair_links[&(core, agg)][0];
+        let up = topo.links_between(agg, core)[0];
+        let down = topo.links_between(core, agg)[0];
         topo.fabric.set_link_down(up);
         topo.fabric.set_link_down(down);
         // Cross-pod pairs from pod 0 lose tree 0.
@@ -686,7 +702,7 @@ mod tests {
     fn total_failure_falls_back_to_full_set() {
         let (mut topo, ctl) = testbed();
         for s in 0..4 {
-            let l = topo.leaf_spine[&(topo.leaves[0], topo.spines[s])][0];
+            let l = topo.links_between(topo.leaves[0], topo.spines[s])[0];
             topo.fabric.set_link_down(l);
         }
         let labels = ctl.usable_labels(&topo, HostId(0), HostId(12));
@@ -697,13 +713,13 @@ mod tests {
     fn failover_groups_point_to_next_spine() {
         let (topo, _) = testbed();
         let leaf = topo.leaves[0];
-        let p = topo.leaf_spine[&(leaf, topo.spines[0])][0];
+        let p = topo.links_between(leaf, topo.spines[0])[0];
         let b = topo.fabric.switch(leaf).failover_backup(p).expect("backup");
-        assert_eq!(b, topo.leaf_spine[&(leaf, topo.spines[1])][0]);
+        assert_eq!(b, topo.links_between(leaf, topo.spines[1])[0]);
         // Wraps around.
-        let p3 = topo.leaf_spine[&(leaf, topo.spines[3])][0];
+        let p3 = topo.links_between(leaf, topo.spines[3])[0];
         let b3 = topo.fabric.switch(leaf).failover_backup(p3).unwrap();
-        assert_eq!(b3, topo.leaf_spine[&(leaf, topo.spines[0])][0]);
+        assert_eq!(b3, topo.links_between(leaf, topo.spines[0])[0]);
     }
 
     #[test]
@@ -712,19 +728,19 @@ mod tests {
         // ToR uplinks back onto the next aggregation switch.
         let tor = topo.leaves[0];
         let aggs = topo.up_neighbors(tor).to_vec();
-        let p = topo.pair_links[&(tor, aggs[0])][0];
+        let p = topo.links_between(tor, aggs[0])[0];
         assert_eq!(
             topo.fabric.switch(tor).failover_backup(p),
-            Some(topo.pair_links[&(tor, aggs[1])][0])
+            Some(topo.links_between(tor, aggs[1])[0])
         );
         // Aggregation uplinks back onto the next core of their group.
         let agg = topo.tiers[1][0];
         let cores = topo.up_neighbors(agg).to_vec();
         assert_eq!(cores.len(), 2);
-        let p = topo.pair_links[&(agg, cores[0])][0];
+        let p = topo.links_between(agg, cores[0])[0];
         assert_eq!(
             topo.fabric.switch(agg).failover_backup(p),
-            Some(topo.pair_links[&(agg, cores[1])][0])
+            Some(topo.links_between(agg, cores[1])[0])
         );
         // Cores are top-tier: no failover groups above them.
     }
@@ -788,8 +804,8 @@ mod tests {
         let path = ctl.tree_path(&topo, 2, topo.leaves[0], topo.leaves[3]);
         assert_eq!(path.len(), 2);
         let spine = ctl.trees[2].root();
-        assert_eq!(path[0], topo.leaf_spine[&(topo.leaves[0], spine)][0]);
-        assert_eq!(path[1], topo.spine_leaf[&(spine, topo.leaves[3])][0]);
+        assert_eq!(path[0], topo.links_between(topo.leaves[0], spine)[0]);
+        assert_eq!(path[1], topo.links_between(spine, topo.leaves[3])[0]);
     }
 
     #[test]
@@ -815,8 +831,8 @@ mod tests {
     fn double_failure_prunes_two_trees() {
         let (mut topo, ctl) = testbed();
         for s in [0usize, 1] {
-            let up = topo.leaf_spine[&(topo.leaves[0], topo.spines[s])][0];
-            let down = topo.spine_leaf[&(topo.spines[s], topo.leaves[0])][0];
+            let up = topo.links_between(topo.leaves[0], topo.spines[s])[0];
+            let down = topo.links_between(topo.spines[s], topo.leaves[0])[0];
             topo.fabric.set_link_down(up);
             topo.fabric.set_link_down(down);
         }
@@ -856,8 +872,8 @@ mod tests {
     #[test]
     fn weighted_labels_prunes_down_links_like_usable_labels() {
         let (mut topo, ctl) = testbed();
-        let up = topo.leaf_spine[&(topo.leaves[0], topo.spines[0])][0];
-        let down = topo.spine_leaf[&(topo.spines[0], topo.leaves[0])][0];
+        let up = topo.links_between(topo.leaves[0], topo.spines[0])[0];
+        let down = topo.links_between(topo.spines[0], topo.leaves[0])[0];
         topo.fabric.set_link_down(up);
         topo.fabric.set_link_down(down);
         assert_eq!(
@@ -871,7 +887,7 @@ mod tests {
     fn weighted_labels_derate_degraded_trees() {
         let (mut topo, ctl) = testbed();
         // Degrade tree 0's uplink from leaf 0 to half rate.
-        let up = topo.leaf_spine[&(topo.leaves[0], topo.spines[0])][0];
+        let up = topo.links_between(topo.leaves[0], topo.spines[0])[0];
         topo.fabric.degrade_link(up, 0.5);
         let labels = ctl.weighted_labels(&topo, HostId(0), HostId(12));
         // Weights [2,4,4,4] / gcd 2 = [1,2,2,2]: 7 labels, tree 0 once.
@@ -906,8 +922,8 @@ mod tests {
     #[test]
     fn recovery_restores_full_weights() {
         let (mut topo, ctl) = testbed();
-        let up = topo.leaf_spine[&(topo.leaves[0], topo.spines[0])][0];
-        let down = topo.spine_leaf[&(topo.spines[0], topo.leaves[0])][0];
+        let up = topo.links_between(topo.leaves[0], topo.spines[0])[0];
+        let down = topo.links_between(topo.spines[0], topo.leaves[0])[0];
         topo.fabric.set_link_down(up);
         topo.fabric.set_link_down(down);
         assert_eq!(ctl.weighted_labels(&topo, HostId(0), HostId(12)).len(), 3);

@@ -54,6 +54,9 @@ struct PrequalFlowState {
 #[derive(Debug)]
 pub struct PrequalPolicy {
     labels: LabelTable,
+    /// Per destination: the distinct trees its labels ride, ascending —
+    /// the pool keys one probe response fans out to.
+    trees: HashMap<HostId, Vec<u32>>,
     flows: HashMap<FlowKey, PrequalFlowState>,
     /// First-hop congestion score per spanning tree id (EWMA of queue
     /// bytes scaled by path health); `f64::INFINITY` marks a dead tree.
@@ -81,6 +84,7 @@ impl PrequalPolicy {
         assert!(cell_bytes > 0, "flowcell size must be positive");
         PrequalPolicy {
             labels: LabelTable::new(),
+            trees: HashMap::new(),
             flows: HashMap::new(),
             scores: HashMap::new(),
             pool: HclPool::from_params(params),
@@ -138,6 +142,10 @@ impl PrequalPolicy {
 
 impl EdgePolicy for PrequalPolicy {
     fn set_labels(&mut self, dst: HostId, labels: Vec<Mac>) {
+        let mut trees: Vec<u32> = labels.iter().map(|m| m.tree()).collect();
+        trees.sort_unstable();
+        trees.dedup();
+        self.trees.insert(dst, trees);
         self.labels.set(dst, labels);
     }
 
@@ -190,16 +198,11 @@ impl EdgePolicy for PrequalPolicy {
             // drain latency is tree-independent, so each tree's entry
             // carries it plus that tree's first-hop backlog — congested
             // trees toward the same host rank behind clean ones.
-            let trees = match self.labels.get(load.host) {
-                Some(labels) => {
-                    let mut ts: Vec<u32> = labels.iter().map(|m| m.tree()).collect();
-                    ts.sort_unstable();
-                    ts.dedup();
-                    ts
-                }
-                None => vec![DIRECT_TREE],
-            };
-            for tree in trees {
+            let trees = self
+                .trees
+                .get(&load.host)
+                .map_or(&[DIRECT_TREE][..], Vec::as_slice);
+            for &tree in trees {
                 let score = if tree == DIRECT_TREE {
                     0.0
                 } else {
@@ -259,53 +262,54 @@ impl EdgePolicy for PrequalPolicy {
     }
 
     fn assign(&mut self, now: SimTime, flow: FlowKey, len: u32, _retx: bool) -> PathTag {
-        let labels = match self.labels.get(flow.dst) {
-            Some(l) => l.to_vec(),
-            None => {
-                return PathTag {
-                    dst_mac: Mac::host(flow.dst),
-                    flowcell: 0,
-                }
-            }
+        let Some(labels) = self.labels.get(flow.dst) else {
+            return PathTag {
+                dst_mac: Mac::host(flow.dst),
+                flowcell: 0,
+            };
         };
         let n = labels.len();
-        if !self.flows.contains_key(&flow) {
-            self.pool.evict_stale(now);
-            let cursor = (hash_mix(flow.digest(), START_SALT) % n as u64) as usize;
-            let path_idx = self.pick(&labels, flow.dst, cursor);
-            self.flows.insert(
-                flow,
-                PrequalFlowState {
-                    cell_bytes: 0,
-                    cell_id: 0,
-                    path_idx,
-                    cursor,
-                },
-            );
-            self.flowcells += 1;
-            self.count_spray(labels[path_idx % n]);
-        } else {
-            let state = &self.flows[&flow];
-            if state.cell_bytes >= self.cell_bytes {
-                // Flowcell boundary: re-consult the pool and tree scores.
+        let new_cell = match self.flows.get(&flow) {
+            None => {
                 self.pool.evict_stale(now);
+                let cursor = (hash_mix(flow.digest(), START_SALT) % n as u64) as usize;
+                let path_idx = self.pick(labels, flow.dst, cursor);
+                self.flows.insert(
+                    flow,
+                    PrequalFlowState {
+                        cell_bytes: 0,
+                        cell_id: 0,
+                        path_idx,
+                        cursor,
+                    },
+                );
+                true
+            }
+            Some(state) if state.cell_bytes >= self.cell_bytes => {
+                // Flowcell boundary: re-consult the pool and tree scores.
                 let cursor = (state.cursor + 1) % n;
-                let path_idx = self.pick(&labels, flow.dst, cursor);
+                self.pool.evict_stale(now);
+                let path_idx = self.pick(labels, flow.dst, cursor);
                 let state = self.flows.get_mut(&flow).unwrap();
                 state.cursor = cursor;
                 state.path_idx = path_idx;
                 state.cell_bytes = 0;
                 state.cell_id += 1;
-                self.flowcells += 1;
-                self.count_spray(labels[path_idx % n]);
+                true
             }
-        }
+            Some(_) => false,
+        };
         let state = self.flows.get_mut(&flow).unwrap();
         state.cell_bytes += len as u64;
-        PathTag {
+        let tag = PathTag {
             dst_mac: labels[state.path_idx % n],
             flowcell: state.cell_id,
+        };
+        if new_cell {
+            self.flowcells += 1;
+            self.count_spray(tag.dst_mac);
         }
+        tag
     }
 }
 

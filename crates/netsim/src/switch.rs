@@ -12,10 +12,14 @@
 //! If the selected egress link is down, an OpenFlow-style fast-failover
 //! group can redirect to a pre-configured backup port (§3.3); otherwise the
 //! packet is dropped and counted.
-
-use std::collections::HashMap;
+//!
+//! The tables are Fx-hashed (`presto_simcore::fxhash`): they are probed
+//! once per packet per hop and never iterated. ECMP groups are interned
+//! per switch — a switch has one group per downward neighbor plus its
+//! uplink group, however many hosts route over them.
 
 use presto_simcore::rng::hash_mix;
+use presto_simcore::FxHashMap;
 
 use crate::ids::{HostId, LinkId, Mac, SwitchId};
 use crate::packet::Packet;
@@ -37,13 +41,15 @@ pub struct Switch {
     /// This switch's identifier.
     pub id: SwitchId,
     /// Exact-match L2 table: MAC label → egress link.
-    l2: HashMap<Mac, LinkId>,
-    /// ECMP groups: destination host → candidate egress links.
-    ecmp: HashMap<HostId, Vec<LinkId>>,
+    l2: FxHashMap<Mac, LinkId>,
+    /// ECMP routes: destination host → index into `ecmp_groups`.
+    ecmp: FxHashMap<HostId, u32>,
+    /// The distinct ECMP groups (candidate egress links) installed here.
+    ecmp_groups: Vec<Box<[LinkId]>>,
     /// How ECMP groups hash.
     pub ecmp_mode: EcmpMode,
     /// Fast-failover: primary egress → backup egress.
-    failover: HashMap<LinkId, LinkId>,
+    failover: FxHashMap<LinkId, LinkId>,
     /// Per-switch hash seed (real deployments perturb the hash per switch
     /// to avoid polarization).
     hash_salt: u64,
@@ -56,10 +62,11 @@ impl Switch {
     pub fn new(id: SwitchId) -> Self {
         Switch {
             id,
-            l2: HashMap::new(),
-            ecmp: HashMap::new(),
+            l2: FxHashMap::default(),
+            ecmp: FxHashMap::default(),
+            ecmp_groups: Vec::new(),
             ecmp_mode: EcmpMode::FlowHash,
-            failover: HashMap::new(),
+            failover: FxHashMap::default(),
             hash_salt: hash_mix(0xEC4F, id.0 as u64),
             no_route_drops: 0,
         }
@@ -68,6 +75,12 @@ impl Switch {
     /// Install (or overwrite) an exact-match L2 entry.
     pub fn install_l2(&mut self, mac: Mac, out: LinkId) {
         self.l2.insert(mac, out);
+    }
+
+    /// Make room for `additional` more L2 entries, so a bulk install
+    /// grows the table once.
+    pub fn reserve_l2(&mut self, additional: usize) {
+        self.l2.reserve(additional);
     }
 
     /// Remove an L2 entry (controller pruning after failures).
@@ -85,16 +98,28 @@ impl Switch {
         self.l2.len()
     }
 
-    /// Install an ECMP group towards `dst`.
-    pub fn install_ecmp(&mut self, dst: HostId, links: Vec<LinkId>) {
+    /// Install (or replace) the ECMP group towards `dst`. Hosts routed
+    /// over the same links share one stored group.
+    pub fn install_ecmp(&mut self, dst: HostId, links: &[LinkId]) {
         assert!(!links.is_empty());
-        self.ecmp.insert(dst, links);
+        // Scan newest first: installs arrive grouped by destination leaf,
+        // so the group just created is the likeliest match.
+        let id = match self.ecmp_groups.iter().rposition(|g| **g == *links) {
+            Some(id) => id,
+            None => {
+                self.ecmp_groups.push(links.into());
+                self.ecmp_groups.len() - 1
+            }
+        };
+        self.ecmp.insert(dst, id as u32);
     }
 
     /// The installed ECMP group towards `dst`, if any (controller and
     /// test verification).
     pub fn ecmp_group(&self, dst: HostId) -> Option<&[LinkId]> {
-        self.ecmp.get(&dst).map(|v| v.as_slice())
+        self.ecmp
+            .get(&dst)
+            .map(|&id| &*self.ecmp_groups[id as usize])
     }
 
     /// Install a fast-failover backup for `primary`.
@@ -127,7 +152,8 @@ impl Switch {
             return None;
         }
         // 2. ECMP group towards the destination host.
-        if let Some(links) = self.ecmp.get(&pkt.dst_host) {
+        if let Some(&id) = self.ecmp.get(&pkt.dst_host) {
+            let links = &self.ecmp_groups[id as usize];
             let key = match self.ecmp_mode {
                 EcmpMode::FlowHash => pkt.flow.digest(),
                 EcmpMode::FlowcellHash => hash_mix(pkt.flow.digest(), pkt.flowcell),
@@ -177,7 +203,7 @@ mod tests {
     fn l2_exact_match_wins() {
         let mut sw = Switch::new(SwitchId(0));
         sw.install_l2(Mac::shadow(HostId(9), 1), LinkId(3));
-        sw.install_ecmp(HostId(9), vec![LinkId(1), LinkId(2)]);
+        sw.install_ecmp(HostId(9), &[LinkId(1), LinkId(2)]);
         let p = pkt(1, 0, Mac::shadow(HostId(9), 1));
         assert_eq!(sw.forward(&p, |_| true), Some(LinkId(3)));
     }
@@ -185,7 +211,7 @@ mod tests {
     #[test]
     fn ecmp_is_deterministic_per_flow() {
         let mut sw = Switch::new(SwitchId(0));
-        sw.install_ecmp(HostId(9), vec![LinkId(0), LinkId(1), LinkId(2), LinkId(3)]);
+        sw.install_ecmp(HostId(9), &[LinkId(0), LinkId(1), LinkId(2), LinkId(3)]);
         let p = pkt(7, 0, Mac::host(HostId(9)));
         let first = sw.forward(&p, |_| true).unwrap();
         for _ in 0..20 {
@@ -200,7 +226,7 @@ mod tests {
     fn ecmp_spreads_across_flows() {
         let mut sw = Switch::new(SwitchId(1));
         let links: Vec<LinkId> = (0..4).map(LinkId).collect();
-        sw.install_ecmp(HostId(9), links);
+        sw.install_ecmp(HostId(9), &links);
         let mut used = std::collections::HashSet::new();
         for sport in 0..64 {
             used.insert(
@@ -215,7 +241,8 @@ mod tests {
     fn flowcell_hash_mode_sprays_one_flow() {
         let mut sw = Switch::new(SwitchId(2));
         sw.ecmp_mode = EcmpMode::FlowcellHash;
-        sw.install_ecmp(HostId(9), (0..4).map(LinkId).collect());
+        let links: Vec<LinkId> = (0..4).map(LinkId).collect();
+        sw.install_ecmp(HostId(9), &links);
         let mut used = std::collections::HashSet::new();
         for cell in 0..64 {
             used.insert(
@@ -241,12 +268,29 @@ mod tests {
     #[test]
     fn ecmp_rehashes_around_dead_link() {
         let mut sw = Switch::new(SwitchId(0));
-        sw.install_ecmp(HostId(9), vec![LinkId(0), LinkId(1)]);
+        sw.install_ecmp(HostId(9), &[LinkId(0), LinkId(1)]);
         for sport in 0..16 {
             let p = pkt(sport, 0, Mac::host(HostId(9)));
             let out = sw.forward(&p, |l| l == LinkId(1)).unwrap();
             assert_eq!(out, LinkId(1));
         }
+    }
+
+    #[test]
+    fn hosts_over_the_same_links_share_one_group() {
+        let mut sw = Switch::new(SwitchId(0));
+        let ups = [LinkId(0), LinkId(1)];
+        for h in 0..8 {
+            sw.install_ecmp(HostId(h), &ups);
+        }
+        sw.install_ecmp(HostId(8), &[LinkId(2)]);
+        sw.install_ecmp(HostId(9), &ups);
+        assert_eq!(sw.ecmp_groups.len(), 2);
+        assert_eq!(sw.ecmp_group(HostId(9)), Some(&ups[..]));
+        // Re-installing a host moves it to the new group.
+        sw.install_ecmp(HostId(0), &[LinkId(2)]);
+        assert_eq!(sw.ecmp_group(HostId(0)), Some(&[LinkId(2)][..]));
+        assert_eq!(sw.ecmp_groups.len(), 2);
     }
 
     #[test]

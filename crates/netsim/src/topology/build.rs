@@ -1,8 +1,6 @@
 //! Incremental assembly of a [`Topology`] graph.
 
-use std::collections::HashMap;
-
-use presto_simcore::SimDuration;
+use presto_simcore::{FxHashMap, SimDuration};
 
 use crate::buffer::SharedBuffer;
 use crate::fabric::Fabric;
@@ -15,8 +13,8 @@ use super::Topology;
 ///
 /// The builder records tier membership as switches are added and
 /// adjacency as pairs are connected; [`TopologyBuilder::finish`] derives
-/// the remaining structural metadata (tier positions, the downward
-/// closure, and the legacy 2-tier views). Construction order is
+/// the remaining structural metadata (tier positions and the downward
+/// closure). Construction order is
 /// significant and preserved: link ids are allocated in call order, and
 /// the order of [`TopologyBuilder::connect`] calls fixes both the
 /// parallel-link index within a pair and the neighbor order the
@@ -30,7 +28,7 @@ pub struct TopologyBuilder {
     host_leaf: Vec<SwitchId>,
     host_up: Vec<LinkId>,
     host_down: Vec<LinkId>,
-    pair_links: HashMap<(SwitchId, SwitchId), Vec<LinkId>>,
+    pair_links: FxHashMap<(SwitchId, SwitchId), Vec<LinkId>>,
     up_adj: Vec<Vec<SwitchId>>,
     down_adj: Vec<Vec<SwitchId>>,
 }
@@ -175,14 +173,6 @@ impl TopologyBuilder {
         }
         let leaves = self.tiers[0].clone();
         let spines = self.tiers.get(1).cloned().unwrap_or_default();
-        let mut leaf_spine = HashMap::new();
-        let mut spine_leaf = HashMap::new();
-        for &leaf in &leaves {
-            for &spine in &self.up_adj[leaf.index()] {
-                leaf_spine.insert((leaf, spine), self.pair_links[&(leaf, spine)].clone());
-                spine_leaf.insert((spine, leaf), self.pair_links[&(spine, leaf)].clone());
-            }
-        }
         Topology {
             fabric: self.fabric,
             hosts: self.hosts,
@@ -191,8 +181,6 @@ impl TopologyBuilder {
             host_leaf: self.host_leaf,
             host_up: self.host_up,
             host_down: self.host_down,
-            leaf_spine,
-            spine_leaf,
             tiers: self.tiers,
             pair_links: self.pair_links,
             up_adj: self.up_adj,

@@ -18,10 +18,10 @@
 //!   [`Topology::three_tier`]) and the single-switch baseline
 //!   ([`Topology::single_switch`]) all produce the same `Topology` type.
 //!
-//! The legacy 2-tier views (`leaves`, `spines`, `leaf_spine`,
-//! `spine_leaf`) are kept as derived fields so existing figure code keeps
-//! reading naturally; on a 3-tier fabric `spines` names the aggregation
-//! tier.
+//! The 2-tier names `leaves` and `spines` are kept as derived fields so
+//! figure code keeps reading naturally; on a 3-tier fabric `spines` names
+//! the aggregation tier. Links between two switches are read with
+//! [`Topology::links_between`].
 
 mod build;
 mod partition;
@@ -36,7 +36,7 @@ pub use two_tier::ClosSpec;
 
 use std::collections::HashMap;
 
-use presto_simcore::SimDuration;
+use presto_simcore::{FxHashMap, SimDuration};
 
 use crate::fabric::Fabric;
 use crate::ids::{HostId, LinkId, Mac, Node, SwitchId};
@@ -68,18 +68,13 @@ pub struct Topology {
     pub host_up: Vec<LinkId>,
     /// Host downlink (switch → host) per host.
     pub host_down: Vec<LinkId>,
-    /// Tier-0 → tier-1 links keyed by (leaf, spine) — a compatibility
-    /// view into [`Topology::pair_links`] (γ entries per connected pair).
-    pub leaf_spine: HashMap<(SwitchId, SwitchId), Vec<LinkId>>,
-    /// Tier-1 → tier-0 links keyed by (spine, leaf) — the downstream
-    /// compatibility view.
-    pub spine_leaf: HashMap<(SwitchId, SwitchId), Vec<LinkId>>,
     /// Switches per tier, bottom-up: `tiers[0]` are the leaves, the last
     /// entry is the top of the fabric.
     pub tiers: Vec<Vec<SwitchId>>,
     /// Directional parallel-link groups: `(a, b)` → every a→b link, in
     /// construction order. Covers all switch↔switch links of the graph.
-    pub pair_links: HashMap<(SwitchId, SwitchId), Vec<LinkId>>,
+    /// Fx-hashed: looked up, never iterated in an order-sensitive way.
+    pub pair_links: FxHashMap<(SwitchId, SwitchId), Vec<LinkId>>,
     /// Per switch (indexed by [`SwitchId::index`]): its next-tier-up
     /// neighbors, in connection order.
     pub up_adj: Vec<Vec<SwitchId>>,
@@ -157,20 +152,39 @@ impl Topology {
         attach == sw || self.switch_below(sw, attach)
     }
 
-    /// The descending link from non-leaf `sw` toward the switch `attach`
-    /// (a host's attachment point below `sw`), using parallel index `idx`
-    /// clamped to the group size.
+    /// The parallel-link group from non-leaf `sw` down toward the switch
+    /// `attach` (a host's attachment point below `sw`): the group to the
+    /// first down-neighbor, in connection order, at or above `attach`.
     ///
     /// # Panics
     /// Panics if `attach` is not below `sw`.
-    pub fn down_link_toward(&self, sw: SwitchId, attach: SwitchId, idx: usize) -> LinkId {
+    pub fn down_group_toward(&self, sw: SwitchId, attach: SwitchId) -> &[LinkId] {
         let d = self.down_adj[sw.index()]
             .iter()
             .copied()
             .find(|&d| d == attach || self.switch_below(d, attach))
             .unwrap_or_else(|| panic!("{attach:?} is not below {sw:?}"));
-        let grp = &self.pair_links[&(sw, d)];
-        grp[idx.min(grp.len() - 1)]
+        &self.pair_links[&(sw, d)]
+    }
+
+    /// The hosts `active` selects (`None` means every host), grouped by
+    /// attachment switch: one `(switch, hosts)` entry per switch with at
+    /// least one such host, in switch-id order, hosts in id order.
+    /// Forwarding-state installs walk these groups, because every host
+    /// behind one switch is routed alike everywhere else.
+    pub fn hosts_by_attachment(&self, active: Option<&[bool]>) -> Vec<(SwitchId, Vec<HostId>)> {
+        let mut by_switch = vec![Vec::new(); self.switch_tier.len()];
+        for &h in &self.hosts {
+            if active.is_none_or(|a| a.get(h.index()).copied().unwrap_or(false)) {
+                by_switch[self.host_leaf[h.index()].index()].push(h);
+            }
+        }
+        by_switch
+            .into_iter()
+            .enumerate()
+            .filter(|(_, hosts)| !hosts.is_empty())
+            .map(|(i, hosts)| (SwitchId(i as u32), hosts))
+            .collect()
     }
 
     /// The ascending hop list from leaf `from` to an ancestor-direction
@@ -330,63 +344,44 @@ impl Topology {
     /// workload touching only active hosts behaves byte-identically —
     /// but an 8192-host fabric with a sparse workload no longer pays for
     /// tens of millions of ECMP groups it will never look up.
+    ///
+    /// The install is switch-major: each switch's uplink group is built
+    /// once, and its down-group once per attachment switch below it.
     pub fn install_basic_routing_for(&mut self, active: Option<&[bool]>) {
-        let live = |h: HostId| active.is_none_or(|a| a.get(h.index()).copied().unwrap_or(false));
-        if self.tiers.len() < 2 {
-            let sw = self.leaves[0];
-            for &h in &self.hosts {
-                if !live(h) {
+        let groups = self.hosts_by_attachment(active);
+        let mut downs = Vec::new();
+        for i in 0..self.switch_tier.len() {
+            let sw = SwitchId(i as u32);
+            let ups: Vec<LinkId> = self.up_adj[i]
+                .iter()
+                .flat_map(|&u| self.pair_links[&(sw, u)].iter().copied())
+                .collect();
+            for (attach, hosts) in &groups {
+                if *attach == sw {
+                    // Local hosts: exact match to the downlink.
+                    for &h in hosts {
+                        let down = self.host_down[h.index()];
+                        self.fabric.switch_mut(sw).install_l2(Mac::host(h), down);
+                    }
                     continue;
                 }
-                let down = self.host_down[h.index()];
-                self.fabric.switch_mut(sw).install_l2(Mac::host(h), down);
-            }
-            return;
-        }
-        let leaves = self.leaves.clone();
-        let hosts = self.hosts.clone();
-        for &leaf in &leaves {
-            // Local hosts: exact match to the downlink.
-            for &h in &hosts {
-                if !live(h) {
-                    continue;
-                }
-                if self.host_leaf[h.index()] == leaf {
-                    let down = self.host_down[h.index()];
-                    self.fabric.switch_mut(leaf).install_l2(Mac::host(h), down);
+                let group = if self.switch_below(sw, *attach) {
+                    // Hosts below: ECMP over every link toward them.
+                    downs.clear();
+                    for &d in &self.down_adj[i] {
+                        if d == *attach || self.switch_below(d, *attach) {
+                            downs.extend_from_slice(&self.pair_links[&(sw, d)]);
+                        }
+                    }
+                    &downs
                 } else {
-                    // Remote hosts: ECMP over every uplink.
-                    let mut ups = Vec::new();
-                    for &u in &self.up_adj[leaf.index()] {
-                        ups.extend(self.pair_links[&(leaf, u)].iter().copied());
-                    }
-                    self.fabric.switch_mut(leaf).install_ecmp(h, ups);
-                }
-            }
-        }
-        for tier in 1..self.tiers.len() {
-            let switches = self.tiers[tier].clone();
-            for &sw in &switches {
-                for &h in &hosts {
-                    if !live(h) {
-                        continue;
-                    }
-                    if self.host_below(sw, h) {
-                        let attach = self.host_leaf[h.index()];
-                        let mut downs = Vec::new();
-                        for &d in &self.down_adj[sw.index()] {
-                            if d == attach || self.switch_below(d, attach) {
-                                downs.extend(self.pair_links[&(sw, d)].iter().copied());
-                            }
-                        }
-                        self.fabric.switch_mut(sw).install_ecmp(h, downs);
-                    } else {
-                        let mut ups = Vec::new();
-                        for &u in &self.up_adj[sw.index()] {
-                            ups.extend(self.pair_links[&(sw, u)].iter().copied());
-                        }
-                        self.fabric.switch_mut(sw).install_ecmp(h, ups);
-                    }
+                    // Everyone else (remote leaves, other pods): ECMP over
+                    // every uplink.
+                    &ups
+                };
+                let switch = self.fabric.switch_mut(sw);
+                for &h in hosts {
+                    switch.install_ecmp(h, group);
                 }
             }
         }
@@ -409,14 +404,14 @@ mod tests {
             assert!(t.is_leaf(leaf));
             assert_eq!(t.up_neighbors(leaf), &t.spines[..]);
             for &spine in &t.spines {
-                assert_eq!(
-                    t.links_between(leaf, spine),
-                    &t.leaf_spine[&(leaf, spine)][..]
-                );
-                assert_eq!(
-                    t.links_between(spine, leaf),
-                    &t.spine_leaf[&(spine, leaf)][..]
-                );
+                // One cable per pair (γ = 1), one link each way.
+                let up = t.links_between(leaf, spine);
+                let down = t.links_between(spine, leaf);
+                assert_eq!((up.len(), down.len()), (1, 1));
+                assert_eq!(t.fabric.link(up[0]).src, Node::Switch(leaf));
+                assert_eq!(t.fabric.link(up[0]).dst, Node::Switch(spine));
+                assert_eq!(t.fabric.link(down[0]).src, Node::Switch(spine));
+                assert_eq!(t.fabric.link(down[0]).dst, Node::Switch(leaf));
             }
         }
         for &spine in &t.spines {
@@ -433,25 +428,24 @@ mod tests {
     }
 
     #[test]
-    fn down_link_toward_picks_parallel_index() {
+    fn down_group_toward_finds_the_group_above_attach() {
         let spec = ClosSpec {
             links_per_pair: 3,
             ..ClosSpec::default()
         };
         let t = Topology::clos(&spec);
-        let spine = t.spines[1];
-        let leaf = t.leaves[2];
-        for j in 0..3 {
-            assert_eq!(
-                t.down_link_toward(spine, leaf, j),
-                t.spine_leaf[&(spine, leaf)][j]
-            );
-        }
-        // Out-of-range parallel indices clamp to the last link.
+        let (spine, leaf) = (t.spines[1], t.leaves[2]);
+        assert_eq!(t.down_group_toward(spine, leaf).len(), 3);
         assert_eq!(
-            t.down_link_toward(spine, leaf, 9),
-            t.spine_leaf[&(spine, leaf)][2]
+            t.down_group_toward(spine, leaf),
+            t.links_between(spine, leaf)
         );
+        // On 3 tiers a core reaches a ToR through that ToR's pod's agg.
+        let t = Topology::three_tier(&ThreeTierSpec::default());
+        let (core, tor) = (t.tiers[2][0], t.tiers[0][2]);
+        let agg = t.tiers[1][2];
+        assert!(t.switch_below(agg, tor));
+        assert_eq!(t.down_group_toward(core, tor), t.links_between(core, agg));
     }
 
     #[test]
@@ -460,7 +454,33 @@ mod tests {
         let hops = t.up_route(t.leaves[2], t.spines[3]);
         assert_eq!(
             hops,
-            vec![(t.leaves[2], t.leaf_spine[&(t.leaves[2], t.spines[3])][0])]
+            vec![(t.leaves[2], t.links_between(t.leaves[2], t.spines[3])[0])]
+        );
+    }
+
+    #[test]
+    fn hosts_group_by_attachment_switch() {
+        let t = Topology::clos(&ClosSpec::default());
+        let all = t.hosts_by_attachment(None);
+        assert_eq!(all.len(), 4);
+        for (i, (leaf, hosts)) in all.iter().enumerate() {
+            assert_eq!(*leaf, t.leaves[i]);
+            let expect: Vec<HostId> = (4 * i as u32..4 * i as u32 + 4).map(HostId).collect();
+            assert_eq!(hosts, &expect);
+        }
+        // Scoped: leaf 1 has no active host and drops out; a short mask
+        // leaves the hosts past its end inactive.
+        let mut active = vec![false; 13];
+        active[2] = true;
+        active[9] = true;
+        active[12] = true;
+        assert_eq!(
+            t.hosts_by_attachment(Some(&active)),
+            vec![
+                (t.leaves[0], vec![HostId(2)]),
+                (t.leaves[2], vec![HostId(9)]),
+                (t.leaves[3], vec![HostId(12)]),
+            ]
         );
     }
 

@@ -75,6 +75,8 @@ impl Topology {
             }
             x
         }
+        // `pair_links` is Fx-hashed, so key order is arbitrary; the
+        // components do not depend on it (see the union below).
         for &(a, b) in self.pair_links.keys() {
             if self.switch_tier[a.index()] < top && self.switch_tier[b.index()] < top {
                 let (ra, rb) = (find(&mut parent, a.index()), find(&mut parent, b.index()));
@@ -188,7 +190,7 @@ mod tests {
         // Every leaf reaches spines in the other domain: boundaries exist
         // and the lookahead is the (uniform) leaf-spine propagation.
         assert!(p.boundary_links > 0);
-        let some_up = t.leaf_spine[&(t.leaves[0], t.spines[0])][0];
+        let some_up = t.links_between(t.leaves[0], t.spines[0])[0];
         assert_eq!(p.lookahead, t.fabric.link(some_up).propagation);
     }
 

@@ -127,7 +127,7 @@ mod tests {
         };
         let t = Topology::clos(&spec);
         assert_eq!(t.path_count(), 6);
-        assert_eq!(t.leaf_spine[&(t.leaves[0], t.spines[1])].len(), 3);
+        assert_eq!(t.links_between(t.leaves[0], t.spines[1]).len(), 3);
     }
 
     #[test]
@@ -142,7 +142,7 @@ mod tests {
             assert_eq!(buf.pool_bytes, 4 * 1024 * 1024);
         }
         // Per-port static caps are raised to the pool size.
-        let some_link = t.leaf_spine[&(t.leaves[0], t.spines[0])][0];
+        let some_link = t.links_between(t.leaves[0], t.spines[0])[0];
         assert_eq!(
             t.fabric.link(some_link).queue_capacity_bytes,
             4 * 1024 * 1024

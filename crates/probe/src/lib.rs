@@ -32,6 +32,8 @@
 //! scheduled and every digest is byte-identical to a build without this
 //! crate.
 
+use std::cell::Cell;
+
 use presto_netsim::HostId;
 use presto_simcore::{SimDuration, SimTime};
 
@@ -185,6 +187,9 @@ pub struct HclPool {
     staleness: SimDuration,
     entries: Vec<Entry>,
     stats: PoolStats,
+    /// The hot/cold boundary, cached between changes to the entries'
+    /// RIFs (`None` after a change).
+    rif_median: Cell<Option<u64>>,
 }
 
 impl HclPool {
@@ -196,6 +201,7 @@ impl HclPool {
             staleness,
             entries: Vec::new(),
             stats: PoolStats::default(),
+            rif_median: Cell::new(None),
         }
     }
 
@@ -226,6 +232,9 @@ impl HclPool {
             .iter_mut()
             .find(|e| e.tree == tree && e.host == host)
         {
+            if e.rif != rif {
+                self.rif_median.set(None);
+            }
             e.rif = rif;
             e.latency_ns = latency_ns;
             e.updated_at = now;
@@ -243,6 +252,7 @@ impl HclPool {
                 .expect("capacity >= 1");
             self.entries.remove(victim);
         }
+        self.rif_median.set(None);
         self.entries.push(Entry {
             tree,
             host,
@@ -256,8 +266,12 @@ impl HclPool {
     /// bound. Call before classifying so decisions never use dead data.
     pub fn evict_stale(&mut self, now: SimTime) {
         let staleness = self.staleness;
+        let before = self.entries.len();
         self.entries
             .retain(|e| now.saturating_since(e.updated_at) <= staleness);
+        if self.entries.len() != before {
+            self.rif_median.set(None);
+        }
     }
 
     /// Close a probe round: evict stale entries, then fold the pool's
@@ -278,13 +292,20 @@ impl HclPool {
 
     /// The hot/cold boundary: the pool's median requests-in-flight.
     /// Entries strictly above it are hot. With an empty pool this is 0.
+    /// Computed once per change to the pool's RIFs.
     fn rif_threshold(&self) -> u64 {
-        if self.entries.is_empty() {
-            return 0;
+        if let Some(median) = self.rif_median.get() {
+            return median;
         }
-        let mut rifs: Vec<u64> = self.entries.iter().map(|e| e.rif).collect();
-        rifs.sort_unstable();
-        rifs[rifs.len() / 2]
+        let median = if self.entries.is_empty() {
+            0
+        } else {
+            let mut rifs: Vec<u64> = self.entries.iter().map(|e| e.rif).collect();
+            rifs.sort_unstable();
+            rifs[rifs.len() / 2]
+        };
+        self.rif_median.set(Some(median));
+        median
     }
 
     /// Classify one `(tree, destination)` pair under the HCL rule.
@@ -365,6 +386,32 @@ mod tests {
         );
         assert_eq!(pool.classify(0, HostId(3)), PoolClass::Hot { rif: 9 });
         assert_eq!(pool.classify(1, HostId(1)), PoolClass::Unknown);
+    }
+
+    #[test]
+    fn hot_cold_boundary_follows_every_change() {
+        // Each step moves the median; a boundary cached across the step
+        // would misclassify the asserted entry.
+        let hot = |pool: &HclPool, h: u32| pool.classify(0, HostId(h)).band() == 2;
+        let mut pool = HclPool::new(4, SimDuration::from_millis(1));
+        pool.record(t(0), 0, HostId(1), 1, 10);
+        pool.record(t(0), 0, HostId(2), 2, 10);
+        pool.record(t(0), 0, HostId(3), 3, 10);
+        assert!(!hot(&pool, 2) && hot(&pool, 3)); // median 2
+        pool.record(t(1), 0, HostId(3), 0, 10);
+        assert!(hot(&pool, 2)); // refresh: median 1
+        pool.record(t(1), 0, HostId(4), 10, 10);
+        assert!(!hot(&pool, 2) && hot(&pool, 4)); // insert: median 2
+        pool.record(t(2), 0, HostId(5), 10, 10);
+        assert!(!hot(&pool, 4)); // host 1 evicted for capacity: median 10
+
+        let mut pool = HclPool::new(4, SimDuration::from_millis(1));
+        pool.record(t(0), 0, HostId(1), 0, 10);
+        pool.record(t(500), 0, HostId(2), 1, 10);
+        pool.record(t(500), 0, HostId(3), 2, 10);
+        assert!(hot(&pool, 3)); // median 1
+        pool.evict_stale(t(1_001));
+        assert!(!hot(&pool, 3)); // host 1 expired: median 2
     }
 
     #[test]

@@ -2,13 +2,22 @@
 //!
 //! `std::collections::HashMap` defaults to SipHash-1-3, which is
 //! DoS-resistant but costs tens of cycles per small key — measurable when
-//! the simulator does several map probes per packet per hop (switch L2 /
-//! ECMP tables, per-flow edge-policy state). This module provides the
-//! Firefox/rustc "Fx" multiply-and-rotate hash: a couple of cycles per
-//! word, more than enough mixing for the simulator's small integer and
-//! tuple keys, and — unlike the std default — free of per-process random
-//! state, so iteration-independent uses cannot even accidentally observe
-//! randomized bucket order across runs.
+//! the simulator does several map probes per packet per hop. This module
+//! provides the Firefox/rustc "Fx" multiply-and-rotate hash: a couple of
+//! cycles per word, more than enough mixing for the simulator's small
+//! integer and tuple keys, and — unlike the std default — free of
+//! per-process random state, so iteration-independent uses cannot even
+//! accidentally observe randomized bucket order across runs.
+//!
+//! Users: the switch L2, ECMP and fast-failover tables and the
+//! topology's per-pair link groups (`presto-netsim`), and the per-flow
+//! sender, receiver and vSwitch tables of the simulation loop
+//! (`presto-testbed`).
+//!
+//! Fx takes a table's bucket index from the low bits of `word · K`, so
+//! those low bits must vary across keys. A key type whose distinguishing
+//! bits sit high in the word folds them down in its `Hash` impl, as
+//! `presto_netsim::Mac` does for the tree bits of shadow labels.
 //!
 //! # Determinism rule
 //!

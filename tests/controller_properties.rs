@@ -2,14 +2,17 @@
 //! (DESIGN.md §10): for randomized 2-tier and 3-tier fabric shapes the
 //! carved trees are link-disjoint and spanning, and — because they are
 //! disjoint — losing any single fabric link prunes at most one tree, so
-//! no reachable host pair's label multiset ever empties.
+//! no reachable host pair's label multiset ever empties. A scoped install
+//! (`Controller::install_for` with an active-host mask) writes, for every
+//! active host, exactly the state the unscoped install writes, and
+//! nothing for the others.
 
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use presto::core::Controller;
-use presto::netsim::{ClosSpec, LinkId, Mac, Node, ThreeTierSpec, Topology};
+use presto::netsim::{ClosSpec, HostId, LinkId, Mac, Node, ThreeTierSpec, Topology};
 
 /// Every chain of every tree must terminate at that tree's root (one
 /// switch spans all leaves), and the per-tree link sets — ascending hops
@@ -81,6 +84,57 @@ fn assert_single_prune_survivable(topo: &mut Topology, ctl: &Controller, victim:
         }
     }
     topo.fabric.link_mut(victim).up = true;
+}
+
+/// Install `build()`'s fabric twice — unscoped, and scoped to the hosts
+/// whose bit in `mask_bits` (cycled) is set — and check the scoped
+/// install against the unscoped one switch by switch.
+fn assert_scoped_matches_full(build: impl Fn() -> Topology, mask_bits: u64) {
+    let mut full = build();
+    let full_ctl = Controller::install(&mut full);
+    let mut scoped = build();
+    let active: Vec<bool> = (0..scoped.host_count())
+        .map(|h| (mask_bits >> (h % 64)) & 1 == 1)
+        .collect();
+    let ctl = Controller::install_for(&mut scoped, Some(&active));
+    let trees = ctl.tree_count();
+    assert_eq!(trees, full_ctl.tree_count());
+    let live = active.iter().filter(|&&a| a).count();
+    for (i, (s, f)) in scoped
+        .fabric
+        .switches()
+        .iter()
+        .zip(full.fabric.switches())
+        .enumerate()
+    {
+        let mut host_macs = 0;
+        for h in 0..scoped.host_count() {
+            let h = HostId(h as u32);
+            let macs =
+                std::iter::once(Mac::host(h)).chain((0..trees as u32).map(|t| Mac::shadow(h, t)));
+            if active[h.index()] {
+                for mac in macs {
+                    assert_eq!(s.l2_lookup(mac), f.l2_lookup(mac), "switch {i} {mac:?}");
+                }
+                assert_eq!(s.ecmp_group(h), f.ecmp_group(h), "switch {i} ECMP {h:?}");
+                host_macs += usize::from(s.l2_lookup(Mac::host(h)).is_some());
+            } else {
+                for mac in macs {
+                    assert_eq!(s.l2_lookup(mac), None, "switch {i} {mac:?} inactive");
+                }
+                assert_eq!(s.ecmp_group(h), None, "switch {i} ECMP {h:?} inactive");
+            }
+        }
+        assert_eq!(s.l2_len(), trees * live + host_macs, "switch {i} L2 size");
+        for l in 0..scoped.fabric.links().len() {
+            let l = LinkId(l as u32);
+            assert_eq!(
+                s.failover_backup(l),
+                f.failover_backup(l),
+                "switch {i} failover {l:?}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -173,5 +227,49 @@ proptest! {
         let ctl = Controller::install(&mut topo);
         let victim = LinkId((victim_seed % topo.fabric.links().len()) as u32);
         assert_single_prune_survivable(&mut topo, &ctl, victim);
+    }
+
+    /// A 2-tier install scoped to a random active-host mask matches the
+    /// unscoped install on every active host and is empty elsewhere.
+    #[test]
+    fn two_tier_scoped_install_matches_full(
+        spines in 1usize..4,
+        leaves in 2usize..5,
+        hosts_per_leaf in 1usize..4,
+        links_per_pair in 1usize..3,
+        mask_bits in 0u64..u64::MAX,
+    ) {
+        let spec = ClosSpec {
+            spines,
+            leaves,
+            hosts_per_leaf,
+            links_per_pair,
+            ..ClosSpec::default()
+        };
+        assert_scoped_matches_full(|| Topology::clos(&spec), mask_bits);
+    }
+
+    /// The same equivalence on a 3-tier fabric, where transit switches
+    /// route some hosts down and climb toward the others.
+    #[test]
+    fn three_tier_scoped_install_matches_full(
+        pods in 2usize..4,
+        tors_per_pod in 1usize..3,
+        hosts_per_tor in 1usize..3,
+        aggs_per_pod in 1usize..3,
+        links_per_pair in 1usize..3,
+        cores_per_group in 1usize..3,
+        mask_bits in 0u64..u64::MAX,
+    ) {
+        let spec = ThreeTierSpec {
+            pods,
+            tors_per_pod,
+            hosts_per_tor,
+            aggs_per_pod,
+            links_per_pair,
+            cores_per_group,
+            ..ThreeTierSpec::default()
+        };
+        assert_scoped_matches_full(|| Topology::three_tier(&spec), mask_bits);
     }
 }

@@ -20,7 +20,7 @@ fn one_flow_spreads_evenly_over_all_spines() {
     let src_leaf = sim.topo.host_leaf[0];
     let mut per_spine = Vec::new();
     for &spine in &sim.topo.spines {
-        let up = sim.topo.leaf_spine[&(src_leaf, spine)][0];
+        let up = sim.topo.links_between(src_leaf, spine)[0];
         per_spine.push(sim.topo.fabric.link(up).counters.tx_bytes);
     }
     let total: u64 = per_spine.iter().sum();
@@ -48,7 +48,7 @@ fn ecmp_flow_sticks_to_one_spine() {
     let src_leaf = sim.topo.host_leaf[0];
     let mut used_spines = 0;
     for &spine in &sim.topo.spines {
-        let up = sim.topo.leaf_spine[&(src_leaf, spine)][0];
+        let up = sim.topo.links_between(src_leaf, spine)[0];
         if sim.topo.fabric.link(up).counters.tx_bytes > 100_000 {
             used_spines += 1;
         }
@@ -76,7 +76,7 @@ fn weighted_stage_avoids_the_dead_tree() {
         let _ = sim.run();
         // Drops attributable to the dead downlink's unusable route.
         let spine0 = sim.topo.spines[0];
-        let dead_down = sim.topo.spine_leaf[&(spine0, sim.topo.leaves[0])][0];
+        let dead_down = sim.topo.links_between(spine0, sim.topo.leaves[0])[0];
         let drops: u64 = sim.topo.fabric.switches()[spine0.index()].no_route_drops
             + sim.topo.fabric.link(dead_down).counters.dropped_packets;
         drops

@@ -7,12 +7,14 @@
 //!    1/2/8 `ParallelRunner` workers.
 //! 3. An aggregation-switch failure (tier 1) resolves, degrades the
 //!    fast-failover stage only, and recovers after reweighting.
+//! 4. The 8192-host fabric (k=32-scale, 16 spanning trees) reproduces
+//!    its pinned digest.
 
 use presto_faults::{FaultPlan, Notify};
 use presto_netsim::ThreeTierSpec;
 use presto_simcore::{SimDuration, SimTime};
 use presto_telemetry::TelemetryConfig;
-use presto_testbed::{ParallelRunner, Report, Scenario, SchemeSpec};
+use presto_testbed::{stride_elephants, ParallelRunner, Report, Scenario, SchemeSpec};
 use presto_workloads::FlowSpec;
 
 /// Bidirectional cross-pod elephants, one per ToR. The reverse flows
@@ -164,4 +166,28 @@ fn oversubscribed_fabric_still_runs() {
         .build()
         .run();
     assert!(report.mean_elephant_tput() > 0.5);
+}
+
+/// 64 stride elephants on the 8192-host three-tier fabric. The digest is
+/// the one `perfbench/pins.json` pins for the `threetier_8192` workload;
+/// building this fabric is dominated by the controller's forwarding-state
+/// install, so a change there that moves any written entry moves it.
+#[test]
+fn eight_thousand_host_fabric_keeps_its_digest() {
+    let mut flows = stride_elephants(8192, 256);
+    flows.truncate(64);
+    let report = Scenario::builder(SchemeSpec::presto(), 1)
+        .three_tier(ThreeTierSpec {
+            pods: 32,
+            tors_per_pod: 16,
+            hosts_per_tor: 16,
+            aggs_per_pod: 16,
+            ..ThreeTierSpec::default()
+        })
+        .duration(SimDuration::from_millis(10))
+        .warmup(SimDuration::from_millis(2))
+        .elephants(flows)
+        .build()
+        .run();
+    assert_eq!(report.digest(), 0xa541e7e93c48f261);
 }
