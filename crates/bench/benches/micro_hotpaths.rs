@@ -12,7 +12,7 @@ use presto_core::FlowcellScheduler;
 use presto_endhost::{tso_split, tso_split_into, EdgePolicy, PathTag, ReceiveOffload, TxSegment};
 use presto_gro::{OfficialGro, PrestoGro};
 use presto_netsim::{FlowKey, HostId, Mac, Packet, PacketKind, PacketPool, MSS};
-use presto_simcore::{EventQueue, HeapEventQueue, SimTime};
+use presto_simcore::{EventQueue, HeapEventQueue, SimDuration, SimTime};
 use presto_transport::TcpReceiver;
 
 fn flow() -> FlowKey {
@@ -71,6 +71,44 @@ macro_rules! queue_bench {
     };
 }
 
+/// Steady state of a busy fabric, modelled on `perfbench`'s `stride`
+/// workload so this number sits beside its `run_s`: 64 links, each with
+/// a serialization end (`TxDone`, +1.23 µs) and an arrival (+2.23 µs)
+/// pending, beside 12 k far, stale RTO-scale timers that never come due.
+/// Every popped `TxDone` schedules the link's next pair, so the queue
+/// runs at about 100 events per simulated µs.
+macro_rules! link_mix_bench {
+    ($c:expr, $name:expr, $ty:ty) => {
+        $c.bench_function($name, |b| {
+            const LINKS: u64 = 64;
+            const STALE: u64 = u64::MAX;
+            let tx = SimDuration::from_nanos(1_230);
+            let arrive = SimDuration::from_nanos(2_230);
+            b.iter(|| {
+                let mut q: $ty = <$ty>::new();
+                for i in 0..12_000u64 {
+                    let t = 10_000_000 + (i * 104_729) % 40_000_000;
+                    q.push(SimTime::from_nanos(t), STALE);
+                }
+                for link in 0..LINKS {
+                    q.push(SimTime::from_nanos(link * 19), link);
+                }
+                let mut arrivals = 0u64;
+                for _ in 0..100_000 {
+                    let (now, ev) = q.pop().expect("links keep the queue busy");
+                    if ev < LINKS {
+                        q.push(now + tx, ev);
+                        q.push(now + arrive, LINKS + ev);
+                    } else {
+                        arrivals += 1;
+                    }
+                }
+                black_box(arrivals)
+            })
+        });
+    };
+}
+
 fn bench_queue_head_to_head(c: &mut Criterion) {
     // Uniform near-horizon timers: the common case (packet serializations,
     // coalescing timers) — everything lands in the calendar wheel.
@@ -101,6 +139,9 @@ fn bench_queue_head_to_head(c: &mut Criterion) {
         .collect();
     queue_bench!(c, "queue_burst_2k_calendar", burst, EventQueue<u64>);
     queue_bench!(c, "queue_burst_2k_heap", burst, HeapEventQueue<u64>);
+
+    link_mix_bench!(c, "event_queue_link_mix_calendar", EventQueue<u64>);
+    link_mix_bench!(c, "event_queue_link_mix_heap", HeapEventQueue<u64>);
 }
 
 fn bench_gro(c: &mut Criterion) {

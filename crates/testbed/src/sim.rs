@@ -2092,7 +2092,11 @@ impl Simulation {
         for v in &self.stats.segment_bytes {
             report.segment_bytes.add(*v);
         }
-        for seq in self.stats.cell_sequences.values() {
+        // Flow order, not hash order: the samples fold into the digest in
+        // insertion order.
+        let mut cell_flows: Vec<_> = self.stats.cell_sequences.iter().collect();
+        cell_flows.sort_unstable_by_key(|&(flow, _)| *flow);
+        for (_, seq) in cell_flows {
             for c in ooo_cell_counts(seq) {
                 report.ooo_cell_counts.add(c as f64);
             }

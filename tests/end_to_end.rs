@@ -156,6 +156,31 @@ fn same_seed_same_result() {
     assert_eq!(a.rtt_ms.values(), b.rtt_ms.values());
 }
 
+/// Reorder collection keeps the report digest repeatable: the per-flow
+/// flowcell sequences are folded in flow order, not in the order of a
+/// randomly seeded hash map, so back-to-back runs in one process agree.
+#[test]
+fn reorder_collection_digest_is_repeatable() {
+    let run = || {
+        Scenario::builder(SchemeSpec::presto(), 5)
+            .duration(SimDuration::from_millis(20))
+            .warmup(SimDuration::from_millis(5))
+            .elephants(
+                (0..4)
+                    .map(|i| FlowSpec::elephant(i, 12 + i, SimTime::ZERO))
+                    .collect(),
+            )
+            .collect_reorder(true)
+            .build()
+            .run()
+    };
+    let first = run();
+    assert!(!first.ooo_cell_counts.is_empty(), "no reorder samples");
+    for _ in 0..5 {
+        assert_eq!(run().digest(), first.digest());
+    }
+}
+
 /// MPTCP lands between ECMP and Presto on stride throughput (Figs 7, 15).
 #[test]
 fn mptcp_sits_between_ecmp_and_presto() {
