@@ -31,27 +31,12 @@ fn cross_flows(n_hosts: usize, senders: usize) -> Vec<FlowSpec> {
         .collect()
 }
 
-/// `--shards N` from the bench command line (after `--`), ignoring the
-/// flags cargo-bench itself passes. 1 = serial engine.
-fn shards_flag() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 fn main() {
-    let shards = shards_flag();
     banner(
         "Extension: tier depth",
         "2-tier vs 3-tier Clos, then 3-tier growth",
         "edge-based load balancing is topology-agnostic: deeper trees keep the gains",
     );
-    if shards != 1 {
-        println!("(sharded engine: {shards} event-queue domains, results byte-identical)\n");
-    }
 
     // Part 1: same server count and per-host bandwidth, one extra tier.
     let mut tbl = new_table([
@@ -92,7 +77,6 @@ fn main() {
             .duration(sim_duration())
             .warmup(warmup_of(sim_duration()))
             .elephants(cross_flows(16, 4))
-            .shards(shards)
             .build()
             .run();
         tbl.row([
@@ -142,7 +126,6 @@ fn main() {
             .duration(sim_duration())
             .warmup(warmup_of(sim_duration()))
             .elephants(cross_flows(hosts, pods))
-            .shards(shards)
             .build()
             .run();
         let wall = t0.elapsed().as_secs_f64();

@@ -49,10 +49,6 @@ pub struct PointSpec {
     pub flowcell_kb: u64,
     /// Master seed.
     pub seed: u64,
-    /// Event-queue shard count (1 = serial engine). A performance axis:
-    /// the report digest is identical at every value, but wall-clock and
-    /// events/s differ, so each shard count gets its own store row.
-    pub shards: usize,
     /// Simulated duration.
     pub duration: SimDuration,
     /// Measurement-window start.
@@ -82,12 +78,6 @@ impl PointSpec {
         }
         if self.probe != ProbeId::Default {
             label.push_str(&format!("/probe:{}", self.probe));
-        }
-        // Serial points keep their historical labels; only sharded points
-        // carry the engine suffix (kept last: figure extraction strips a
-        // trailing `/shN`).
-        if self.shards != 1 {
-            label.push_str(&format!("/sh{}", self.shards));
         }
         label
     }
@@ -146,9 +136,6 @@ impl PointSpec {
             )
         {
             return whine("the probe axis only configures probing schemes (prequal)");
-        }
-        if self.shards == 0 {
-            return whine("shard count must be \u{2265} 1");
         }
         if self.warmup.as_nanos() >= self.duration.as_nanos() {
             return whine("warmup must end before the run does");
@@ -267,7 +254,7 @@ impl PointSpec {
                 })
             }
         };
-        customize(b.shards(self.shards).name(self.label())).build()
+        customize(b.name(self.label())).build()
     }
 
     /// The content address of this point: the fingerprint of its scenario.
@@ -340,8 +327,6 @@ pub struct PointMatch {
     pub flowcell_kb: Option<u64>,
     /// Exact seed.
     pub seed: Option<u64>,
-    /// Exact shard count.
-    pub shards: Option<u64>,
 }
 
 impl PointMatch {
@@ -357,7 +342,6 @@ impl PointMatch {
             && s(&self.probe, p.probe.to_string())
             && self.flowcell_kb.is_none_or(|v| v == p.flowcell_kb)
             && self.seed.is_none_or(|v| v == p.seed)
-            && self.shards.is_none_or(|v| v as usize == p.shards)
     }
 }
 
@@ -401,8 +385,6 @@ pub struct Campaign {
     pub flowcells_kb: Vec<u64>,
     /// Seed axis.
     pub seeds: Vec<u64>,
-    /// Shard-count axis (event-queue domains per run; 1 = serial).
-    pub shards: Vec<usize>,
     /// `[[drop]]` combinators, applied before overrides.
     pub drops: Vec<PointMatch>,
     /// `[[override]]` combinators, applied in file order.
@@ -430,7 +412,6 @@ impl Campaign {
             probes: vec![ProbeId::Default],
             flowcells_kb: vec![64],
             seeds: vec![1],
-            shards: vec![1],
             drops: Vec::new(),
             overrides: Vec::new(),
             traces: Vec::new(),
@@ -456,7 +437,6 @@ impl Campaign {
             ("probe", self.probes.len()),
             ("flowcell_kb", self.flowcells_kb.len()),
             ("seed", self.seeds.len()),
-            ("shards", self.shards.len()),
         ] {
             if n == 0 {
                 return Err(format!("campaign `{}`: empty `{axis}` axis", self.name));
@@ -472,49 +452,45 @@ impl Campaign {
                                 for &probe in &self.probes {
                                     for &flowcell_kb in &self.flowcells_kb {
                                         for &seed in &self.seeds {
-                                            for &shards in &self.shards {
-                                                let mut p = PointSpec {
-                                                    scheme,
-                                                    topo,
-                                                    workload,
-                                                    fault,
-                                                    cc,
-                                                    ecn,
-                                                    probe,
-                                                    flowcell_kb,
-                                                    seed,
-                                                    shards,
-                                                    duration: self.duration,
-                                                    warmup: self.warmup,
-                                                    traced: false,
-                                                };
-                                                if self.drops.iter().any(|d| d.matches(&p)) {
-                                                    continue;
-                                                }
-                                                for o in &self.overrides {
-                                                    if o.matcher.matches(&p) {
-                                                        if let Some(d) = o.duration {
-                                                            p.duration = d;
-                                                        }
-                                                        if let Some(w) = o.warmup {
-                                                            p.warmup = w;
-                                                        }
-                                                        if let Some(f) = o.flowcell_kb {
-                                                            p.flowcell_kb = f;
-                                                        }
+                                            let mut p = PointSpec {
+                                                scheme,
+                                                topo,
+                                                workload,
+                                                fault,
+                                                cc,
+                                                ecn,
+                                                probe,
+                                                flowcell_kb,
+                                                seed,
+                                                duration: self.duration,
+                                                warmup: self.warmup,
+                                                traced: false,
+                                            };
+                                            if self.drops.iter().any(|d| d.matches(&p)) {
+                                                continue;
+                                            }
+                                            for o in &self.overrides {
+                                                if o.matcher.matches(&p) {
+                                                    if let Some(d) = o.duration {
+                                                        p.duration = d;
+                                                    }
+                                                    if let Some(w) = o.warmup {
+                                                        p.warmup = w;
+                                                    }
+                                                    if let Some(f) = o.flowcell_kb {
+                                                        p.flowcell_kb = f;
                                                     }
                                                 }
-                                                p.traced =
-                                                    self.traces.iter().any(|t| t.matches(&p));
-                                                p.validate().map_err(|e| {
-                                                    format!(
-                                                        "campaign `{}`: invalid grid point {e} \
-                                                         (add a [[drop]] to exclude it)",
-                                                        self.name
-                                                    )
-                                                })?;
-                                                points.push(p);
                                             }
+                                            p.traced = self.traces.iter().any(|t| t.matches(&p));
+                                            p.validate().map_err(|e| {
+                                                format!(
+                                                    "campaign `{}`: invalid grid point {e} \
+                                                     (add a [[drop]] to exclude it)",
+                                                    self.name
+                                                )
+                                            })?;
+                                            points.push(p);
                                         }
                                     }
                                 }
@@ -594,7 +570,6 @@ impl Campaign {
                     "probe",
                     "flowcell_kb",
                     "seed",
-                    "shards",
                 ],
             )?;
             if let Some(v) = axes.get("scheme") {
@@ -623,12 +598,6 @@ impl Campaign {
             }
             if let Some(v) = axes.get("seed") {
                 campaign.seeds = parse_u64_axis(v, "seed")?;
-            }
-            if let Some(v) = axes.get("shards") {
-                campaign.shards = parse_u64_axis(v, "shards")?
-                    .into_iter()
-                    .map(|n| n as usize)
-                    .collect();
             }
         }
         for t in doc.tables("drop") {
@@ -720,7 +689,6 @@ fn parse_match(table: &Table, section: &str, extra: &[&str]) -> Result<PointMatc
         "probe",
         "flowcell_kb",
         "seed",
-        "shards",
     ];
     allowed.extend_from_slice(extra);
     reject_unknown(table, section, &allowed)?;
@@ -757,7 +725,6 @@ fn parse_match(table: &Table, section: &str, extra: &[&str]) -> Result<PointMatc
         probe: pat("probe", &|s| s.parse::<ProbeId>().map(|_| ()))?,
         flowcell_kb: int("flowcell_kb")?,
         seed: int("seed")?,
-        shards: int("shards")?,
     };
     if m == PointMatch::default() && extra.is_empty() {
         return Err(format!("[[{section}]] matches every point (no axis keys)"));
@@ -869,6 +836,14 @@ seed = 1
             Campaign::from_toml(&DEMO.replace("fault = \"!none\"", "fault = \"linkdown:*\""))
                 .is_ok()
         );
+        // A retired axis key, which old campaign files may still carry,
+        // is an unknown key like any other: the error names it.
+        let err = Campaign::from_toml(&DEMO.replace("[axes]\n", "[axes]\nshards = [1, 8]\n"))
+            .unwrap_err();
+        assert!(err.contains("`shards`"), "{err}");
+        let err =
+            Campaign::from_toml(&DEMO.replace("[[drop]]\n", "[[drop]]\nshards = 8\n")).unwrap_err();
+        assert!(err.contains("`shards`"), "{err}");
     }
 
     #[test]
@@ -912,7 +887,6 @@ seed = 1
                 probe: ProbeId::Default,
                 flowcell_kb: 64,
                 seed: 3,
-                shards: 1,
                 duration: SimDuration::from_millis(50),
                 warmup: SimDuration::from_millis(10),
                 traced: false,
@@ -933,9 +907,8 @@ seed = 1
         let mut c = Campaign::new("transport");
         c.ccs = vec![CcKind::Cubic, CcKind::Dctcp];
         c.ecns = vec![EcnId::Off, EcnId::On(presto_testbed::DEFAULT_ECN_THRESHOLD)];
-        c.shards = vec![1, 8];
         let points = c.expand().unwrap();
-        assert_eq!(points.len(), 8);
+        assert_eq!(points.len(), 4);
         // Default cc/ecn keeps the historical label byte-identical…
         assert_eq!(
             points[0].label(),
@@ -950,21 +923,22 @@ seed = 1
             ..points[0].clone()
         };
         assert_eq!(points[0].fingerprint(), baseline.fingerprint());
-        // Non-default values suffix in a fixed order with /shN last.
+        // Non-default values suffix in a fixed order.
         let labels: Vec<String> = points.iter().map(PointSpec::label).collect();
         assert!(labels.contains(&"presto/testbed16/stride:8/none/cell64k/s1/ecn:on".into()));
-        assert!(labels
-            .contains(&"presto/testbed16/stride:8/none/cell64k/s1/cc:dctcp/ecn:on/sh8".into()));
+        assert!(
+            labels.contains(&"presto/testbed16/stride:8/none/cell64k/s1/cc:dctcp/ecn:on".into())
+        );
         for p in &points {
             let s = p.to_scenario();
             assert_eq!(s.scheme().cc, p.cc);
             assert_eq!(s.scheme().ecn, p.ecn.threshold());
         }
-        // All eight points are distinct configurations.
+        // All four points are distinct configurations.
         let mut fps: Vec<String> = points.iter().map(PointSpec::fingerprint).collect();
         fps.sort();
         fps.dedup();
-        assert_eq!(fps.len(), 8);
+        assert_eq!(fps.len(), 4);
     }
 
     #[test]
@@ -1022,7 +996,7 @@ cc = "dctcp"
             points[0].label(),
             "prequal/testbed16/stride:8/none/cell64k/s1"
         );
-        // …and custom probes suffix before /shN with a distinct address.
+        // …and custom probes suffix the label with a distinct address.
         assert_eq!(
             points[1].label(),
             "prequal/testbed16/stride:8/none/cell64k/s1/probe:50:16:500"
@@ -1070,7 +1044,6 @@ probe = "!default"
             probe: ProbeId::Default,
             flowcell_kb: 64,
             seed: 3,
-            shards: 1,
             duration: SimDuration::from_millis(50),
             warmup: SimDuration::from_millis(10),
             traced: false,
@@ -1112,42 +1085,6 @@ probe = "!default"
                 p.flowcell_kb * 1024
             );
         }
-    }
-
-    #[test]
-    fn shards_axis_expands_labels_and_scenarios() {
-        let mut c = Campaign::new("sharded");
-        c.shards = vec![1, 8];
-        let points = c.expand().unwrap();
-        assert_eq!(points.len(), 2);
-        // Serial points keep the historical label; sharded points get the
-        // /shN suffix and a distinct fingerprint.
-        assert_eq!(
-            points[0].label(),
-            "presto/testbed16/stride:8/none/cell64k/s1"
-        );
-        assert_eq!(
-            points[1].label(),
-            "presto/testbed16/stride:8/none/cell64k/s1/sh8"
-        );
-        assert_ne!(points[0].fingerprint(), points[1].fingerprint());
-        assert_eq!(points[1].to_scenario().shards(), 8);
-        // The shards key works in combinators.
-        let text = r#"
-[campaign]
-name = "sharded"
-
-[axes]
-shards = [1, 8]
-
-[[drop]]
-shards = 8
-"#;
-        let c = Campaign::from_toml(text).unwrap();
-        assert_eq!(c.shards, vec![1, 8]);
-        let points = c.expand().unwrap();
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].shards, 1);
     }
 
     #[test]

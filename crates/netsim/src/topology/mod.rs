@@ -24,13 +24,11 @@
 //! [`Topology::links_between`].
 
 mod build;
-mod partition;
 mod single;
 mod three_tier;
 mod two_tier;
 
 pub use build::TopologyBuilder;
-pub use partition::DomainPartition;
 pub use three_tier::ThreeTierSpec;
 pub use two_tier::ClosSpec;
 

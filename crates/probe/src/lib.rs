@@ -72,7 +72,7 @@ impl Default for ProbeParams {
 /// One probe response: the load signals a destination host exposes.
 ///
 /// All fields are exact integers read from simulator state, never floats,
-/// so probe rounds are bit-reproducible at any worker/shard count.
+/// so probe rounds are bit-reproducible at any worker count.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HostLoad {
     /// The probed host.

@@ -121,9 +121,8 @@ fn baseline_str(opts: &ReportOptions) -> &str {
 }
 
 /// Re-read the traced points' raw JSONL for embedding (the viewer embeds
-/// the artifact bytes verbatim, not a re-serialization). Keyed by base
-/// label like `CampaignData::traces`: trace files are named after full
-/// row labels, so look up by row and dedupe on the base.
+/// the artifact bytes verbatim, not a re-serialization). Keyed by row
+/// label like `CampaignData::traces`.
 fn raw_traces(
     store: &ResultsStore,
     campaign: &str,
@@ -132,13 +131,9 @@ fn raw_traces(
     let dir = store.campaign_dir(campaign).join("traces");
     let mut out = std::collections::BTreeMap::new();
     for row in &data.rows {
-        let base = crate::extract::base_label(&row.label).to_string();
-        if out.contains_key(&base) {
-            continue;
-        }
         let path = dir.join(format!("{}.jsonl", sanitize_label(&row.label)));
         if let Ok(text) = fs::read_to_string(&path) {
-            out.insert(base, text);
+            out.insert(row.label.clone(), text);
         }
     }
     out

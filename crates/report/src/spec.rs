@@ -10,8 +10,7 @@
 //!   only change when the underlying simulation results change.
 //! * [`Figure::render_svg`] — the presentation, built from the same data
 //!   through the deterministic [`svg`](crate::svg) module, so rendered
-//!   SVGs are themselves byte-identical across runs, worker counts and
-//!   shard counts.
+//!   SVGs are themselves byte-identical across runs and worker counts.
 //!
 //! Canonical floats use shortest-roundtrip display (the convention of the
 //! results store), so a canonical text parses back to bit-identical data.
@@ -156,7 +155,7 @@ fn canon_f64(v: f64) -> String {
 /// One traced point's flush-reason split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroSplitPoint {
-    /// Point label (shard suffix stripped — figures are behavioral).
+    /// Point label.
     pub label: String,
     /// The loss / reordering / other bucket counts.
     pub split: FlushSplit,
@@ -245,7 +244,7 @@ impl FctCdfFigure {
 /// Fig 17 analog: the four-stage failover decomposition of one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverFigure {
-    /// Point label (shard suffix stripped).
+    /// Point label.
     pub point: String,
     /// File-stem-safe form of `point`.
     pub slug: String,
@@ -311,7 +310,7 @@ impl FailoverFigure {
 /// One traced point's per-path spray shares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SprayRow {
-    /// Point label (shard suffix stripped).
+    /// Point label.
     pub label: String,
     /// Share of flowcells sent down each path (sums to 1).
     pub shares: Vec<f64>,
@@ -338,7 +337,7 @@ impl SprayHeatmapFigure {
 /// One probing grid point's pool-composition counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbePoolRow {
-    /// Point label (shard suffix stripped).
+    /// Point label.
     pub label: String,
     /// Probe rounds executed over the run.
     pub rounds: u64,

@@ -34,16 +34,16 @@ struct Scheduled<E> {
     event: E,
 }
 
-/// A queue entry for the arena-backed queues: the `(time, seq)` sort key
-/// plus an index into an [`Arena`] holding the payload. Keeping entries
-/// at 24 bytes (instead of the full event, ~80 for the simulator's
+/// A queue entry for the arena-backed [`EventQueue`]: the `(time, seq)`
+/// sort key plus an index into an [`Arena`] holding the payload. Keeping
+/// entries at 24 bytes (instead of the full event, ~80 for the simulator's
 /// `Event`) means sifts and slot shifts move keys, not payloads — the
 /// "SoA" half of the arena/SoA layout.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Key {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) idx: u32,
+struct Key {
+    time: SimTime,
+    seq: u64,
+    idx: u32,
 }
 
 impl Key {
@@ -84,7 +84,7 @@ impl Ord for Key {
 /// [`Key`]. Freed slots are recycled through a free list, so steady-state
 /// simulation reuses a compact block of memory instead of churning the
 /// allocator with one box per event.
-pub(crate) struct Arena<E> {
+struct Arena<E> {
     slots: Vec<Option<E>>,
     free: Vec<u32>,
 }
@@ -100,7 +100,7 @@ impl<E> Default for Arena<E> {
 
 impl<E> Arena<E> {
     #[inline]
-    pub(crate) fn insert(&mut self, event: E) -> u32 {
+    fn insert(&mut self, event: E) -> u32 {
         match self.free.pop() {
             Some(idx) => {
                 debug_assert!(self.slots[idx as usize].is_none());
@@ -116,13 +116,13 @@ impl<E> Arena<E> {
     }
 
     #[inline]
-    pub(crate) fn take(&mut self, idx: u32) -> E {
+    fn take(&mut self, idx: u32) -> E {
         let e = self.slots[idx as usize].take().expect("live arena slot");
         self.free.push(idx);
         e
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
     }
@@ -188,7 +188,7 @@ pub struct QueueProfile {
 }
 
 impl QueueProfile {
-    pub(crate) fn new(names: &'static [&'static str]) -> Self {
+    fn new(names: &'static [&'static str]) -> Self {
         QueueProfile {
             names,
             counts: vec![0; names.len()],
@@ -213,7 +213,7 @@ impl QueueProfile {
     }
 
     #[inline]
-    pub(crate) fn record(&mut self, class: usize, dwell_ns: u64) {
+    fn record(&mut self, class: usize, dwell_ns: u64) {
         // Out-of-range classes clamp to the last entry so a buggy
         // classifier skews one row instead of panicking mid-run.
         let i = class.min(self.counts.len().saturating_sub(1));

@@ -5,8 +5,6 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events,
-//! * [`ShardedQueue`] — the same contract over per-domain wheels with
-//!   conservative lookahead-windowed mailboxes (DESIGN.md §12),
 //! * [`FxHashMap`] — a fast deterministic-by-construction hasher for
 //!   never-iterated hot-path lookup tables,
 //! * [`Ewma`] — the exponentially-weighted moving average used by Presto's
@@ -22,11 +20,9 @@ pub mod events;
 pub mod ewma;
 pub mod fxhash;
 pub mod rng;
-pub mod shard;
 pub mod time;
 
 pub use events::{EventQueue, HeapEventQueue, QueueProfile};
 pub use ewma::Ewma;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use shard::{ShardStats, ShardTarget, ShardedQueue};
 pub use time::{SimDuration, SimTime};

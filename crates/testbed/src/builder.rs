@@ -80,7 +80,6 @@ impl ScenarioBuilder {
                 host_uplink_queue: 16 * 1024 * 1024,
                 tx_batch: 1,
                 telemetry: None,
-                shards: 1,
             },
         }
     }
@@ -229,31 +228,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Event-queue shard count (1 = the serial engine).
-    ///
-    /// Sharding partitions the fabric into per-pod domains whose calendar
-    /// wheels advance under a conservative lookahead window; results are
-    /// byte-identical at every shard count, so this is purely a
-    /// performance knob. Values are clamped to at least 1.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.inner.shards = n.max(1);
-        self
-    }
-
     /// Finish: hand back the assembled [`Scenario`].
-    ///
-    /// If the builder's `tx_batch` was left at its default, the deprecated
-    /// `PRESTO_TX_BATCH` environment variable is consulted as a fallback;
-    /// prefer [`ScenarioBuilder::tx_batch`], which also feeds the
-    /// scenario fingerprint.
-    pub fn build(mut self) -> Scenario {
-        if self.inner.tx_batch == 1 {
-            if let Ok(v) = std::env::var("PRESTO_TX_BATCH") {
-                if let Ok(n) = v.trim().parse::<u32>() {
-                    self.inner.tx_batch = n.max(1);
-                }
-            }
-        }
+    pub fn build(self) -> Scenario {
         self.inner
     }
 }

@@ -332,14 +332,6 @@ impl Scenario {
         c.opt_dur("cpu_sample", self.cpu_sample());
         c.field("host_uplink_queue", self.host_uplink_queue());
         c.field("tx_batch", self.tx_batch());
-        // The shard count never changes the report digest (the sharded
-        // engine replays the exact serial event order), but it does change
-        // wall-clock and events/s, which the campaign store records per
-        // row. Emit it only when non-default so every pre-sharding
-        // fingerprint — and the store rows keyed by them — stays valid.
-        if self.shards() != 1 {
-            c.field("shards", self.shards());
-        }
 
         c.out
     }
@@ -427,29 +419,11 @@ mod tests {
                 .elephants(stride_elephants(16, 8))
                 .tx_batch(8)
                 .build(),
-            Scenario::builder(SchemeSpec::presto(), 7)
-                .elephants(stride_elephants(16, 8))
-                .shards(8)
-                .build(),
         ];
         let fp = base.fingerprint();
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(fp, v.fingerprint(), "variant {i} must change the key");
         }
-    }
-
-    #[test]
-    fn default_shard_count_is_not_emitted() {
-        let serial = Scenario::builder(SchemeSpec::presto(), 7).build();
-        let explicit = Scenario::builder(SchemeSpec::presto(), 7).shards(1).build();
-        assert_eq!(
-            serial.canonical(),
-            explicit.canonical(),
-            "shards=1 must render identically to the pre-sharding format"
-        );
-        assert!(!serial.canonical().contains("shards"));
-        let sharded = Scenario::builder(SchemeSpec::presto(), 7).shards(4).build();
-        assert!(sharded.canonical().contains("shards=4"));
     }
 
     #[test]

@@ -234,20 +234,12 @@ pub struct Scenario {
     /// times and drop decisions stay exact, but same-instant event ties
     /// across links resolve in commit order, which perturbs tightly
     /// synchronized workloads slightly. Set with
-    /// `ScenarioBuilder::tx_batch` (the `PRESTO_TX_BATCH` env var is a
-    /// deprecated fallback resolved at build time).
+    /// `ScenarioBuilder::tx_batch`; it is part of the scenario
+    /// fingerprint.
     #[deprecated(
         note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
     )]
     pub tx_batch: u32,
-    /// Event-queue shard count (1 = the serial engine). Higher counts
-    /// split the fabric into per-pod domains with conservatively
-    /// synchronized calendar wheels (DESIGN.md §12); report digests are
-    /// byte-identical at any shard count.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub shards: usize,
     /// Attach the telemetry layer with this configuration (`None` = off).
     /// Enabling it never changes simulation behaviour or the report
     /// digest; it only collects counters, samples, and trace events.
@@ -339,10 +331,6 @@ impl Scenario {
     /// Link departure batch.
     pub fn tx_batch(&self) -> u32 {
         self.tx_batch
-    }
-    /// Event-queue shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
     /// Telemetry configuration, if attached.
     pub fn telemetry(&self) -> Option<TelemetryConfig> {
@@ -659,8 +647,7 @@ impl Scenario {
 
         let end = SimTime::ZERO + self.duration;
         let warm = SimTime::ZERO + self.warmup;
-        let mut sim =
-            Simulation::with_shards(topo, self.scheme.clone(), mk_host, end, warm, self.shards);
+        let mut sim = Simulation::new(topo, self.scheme.clone(), mk_host, end, warm);
         sim.topo.fabric.set_tx_batch(self.tx_batch);
         sim.controller = controller;
         sim.label_pairs = label_sets

@@ -4,9 +4,9 @@
 //! through every layer: CE bits on packets, CE-preserving TSO/GRO merge,
 //! the ECE echo on ACKs, and the DCTCP window law. None of it may
 //! perturb engine determinism: the report digest must be byte-identical
-//! across worker counts (1/2/8), shard counts (1/8), and with the
-//! telemetry layer on or off — the same invariant the pre-ECN scenarios
-//! pin in `shard_determinism.rs` and `parallel_determinism.rs`.
+//! across worker counts (1/2/8) and with the telemetry layer on or off —
+//! the same invariant the pre-ECN scenarios pin in `two_tier_compat.rs`
+//! and `parallel_determinism.rs`.
 
 use presto_simcore::SimDuration;
 use presto_telemetry::TelemetryConfig;
@@ -65,32 +65,26 @@ fn presto_allreduce() -> ScenarioBuilder {
         })
 }
 
-/// Run `make` at every (shards × telemetry) combination and require the
-/// serial-engine digest each time; returns the serial report for
-/// content assertions.
-fn assert_shard_telemetry_invariant(name: &str, make: impl Fn() -> ScenarioBuilder) -> Report {
+/// Run `make` with the telemetry layer off and on and require the same
+/// digest both times; returns the untraced report for content assertions.
+fn assert_telemetry_invariant(name: &str, make: impl Fn() -> ScenarioBuilder) -> Report {
     let baseline = make().build().run();
     let expected = baseline.digest();
-    for shards in [1usize, 8] {
-        for telemetry in [false, true] {
-            let mut b = make().shards(shards);
-            if telemetry {
-                b = b.telemetry(TelemetryConfig::default());
-            }
-            let digest = b.build().run().digest();
-            assert_eq!(
-                digest, expected,
-                "{name} @ shards={shards} telemetry={telemetry}: \
-                 digest {digest:#018x} != serial baseline {expected:#018x}"
-            );
-        }
-    }
+    let digest = make()
+        .telemetry(TelemetryConfig::default())
+        .build()
+        .run()
+        .digest();
+    assert_eq!(
+        digest, expected,
+        "{name} @ telemetry=true: digest {digest:#018x} != untraced {expected:#018x}"
+    );
     baseline
 }
 
 #[test]
-fn presto_dctcp_stride_is_shard_and_telemetry_invariant() {
-    let report = assert_shard_telemetry_invariant("presto_dctcp_stride", presto_stride);
+fn presto_dctcp_stride_is_telemetry_invariant() {
+    let report = assert_telemetry_invariant("presto_dctcp_stride", presto_stride);
     assert!(
         report.events_processed > 0,
         "the scenario must do real work"
@@ -98,8 +92,8 @@ fn presto_dctcp_stride_is_shard_and_telemetry_invariant() {
 }
 
 #[test]
-fn ecmp_dctcp_incast_is_shard_and_telemetry_invariant() {
-    let report = assert_shard_telemetry_invariant("ecmp_dctcp_incast", ecmp_incast);
+fn ecmp_dctcp_incast_is_telemetry_invariant() {
+    let report = assert_telemetry_invariant("ecmp_dctcp_incast", ecmp_incast);
     // The incast burst (8 × 32 KiB into one host) must exceed the marking
     // threshold: CE marks and deadline accounting both feed the digest.
     assert!(report.ce_marked_packets > 0, "incast must trigger marking");
@@ -111,8 +105,8 @@ fn ecmp_dctcp_incast_is_shard_and_telemetry_invariant() {
 }
 
 #[test]
-fn presto_dctcp_allreduce_is_shard_and_telemetry_invariant() {
-    let report = assert_shard_telemetry_invariant("presto_dctcp_allreduce", presto_allreduce);
+fn presto_dctcp_allreduce_is_telemetry_invariant() {
+    let report = assert_telemetry_invariant("presto_dctcp_allreduce", presto_allreduce);
     assert!(report.allreduce_rounds > 0, "rounds must complete");
     // Durations are recorded for post-warmup rounds only, so there are
     // samples but never more than completed rounds.

@@ -4,9 +4,9 @@
 //! engine: per-host load signals, periodic probe rounds, the HCL
 //! hot/cold pool, WRR path biasing and replica selection at the incast
 //! aggregator. None of it may perturb engine determinism — the report
-//! digest must be byte-identical across worker counts (1/2/8), shard
-//! counts (1/8), and with telemetry on or off, the same invariant the
-//! transport axis pins in `ecn_determinism.rs`.
+//! digest must be byte-identical across worker counts (1/2/8) and with
+//! telemetry on or off, the same invariant the transport axis pins in
+//! `ecn_determinism.rs`.
 //!
 //! The second half pins the opt-in contract: with probing off (no
 //! policy returns `probe_params`), no probe event is ever scheduled and
@@ -55,31 +55,26 @@ fn prequal_stride() -> ScenarioBuilder {
         }])
 }
 
-/// Run `make` at every (shards × telemetry) combination and require the
-/// serial-engine digest each time; returns the serial report.
-fn assert_shard_telemetry_invariant(name: &str, make: impl Fn() -> ScenarioBuilder) -> Report {
+/// Run `make` with the telemetry layer off and on and require the same
+/// digest both times; returns the untraced report for content assertions.
+fn assert_telemetry_invariant(name: &str, make: impl Fn() -> ScenarioBuilder) -> Report {
     let baseline = make().build().run();
     let expected = baseline.digest();
-    for shards in [1usize, 8] {
-        for telemetry in [false, true] {
-            let mut b = make().shards(shards);
-            if telemetry {
-                b = b.telemetry(TelemetryConfig::default());
-            }
-            let digest = b.build().run().digest();
-            assert_eq!(
-                digest, expected,
-                "{name} @ shards={shards} telemetry={telemetry}: \
-                 digest {digest:#018x} != serial baseline {expected:#018x}"
-            );
-        }
-    }
+    let digest = make()
+        .telemetry(TelemetryConfig::default())
+        .build()
+        .run()
+        .digest();
+    assert_eq!(
+        digest, expected,
+        "{name} @ telemetry=true: digest {digest:#018x} != untraced {expected:#018x}"
+    );
     baseline
 }
 
 #[test]
-fn prequal_skew_is_shard_and_telemetry_invariant() {
-    let report = assert_shard_telemetry_invariant("prequal_skew", prequal_skew);
+fn prequal_skew_is_telemetry_invariant() {
+    let report = assert_telemetry_invariant("prequal_skew", prequal_skew);
     assert!(report.probe_rounds > 0, "probing must actually run");
     assert!(report.probe_pool_samples > 0, "pools must fill");
     assert!(
@@ -90,8 +85,8 @@ fn prequal_skew_is_shard_and_telemetry_invariant() {
 }
 
 #[test]
-fn prequal_stride_is_shard_and_telemetry_invariant() {
-    let report = assert_shard_telemetry_invariant("prequal_stride", prequal_stride);
+fn prequal_stride_is_telemetry_invariant() {
+    let report = assert_telemetry_invariant("prequal_stride", prequal_stride);
     assert!(report.probe_rounds > 0, "probing must actually run");
     assert!(report.events_processed > 0);
 }

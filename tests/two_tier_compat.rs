@@ -4,7 +4,8 @@
 //! controller trees) must be behaviour-preserving on the classic 2-tier
 //! testbed. These digests were captured on the pre-refactor tree; any
 //! change here means the refactor altered packet-level behaviour, not
-//! just structure.
+//! just structure. Each pin is asserted with the telemetry layer off and
+//! on: attaching telemetry must never change the digest.
 
 use presto::prelude::*;
 use presto::workloads::FlowSpec;
@@ -17,113 +18,174 @@ fn flows_l1_l4() -> Vec<FlowSpec> {
         .collect()
 }
 
-fn assert_digest(name: &str, scenario: Scenario, expected: u64) {
-    let digest = scenario.run().digest();
+fn assert_digest(name: &str, builder: ScenarioBuilder, expected: u64, telemetry: bool) {
+    let builder = if telemetry {
+        builder.telemetry(TelemetryConfig::default())
+    } else {
+        builder
+    };
+    let digest = builder.build().run().digest();
     assert_eq!(
         digest, expected,
-        "{name}: digest {digest:#018x} != pre-refactor baseline {expected:#018x}"
+        "{name} @ telemetry={telemetry}: \
+         digest {digest:#018x} != pre-refactor baseline {expected:#018x}"
     );
+}
+
+const SMOKE_PRESTO: u64 = 0xf3c2d3b083ddafe0;
+
+fn smoke_presto() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::presto(), 21)
+        .duration(SimDuration::from_millis(30))
+        .warmup(SimDuration::from_millis(10))
+        .elephants(flows_l1_l4())
+        .mice(vec![MiceSpec {
+            src: 1,
+            dst: 9,
+            bytes: 50_000,
+            interval: SimDuration::from_millis(5),
+        }])
+        .probes(vec![(0, 12)])
 }
 
 #[test]
 fn smoke_presto_digest_is_unchanged() {
-    assert_digest(
-        "smoke_presto",
-        Scenario::builder(SchemeSpec::presto(), 21)
-            .duration(SimDuration::from_millis(30))
-            .warmup(SimDuration::from_millis(10))
-            .elephants(flows_l1_l4())
-            .mice(vec![MiceSpec {
-                src: 1,
-                dst: 9,
-                bytes: 50_000,
-                interval: SimDuration::from_millis(5),
-            }])
-            .probes(vec![(0, 12)])
-            .build(),
-        0xf3c2d3b083ddafe0,
-    );
+    assert_digest("smoke_presto", smoke_presto(), SMOKE_PRESTO, false);
+}
+
+#[test]
+fn smoke_presto_digest_is_unchanged_with_telemetry() {
+    assert_digest("smoke_presto", smoke_presto(), SMOKE_PRESTO, true);
+}
+
+const SMOKE_ECMP: u64 = 0xf7bb59607124854c;
+
+fn smoke_ecmp() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::ecmp(), 7)
+        .duration(SimDuration::from_millis(30))
+        .warmup(SimDuration::from_millis(10))
+        .elephants(presto_testbed::bijection_elephants(16, 4, 7))
 }
 
 #[test]
 fn smoke_ecmp_digest_is_unchanged() {
-    assert_digest(
-        "smoke_ecmp",
-        Scenario::builder(SchemeSpec::ecmp(), 7)
-            .duration(SimDuration::from_millis(30))
-            .warmup(SimDuration::from_millis(10))
-            .elephants(presto_testbed::bijection_elephants(16, 4, 7))
-            .build(),
-        0xf7bb59607124854c,
-    );
+    assert_digest("smoke_ecmp", smoke_ecmp(), SMOKE_ECMP, false);
+}
+
+#[test]
+fn smoke_ecmp_digest_is_unchanged_with_telemetry() {
+    assert_digest("smoke_ecmp", smoke_ecmp(), SMOKE_ECMP, true);
+}
+
+const FAILURE_LINK_DOWN: u64 = 0xa96d4c409297cac9;
+
+fn failure_link_down() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::presto(), 21)
+        .duration(SimDuration::from_millis(40))
+        .warmup(SimDuration::from_millis(10))
+        .elephants(
+            (0..4)
+                .map(|i| FlowSpec::elephant(12 + i, i, SimTime::ZERO))
+                .collect(),
+        )
+        .faults(FaultPlan::new().link_down(
+            SimTime::from_millis(15),
+            0,
+            0,
+            0,
+            Notify::After(SimDuration::from_millis(5)),
+        ))
 }
 
 #[test]
 fn failure_link_down_digest_is_unchanged() {
     assert_digest(
         "failure_link_down",
-        Scenario::builder(SchemeSpec::presto(), 21)
-            .duration(SimDuration::from_millis(40))
-            .warmup(SimDuration::from_millis(10))
-            .elephants(
-                (0..4)
-                    .map(|i| FlowSpec::elephant(12 + i, i, SimTime::ZERO))
-                    .collect(),
-            )
-            .faults(FaultPlan::new().link_down(
-                SimTime::from_millis(15),
-                0,
-                0,
-                0,
-                Notify::After(SimDuration::from_millis(5)),
-            ))
-            .build(),
-        0xa96d4c409297cac9,
+        failure_link_down(),
+        FAILURE_LINK_DOWN,
+        false,
     );
+}
+
+#[test]
+fn failure_link_down_digest_is_unchanged_with_telemetry() {
+    assert_digest(
+        "failure_link_down",
+        failure_link_down(),
+        FAILURE_LINK_DOWN,
+        true,
+    );
+}
+
+const FAILURE_SPINE_DOWN: u64 = 0xbf9a5aad4f5b0587;
+
+fn failure_spine_down() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::presto(), 3)
+        .duration(SimDuration::from_millis(40))
+        .warmup(SimDuration::from_millis(10))
+        .elephants(flows_l1_l4())
+        .faults(
+            FaultPlan::new()
+                .spine_down(SimTime::from_millis(15), 1, Notify::Immediate)
+                .spine_up(SimTime::from_millis(30), 1, Notify::Immediate),
+        )
 }
 
 #[test]
 fn failure_spine_down_digest_is_unchanged() {
     assert_digest(
         "failure_spine_down",
-        Scenario::builder(SchemeSpec::presto(), 3)
-            .duration(SimDuration::from_millis(40))
-            .warmup(SimDuration::from_millis(10))
-            .elephants(flows_l1_l4())
-            .faults(
-                FaultPlan::new()
-                    .spine_down(SimTime::from_millis(15), 1, Notify::Immediate)
-                    .spine_up(SimTime::from_millis(30), 1, Notify::Immediate),
-            )
-            .build(),
-        0xbf9a5aad4f5b0587,
+        failure_spine_down(),
+        FAILURE_SPINE_DOWN,
+        false,
     );
+}
+
+#[test]
+fn failure_spine_down_digest_is_unchanged_with_telemetry() {
+    assert_digest(
+        "failure_spine_down",
+        failure_spine_down(),
+        FAILURE_SPINE_DOWN,
+        true,
+    );
+}
+
+const WAN_REMOTES: u64 = 0xf6c30370123e9909;
+
+fn wan_remotes() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::presto(), 5)
+        .duration(SimDuration::from_millis(30))
+        .warmup(SimDuration::from_millis(10))
+        .elephants(flows_l1_l4())
+        .wan_remotes(2)
 }
 
 #[test]
 fn wan_remotes_digest_is_unchanged() {
-    assert_digest(
-        "wan_remotes",
-        Scenario::builder(SchemeSpec::presto(), 5)
-            .duration(SimDuration::from_millis(30))
-            .warmup(SimDuration::from_millis(10))
-            .elephants(flows_l1_l4())
-            .wan_remotes(2)
-            .build(),
-        0xf6c30370123e9909,
-    );
+    assert_digest("wan_remotes", wan_remotes(), WAN_REMOTES, false);
+}
+
+#[test]
+fn wan_remotes_digest_is_unchanged_with_telemetry() {
+    assert_digest("wan_remotes", wan_remotes(), WAN_REMOTES, true);
+}
+
+const PRESTO_ECMP: u64 = 0x1c94dad6faab2659;
+
+fn presto_ecmp() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::presto_ecmp(), 11)
+        .duration(SimDuration::from_millis(30))
+        .warmup(SimDuration::from_millis(10))
+        .elephants(flows_l1_l4())
+}
+
+#[test]
+fn presto_ecmp_digest_is_unchanged() {
+    assert_digest("presto_ecmp", presto_ecmp(), PRESTO_ECMP, false);
 }
 
 #[test]
 fn presto_ecmp_telemetry_digest_is_unchanged() {
-    assert_digest(
-        "presto_ecmp_telemetry",
-        Scenario::builder(SchemeSpec::presto_ecmp(), 11)
-            .duration(SimDuration::from_millis(30))
-            .warmup(SimDuration::from_millis(10))
-            .elephants(flows_l1_l4())
-            .telemetry(TelemetryConfig::default())
-            .build(),
-        0x1c94dad6faab2659,
-    );
+    assert_digest("presto_ecmp", presto_ecmp(), PRESTO_ECMP, true);
 }
