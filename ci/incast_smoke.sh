@@ -12,7 +12,7 @@
 #      which pins the canonical-text fingerprints of the cc/ecn axes.
 #   3. `lab diff` the fresh table against the committed baseline with
 #      default tolerances — the deadline-miss gate must pass.
-#   4. The baseline itself must show the headline result: a nonzero
+#   4. The fresh run must show the headline result: a nonzero
 #      deadline-miss delta between Presto×DCTCP and ECMP×DCTCP.
 #   5. Render the report and require every figure artifact (canonical
 #      .txt AND rendered .svg) byte-identical to the goldens under
@@ -28,6 +28,7 @@ CAMPAIGN=campaigns/incast.toml
 BASELINE=baselines/incast.json
 GOLDENS=baselines/figures/incast
 STORE=$(mktemp -d)
+FRESH="$STORE/run/incast/table.json"
 REPORT_OUT="${REPORT_OUT:-$STORE/report}"
 trap 'rm -rf "$STORE"' EXIT
 
@@ -42,11 +43,11 @@ echo "==> re-run: every point must be a cache hit"
 "$LAB" run "$CAMPAIGN" --store "$STORE/run" --require-cached --quiet
 
 echo "==> diff against the committed baseline (default tolerances)"
-"$LAB" diff "$BASELINE" "$STORE/run/incast/table.json"
+"$LAB" diff "$BASELINE" "$FRESH"
 
-echo "==> baseline shows a deadline-miss delta between the DCTCP stacks"
+echo "==> fresh run shows a deadline-miss delta between the DCTCP stacks"
 sum_misses() {
-    grep "\"$1/testbed16/incast[^\"]*cc:dctcp" "$BASELINE" \
+    grep "\"$1/testbed16/incast[^\"]*cc:dctcp" "$FRESH" \
         | sed -n 's/.*"deadline_misses":\([0-9]*\).*/\1/p' \
         | awk '{ s += $1 } END { print s + 0 }'
 }

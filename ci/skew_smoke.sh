@@ -14,9 +14,10 @@
 #      and the skew workload.
 #   3. `lab diff` the fresh table against the committed baseline with
 #      default tolerances — the deadline-miss gate must pass.
-#   4. The baseline itself must show the headline result: prequal's
+#   4. The fresh run must show the headline result: prequal's
 #      receiver-load-aware replica selection misses STRICTLY fewer
-#      deadlines than static-WRR Presto on the skewed points.
+#      deadlines than static-WRR Presto on the skewed points, and only
+#      prequal rows carry probe fields.
 #   5. Render the report and require every figure artifact (canonical
 #      .txt AND rendered .svg, including the probe-pool composition
 #      figure) byte-identical to the goldens under
@@ -32,6 +33,7 @@ CAMPAIGN=campaigns/skew.toml
 BASELINE=baselines/skew.json
 GOLDENS=baselines/figures/skew
 STORE=$(mktemp -d)
+FRESH="$STORE/run/skew/table.json"
 REPORT_OUT="${REPORT_OUT:-$STORE/report}"
 trap 'rm -rf "$STORE"' EXIT
 
@@ -46,11 +48,11 @@ echo "==> re-run: every point must be a cache hit"
 "$LAB" run "$CAMPAIGN" --store "$STORE/run" --require-cached --quiet
 
 echo "==> diff against the committed baseline (default tolerances)"
-"$LAB" diff "$BASELINE" "$STORE/run/skew/table.json"
+"$LAB" diff "$BASELINE" "$FRESH"
 
-echo "==> baseline shows prequal strictly beating static WRR on skew"
+echo "==> fresh run shows prequal strictly beating static WRR on skew"
 sum_misses() {
-    grep "\"$1/testbed16/skew" "$BASELINE" \
+    grep "\"$1/testbed16/skew" "$FRESH" \
         | sed -n 's/.*"deadline_misses":\([0-9]*\).*/\1/p' \
         | awk '{ s += $1 } END { print s + 0 }'
 }
@@ -65,7 +67,7 @@ fi
 echo "    prequal=$prequal_miss vs presto=$presto_miss misses on the skewed points"
 
 echo "==> probing stays opt-in: non-prequal rows carry no probe fields"
-if grep '"label":"\(presto\|ecmp\)/' "$BASELINE" | grep -q probe_rounds; then
+if grep '"label":"\(presto\|ecmp\)/' "$FRESH" | grep -q probe_rounds; then
     echo "FAIL: a non-probing row encodes probe fields — the opt-in" \
          "contract (and every pre-probe digest) is broken" >&2
     exit 1

@@ -2,8 +2,8 @@
 //!
 //! These measure the cost of the data structures every simulated packet
 //! touches: the event queue, the GRO merge/flush cycle, Algorithm 1's
-//! flowcell scheduler, TSO splitting, and the TCP receiver's out-of-order
-//! store.
+//! flowcell scheduler, prequal's probe pool, TSO splitting, and the TCP
+//! receiver's out-of-order store.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -12,6 +12,7 @@ use presto_core::FlowcellScheduler;
 use presto_endhost::{tso_split, tso_split_into, EdgePolicy, PathTag, ReceiveOffload, TxSegment};
 use presto_gro::{OfficialGro, PrestoGro};
 use presto_netsim::{FlowKey, HostId, Mac, Packet, PacketKind, PacketPool, MSS};
+use presto_probe::{HclPool, ProbeParams};
 use presto_simcore::{EventQueue, HeapEventQueue, SimDuration, SimTime};
 use presto_transport::TcpReceiver;
 
@@ -190,6 +191,30 @@ fn bench_flowcell_scheduler(c: &mut Criterion) {
     });
 }
 
+/// One probe round as `skew_prequal` drives it at each host: 16 probed
+/// hosts × 4 trees recorded into the default 32-entry pool at one instant,
+/// the round closed, then one `classify` per host.
+fn bench_probe_pool(c: &mut Criterion) {
+    c.bench_function("probe_pool_round", |b| {
+        let mut pool = HclPool::from_params(ProbeParams::default());
+        let mut round = 0u64;
+        b.iter(|| {
+            round += 1;
+            let now = SimTime::from_micros(100 * round);
+            for h in 0..16u32 {
+                let rif = (h as u64 + round) % 3;
+                for tree in 0..4u32 {
+                    pool.record(now, tree, HostId(h), rif, 1_000 * tree as u64);
+                }
+            }
+            pool.note_round(now);
+            for h in 0..16u32 {
+                black_box(pool.classify(h % 4, HostId(h)));
+            }
+        })
+    });
+}
+
 fn bench_tso(c: &mut Criterion) {
     c.bench_function("tso_split_64kb", |b| {
         let seg = TxSegment {
@@ -253,6 +278,6 @@ fn bench_receiver(c: &mut Criterion) {
 criterion_group!(
     name = hotpaths;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_event_queue, bench_queue_head_to_head, bench_gro, bench_flowcell_scheduler, bench_tso, bench_receiver
+    targets = bench_event_queue, bench_queue_head_to_head, bench_gro, bench_flowcell_scheduler, bench_probe_pool, bench_tso, bench_receiver
 );
 criterion_main!(hotpaths);

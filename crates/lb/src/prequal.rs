@@ -25,13 +25,11 @@
 //! responders instead of a static worker set — the Prequal experiment the
 //! 2015 paper could not run.
 
-use std::collections::HashMap;
-
 use presto_endhost::{EdgePolicy, LabelTable, PathSignal, PathTag};
 use presto_netsim::{FlowKey, HostId, Mac};
 use presto_probe::{HclPool, HostLoad, PoolClass, PoolStats, ProbeParams, DIRECT_TREE};
 use presto_simcore::rng::hash_mix;
-use presto_simcore::{SimDuration, SimTime};
+use presto_simcore::{FxHashMap, SimDuration, SimTime};
 
 /// EWMA weight of the newest congestion sample (α = 1/4), as in CAFT.
 const EWMA_INV_ALPHA: f64 = 4.0;
@@ -56,11 +54,12 @@ pub struct PrequalPolicy {
     labels: LabelTable,
     /// Per destination: the distinct trees its labels ride, ascending —
     /// the pool keys one probe response fans out to.
-    trees: HashMap<HostId, Vec<u32>>,
-    flows: HashMap<FlowKey, PrequalFlowState>,
+    trees: FxHashMap<HostId, Vec<u32>>,
+    flows: FxHashMap<FlowKey, PrequalFlowState>,
     /// First-hop congestion score per spanning tree id (EWMA of queue
-    /// bytes scaled by path health); `f64::INFINITY` marks a dead tree.
-    scores: HashMap<u32, f64>,
+    /// bytes scaled by path health), indexed by tree id; `None` until the
+    /// tree is first sampled, `f64::INFINITY` for a dead tree.
+    scores: Vec<Option<f64>>,
     /// The bounded hot/cold pool of probed `(tree, destination)` entries.
     pool: HclPool,
     /// Probe cadence / pool sizing advertised to the harness.
@@ -84,9 +83,9 @@ impl PrequalPolicy {
         assert!(cell_bytes > 0, "flowcell size must be positive");
         PrequalPolicy {
             labels: LabelTable::new(),
-            trees: HashMap::new(),
-            flows: HashMap::new(),
-            scores: HashMap::new(),
+            trees: FxHashMap::default(),
+            flows: FxHashMap::default(),
+            scores: Vec::new(),
             pool: HclPool::from_params(params),
             params,
             cell_bytes,
@@ -99,7 +98,11 @@ impl PrequalPolicy {
 
     /// The congestion score of tree `tree` (0 when never sampled).
     fn score(&self, tree: u32) -> f64 {
-        self.scores.get(&tree).copied().unwrap_or(0.0)
+        self.scores
+            .get(tree as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(0.0)
     }
 
     /// HCL rank of one label toward `dst`: `(band, in-band metric, tree
@@ -181,7 +184,12 @@ impl EdgePolicy for PrequalPolicy {
             } else {
                 sig.queue_bytes as f64 / sig.rate_fraction
             };
-            let slot = self.scores.entry(sig.tree).or_insert(sample);
+            let tree = sig.tree as usize;
+            if self.scores.len() <= tree {
+                self.scores.resize(tree + 1, None);
+            }
+            // A first sample seeds the average with itself.
+            let slot = self.scores[tree].get_or_insert(sample);
             *slot = if slot.is_finite() && sample.is_finite() {
                 (*slot * (EWMA_INV_ALPHA - 1.0) + sample) / EWMA_INV_ALPHA
             } else {

@@ -32,7 +32,7 @@
 //! scheduled and every digest is byte-identical to a build without this
 //! crate.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use presto_netsim::HostId;
 use presto_simcore::{SimDuration, SimTime};
@@ -141,11 +141,31 @@ impl PoolClass {
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
-    tree: u32,
-    host: HostId,
+    updated_at: SimTime,
+    /// `(tree, host)` packed as `tree << 32 | host`, so comparing keys
+    /// compares `(tree, host)` lexicographically.
+    key: u64,
     rif: u64,
     latency_ns: u64,
-    updated_at: SimTime,
+}
+
+impl Entry {
+    /// The eviction order: stalest first, ties on smallest `(tree, host)`.
+    /// Keys are unique within a pool, so this order is total.
+    #[inline]
+    fn order(&self) -> (SimTime, u64) {
+        (self.updated_at, self.key)
+    }
+
+    #[inline]
+    fn host(&self) -> HostId {
+        HostId(self.key as u32)
+    }
+}
+
+#[inline]
+fn pack(tree: u32, host: HostId) -> u64 {
+    (tree as u64) << 32 | host.0 as u64
 }
 
 /// Exact integer occupancy counters for a probe pool.
@@ -177,10 +197,12 @@ impl PoolStats {
 /// A bounded pool of `(tree, destination)` load entries with staleness
 /// eviction and Prequal's hot-cold lexicographic classification.
 ///
-/// Entries live in insertion order in a flat vector (capacities are
-/// small), which makes iteration, eviction and tie-breaking fully
-/// deterministic: when the pool is full the entry with the oldest
-/// `updated_at` is evicted, ties broken by smallest `(tree, host)`.
+/// Entries are kept sorted by the eviction order `(updated_at, tree,
+/// host)`, so the next victim is always the front entry: when the pool is
+/// full the entry with the oldest `updated_at` is evicted, ties broken by
+/// smallest `(tree, host)`, and staleness expiry drops a prefix. Keys are
+/// unique, so the order is total; and nothing the pool answers
+/// (classifications, statistics, the RIF median) depends on entry order.
 #[derive(Clone, Debug)]
 pub struct HclPool {
     capacity: usize,
@@ -190,6 +212,8 @@ pub struct HclPool {
     /// The hot/cold boundary, cached between changes to the entries'
     /// RIFs (`None` after a change).
     rif_median: Cell<Option<u64>>,
+    /// Scratch for selecting the median, reused across recomputations.
+    rifs: RefCell<Vec<u64>>,
 }
 
 impl HclPool {
@@ -202,6 +226,7 @@ impl HclPool {
             entries: Vec::new(),
             stats: PoolStats::default(),
             rif_median: Cell::new(None),
+            rifs: RefCell::new(Vec::new()),
         }
     }
 
@@ -225,51 +250,65 @@ impl HclPool {
         self.stats
     }
 
+    fn find(&self, key: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.key == key)
+    }
+
     /// Record (insert or refresh) a probe result for `(tree, host)`.
     pub fn record(&mut self, now: SimTime, tree: u32, host: HostId, rif: u64, latency_ns: u64) {
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.tree == tree && e.host == host)
-        {
-            if e.rif != rif {
-                self.rif_median.set(None);
-            }
-            e.rif = rif;
-            e.latency_ns = latency_ns;
-            e.updated_at = now;
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            // Evict the stalest entry; tie-break on smallest (tree, host)
-            // so eviction order never depends on map iteration order.
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| (e.updated_at, e.tree, e.host))
-                .map(|(i, _)| i)
-                .expect("capacity >= 1");
-            self.entries.remove(victim);
-        }
-        self.rif_median.set(None);
-        self.entries.push(Entry {
-            tree,
-            host,
+        let entry = Entry {
+            updated_at: now,
+            key: pack(tree, host),
             rif,
             latency_ns,
-            updated_at: now,
-        });
+        };
+        // `from` is the slot the record vacates: the refreshed entry, the
+        // victim (the front) when the pool is full, or a fresh slot.
+        let from = match self.find(entry.key) {
+            Some(i) => {
+                let old = self.entries[i];
+                if old.rif != rif {
+                    self.rif_median.set(None);
+                }
+                if old.updated_at == now {
+                    self.entries[i] = entry;
+                    return;
+                }
+                i
+            }
+            None => {
+                self.rif_median.set(None);
+                if self.entries.len() >= self.capacity {
+                    0
+                } else {
+                    self.entries.push(entry);
+                    self.entries.len() - 1
+                }
+            }
+        };
+        // `at` counts the entries sorting before the new one, `from`
+        // included exactly when `from < at`; a round's records share
+        // `now`, so it lands in the tail. Close the gap at `from` by
+        // shifting everything between the two by one slot.
+        let at = self.entries.partition_point(|e| e.order() < entry.order());
+        if from < at {
+            self.entries.copy_within(from + 1..at, from);
+            self.entries[at - 1] = entry;
+        } else {
+            self.entries.copy_within(at..from, at + 1);
+            self.entries[at] = entry;
+        }
     }
 
     /// Drop every entry whose last refresh is older than the staleness
     /// bound. Call before classifying so decisions never use dead data.
     pub fn evict_stale(&mut self, now: SimTime) {
         let staleness = self.staleness;
-        let before = self.entries.len();
-        self.entries
-            .retain(|e| now.saturating_since(e.updated_at) <= staleness);
-        if self.entries.len() != before {
+        let stale = self
+            .entries
+            .partition_point(|e| now.saturating_since(e.updated_at) > staleness);
+        if stale > 0 {
+            self.entries.drain(..stale);
             self.rif_median.set(None);
         }
     }
@@ -290,9 +329,10 @@ impl HclPool {
         }
     }
 
-    /// The hot/cold boundary: the pool's median requests-in-flight.
-    /// Entries strictly above it are hot. With an empty pool this is 0.
-    /// Computed once per change to the pool's RIFs.
+    /// The hot/cold boundary: the pool's median requests-in-flight (the
+    /// element at index `len / 2` of the sorted RIFs). Entries strictly
+    /// above it are hot. With an empty pool this is 0. Computed once per
+    /// change to the pool's RIFs.
     fn rif_threshold(&self) -> u64 {
         if let Some(median) = self.rif_median.get() {
             return median;
@@ -300,12 +340,24 @@ impl HclPool {
         let median = if self.entries.is_empty() {
             0
         } else {
-            let mut rifs: Vec<u64> = self.entries.iter().map(|e| e.rif).collect();
-            rifs.sort_unstable();
-            rifs[rifs.len() / 2]
+            let mut rifs = self.rifs.borrow_mut();
+            rifs.clear();
+            rifs.extend(self.entries.iter().map(|e| e.rif));
+            let mid = rifs.len() / 2;
+            *rifs.select_nth_unstable(mid).1
         };
         self.rif_median.set(Some(median));
         median
+    }
+
+    fn class_of(e: &Entry, threshold: u64) -> PoolClass {
+        if e.rif > threshold {
+            PoolClass::Hot { rif: e.rif }
+        } else {
+            PoolClass::Cold {
+                latency_ns: e.latency_ns,
+            }
+        }
     }
 
     /// Classify one `(tree, destination)` pair under the HCL rule.
@@ -314,15 +366,8 @@ impl HclPool {
     /// [`HclPool::note_round`]); anything absent is [`PoolClass::Unknown`].
     pub fn classify(&self, tree: u32, host: HostId) -> PoolClass {
         let threshold = self.rif_threshold();
-        match self
-            .entries
-            .iter()
-            .find(|e| e.tree == tree && e.host == host)
-        {
-            Some(e) if e.rif > threshold => PoolClass::Hot { rif: e.rif },
-            Some(e) => PoolClass::Cold {
-                latency_ns: e.latency_ns,
-            },
+        match self.find(pack(tree, host)) {
+            Some(i) => Self::class_of(&self.entries[i], threshold),
             None => PoolClass::Unknown,
         }
     }
@@ -332,30 +377,217 @@ impl HclPool {
     /// replica selection, where the caller picks a host, not a path.
     pub fn classify_host(&self, host: HostId) -> PoolClass {
         let threshold = self.rif_threshold();
-        let mut best: Option<PoolClass> = None;
-        for e in self.entries.iter().filter(|e| e.host == host) {
-            let c = if e.rif > threshold {
-                PoolClass::Hot { rif: e.rif }
-            } else {
-                PoolClass::Cold {
-                    latency_ns: e.latency_ns,
-                }
-            };
-            let better = match best {
-                None => true,
-                Some(b) => (c.band(), c.metric()) < (b.band(), b.metric()),
-            };
-            if better {
-                best = Some(c);
-            }
-        }
-        best.unwrap_or(PoolClass::Unknown)
+        self.entries
+            .iter()
+            .filter(|e| e.host() == host)
+            .map(|e| Self::class_of(e, threshold))
+            .min_by_key(|c| (c.band(), c.metric()))
+            .unwrap_or(PoolClass::Unknown)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference model: the pool as first written, entries in
+    /// insertion order and every decision a linear scan. [`HclPool`] must
+    /// agree with it on every observable answer.
+    struct LinearPool {
+        capacity: usize,
+        staleness: SimDuration,
+        /// `(tree, host, rif, latency_ns, updated_at)`.
+        entries: Vec<(u32, HostId, u64, u64, SimTime)>,
+        stats: PoolStats,
+    }
+
+    impl LinearPool {
+        fn new(capacity: usize, staleness: SimDuration) -> Self {
+            LinearPool {
+                capacity: capacity.max(1),
+                staleness,
+                entries: Vec::new(),
+                stats: PoolStats::default(),
+            }
+        }
+
+        fn record(&mut self, now: SimTime, tree: u32, host: HostId, rif: u64, latency_ns: u64) {
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == tree && e.1 == host) {
+                *e = (tree, host, rif, latency_ns, now);
+                return;
+            }
+            if self.entries.len() >= self.capacity {
+                let victim = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| (e.4, e.0, e.1))
+                    .map(|(i, _)| i)
+                    .unwrap();
+                self.entries.remove(victim);
+            }
+            self.entries.push((tree, host, rif, latency_ns, now));
+        }
+
+        fn evict_stale(&mut self, now: SimTime) {
+            let staleness = self.staleness;
+            self.entries
+                .retain(|e| now.saturating_since(e.4) <= staleness);
+        }
+
+        fn threshold(&self) -> u64 {
+            let mut rifs: Vec<u64> = self.entries.iter().map(|e| e.2).collect();
+            rifs.sort_unstable();
+            rifs.get(rifs.len() / 2).copied().unwrap_or(0)
+        }
+
+        fn note_round(&mut self, now: SimTime) {
+            self.evict_stale(now);
+            let threshold = self.threshold();
+            self.stats.rounds += 1;
+            self.stats.samples += self.entries.len() as u64;
+            for e in &self.entries {
+                if e.2 > threshold {
+                    self.stats.hot += 1;
+                } else {
+                    self.stats.cold += 1;
+                }
+            }
+        }
+
+        fn class(&self, e: &(u32, HostId, u64, u64, SimTime)) -> PoolClass {
+            if e.2 > self.threshold() {
+                PoolClass::Hot { rif: e.2 }
+            } else {
+                PoolClass::Cold { latency_ns: e.3 }
+            }
+        }
+
+        fn classify(&self, tree: u32, host: HostId) -> PoolClass {
+            match self.entries.iter().find(|e| e.0 == tree && e.1 == host) {
+                Some(e) => self.class(e),
+                None => PoolClass::Unknown,
+            }
+        }
+
+        fn classify_host(&self, host: HostId) -> PoolClass {
+            let mut best: Option<PoolClass> = None;
+            for e in self.entries.iter().filter(|e| e.1 == host) {
+                let c = self.class(e);
+                if best.is_none_or(|b| (c.band(), c.metric()) < (b.band(), b.metric())) {
+                    best = Some(c);
+                }
+            }
+            best.unwrap_or(PoolClass::Unknown)
+        }
+    }
+
+    const TREES: u32 = 3;
+    const HOSTS: u32 = 4;
+
+    /// Every observable answer of the two pools agrees.
+    fn assert_same(pool: &HclPool, model: &LinearPool) {
+        assert_eq!(pool.len(), model.entries.len());
+        assert_eq!(pool.stats(), model.stats);
+        for h in 0..HOSTS {
+            let host = HostId(h);
+            assert_eq!(
+                pool.classify_host(host),
+                model.classify_host(host),
+                "host {h}"
+            );
+            for tree in (0..TREES).chain([DIRECT_TREE]) {
+                assert_eq!(
+                    pool.classify(tree, host),
+                    model.classify(tree, host),
+                    "tree {tree} host {h}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// Random operation sequences drive both pools in lockstep: a
+        /// small key space so keys collide, a coarse clock so many records
+        /// share an instant, rifs from a narrow range so refreshes often
+        /// keep their rif, and a clock that may step backwards.
+        #[test]
+        fn sorted_pool_matches_linear_model(
+            capacity in 1usize..=8,
+            staleness_us in 0u64..40,
+            ops in prop::collection::vec(0u64..u64::MAX, 1..160),
+        ) {
+            let staleness = SimDuration::from_micros(staleness_us);
+            let mut pool = HclPool::new(capacity, staleness);
+            let mut model = LinearPool::new(capacity, staleness);
+            let mut now_us = 50u64;
+            for &op in &ops {
+                // Low bits pick the operation, the rest its arguments.
+                let arg = op >> 8;
+                match op % 16 {
+                    // Move the clock: mostly forward, sometimes back.
+                    0 => now_us += arg % 20,
+                    1 => now_us = now_us.saturating_sub(arg % 20),
+                    2 => {
+                        pool.evict_stale(t(now_us));
+                        model.evict_stale(t(now_us));
+                    }
+                    3 => {
+                        pool.note_round(t(now_us));
+                        model.note_round(t(now_us));
+                    }
+                    _ => {
+                        let tree = match (arg % (TREES as u64 + 1)) as u32 {
+                            TREES => DIRECT_TREE,
+                            tree => tree,
+                        };
+                        let host = HostId((arg >> 4) as u32 % HOSTS);
+                        let rif = (arg >> 8) % 4;
+                        let latency = (arg >> 12) % 8;
+                        pool.record(t(now_us), tree, host, rif, latency);
+                        model.record(t(now_us), tree, host, rif, latency);
+                    }
+                }
+                assert_same(&pool, &model);
+            }
+        }
+    }
+
+    #[test]
+    fn skew_round_matches_linear_model() {
+        // The shape prequal drives every round: 16 hosts × 4 trees
+        // recorded into 32 slots at one instant, then the round closes.
+        let mut pool = HclPool::new(32, SimDuration::from_millis(1));
+        let mut model = LinearPool::new(32, SimDuration::from_millis(1));
+        for round in 0..6u64 {
+            let now = t(100 * (round + 1));
+            for h in 0..16u32 {
+                for tree in 0..4u32 {
+                    let rif = (h as u64 * 7 + round) % 5;
+                    let latency = (tree as u64 + 1) * (h as u64 + round);
+                    pool.record(now, tree, HostId(h), rif, latency);
+                    model.record(now, tree, HostId(h), rif, latency);
+                }
+            }
+            pool.note_round(now);
+            model.note_round(now);
+            assert_eq!(pool.len(), 32);
+            assert_eq!(pool.stats(), model.stats);
+            for h in 0..16u32 {
+                assert_eq!(
+                    pool.classify_host(HostId(h)),
+                    model.classify_host(HostId(h))
+                );
+                for tree in 0..4u32 {
+                    assert_eq!(
+                        pool.classify(tree, HostId(h)),
+                        model.classify(tree, HostId(h))
+                    );
+                }
+            }
+        }
+    }
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)

@@ -93,12 +93,16 @@ impl PolicyKind {
             ("flowdyn", a) => Some(PolicyKind::FlowDyn(SimDuration::from_nanos(num(a)?))),
             ("diffflow", a) => Some(PolicyKind::DiffFlow(num(a)?)),
             ("sprinklers", a) => Some(PolicyKind::Sprinklers(num(a)?)),
-            ("caft", a) => Some(PolicyKind::Caft(SimDuration::from_nanos(num(a)?))),
+            // Periodic schemes reschedule themselves every interval, so a
+            // zero interval (or an empty pool) is rejected, as the lab's
+            // probe axis does.
+            ("caft", a) => Some(PolicyKind::Caft(SimDuration::from_nanos(
+                num(a).filter(|&p| p > 0)?,
+            ))),
             ("prequal", a) => {
                 let mut it = a?.splitn(3, ':');
-                let every = it.next()?.parse::<u64>().ok()?;
-                let pool = it.next()?.parse::<usize>().ok()?;
-                let staleness = it.next()?.parse::<u64>().ok()?;
+                let mut field = || it.next()?.parse::<u64>().ok().filter(|&v| v > 0);
+                let (every, pool, staleness) = (field()?, field()? as usize, field()?);
                 Some(PolicyKind::Prequal(presto_probe::ProbeParams {
                     every: SimDuration::from_nanos(every),
                     pool,
@@ -513,6 +517,11 @@ mod tests {
         assert_eq!(PolicyKind::parse("prequal:100000"), None);
         assert_eq!(PolicyKind::parse("prequal:100000:32"), None);
         assert_eq!(PolicyKind::parse("prequal:100000:32:1:9"), None);
+        // Zero intervals would reschedule at one instant forever.
+        assert_eq!(PolicyKind::parse("caft:0"), None);
+        assert_eq!(PolicyKind::parse("prequal:0:32:1000000"), None);
+        assert_eq!(PolicyKind::parse("prequal:100000:0:1000000"), None);
+        assert_eq!(PolicyKind::parse("prequal:100000:32:0"), None);
     }
 
     #[test]

@@ -580,6 +580,8 @@ struct Scratch {
     segs: Vec<Segment>,
     /// CPU completions for the flushed segments.
     completions: Vec<(SimTime, Segment)>,
+    /// One path-feedback round's signals, `tree_count` per leaf.
+    path_signals: Vec<PathSignal>,
 }
 
 /// The composed simulator.
@@ -696,6 +698,16 @@ impl Simulation {
             .iter()
             .find_map(|h| h.vswitch.policy().feedback_interval());
         let probe_params = hosts.iter().find_map(|h| h.vswitch.policy().probe_params());
+        // Both rounds reschedule themselves one interval later; a zero
+        // interval would spin at one instant forever.
+        assert!(
+            probe_params.is_none_or(|p| p.every != SimDuration::ZERO),
+            "probe interval (ProbeParams::every) must be non-zero"
+        );
+        assert!(
+            feedback_every != Some(SimDuration::ZERO),
+            "path-feedback interval (EdgePolicy::feedback_interval) must be non-zero"
+        );
         let tcp_cfg = TcpConfig {
             max_tso: scheme.max_tso,
             ..TcpConfig::default()
@@ -1370,59 +1382,47 @@ impl Simulation {
 
     /// Sample every tree's first-hop uplink at each leaf and hand the
     /// signals to the edge policies that opted in. Hosts on the same leaf
-    /// share a signal vector (the first ascending hop is a property of the
+    /// share a signal slice (the first ascending hop is a property of the
     /// leaf, not the host); hosts hanging off upper tiers (WAN remotes)
     /// are skipped — shadow-MAC trees don't cover them.
     fn on_path_feedback(&mut self) {
         let Some(every) = self.feedback_every else {
             return;
         };
+        let Some(ctl) = &self.controller else { return };
         let now = self.now;
-        let per_host: Vec<Option<Vec<PathSignal>>> = {
-            let Some(ctl) = &self.controller else { return };
-            let mut by_leaf: FxHashMap<SwitchId, Vec<PathSignal>> = FxHashMap::default();
-            self.topo
-                .hosts
-                .iter()
-                .map(|&h| {
-                    let leaf = self.topo.host_leaf[h.index()];
-                    if !self.topo.is_leaf(leaf) {
-                        return None;
+        let topo = &self.topo;
+        let trees = ctl.tree_count();
+        // One block of `trees` signals per leaf, in leaf order.
+        let signals = &mut self.scratch.path_signals;
+        signals.clear();
+        for &leaf in &topo.leaves {
+            signals.extend((0..trees).map(|t| match ctl.tree_uplink(topo, t, leaf) {
+                Some(l) => {
+                    let link = topo.fabric.link(l);
+                    PathSignal {
+                        tree: t as u32,
+                        queue_bytes: link.occupancy(now),
+                        rate_fraction: if link.up { link.rate_fraction() } else { 0.0 },
                     }
-                    let sigs = by_leaf.entry(leaf).or_insert_with(|| {
-                        (0..ctl.tree_count())
-                            .map(|t| match ctl.tree_uplink(&self.topo, t, leaf) {
-                                Some(l) => {
-                                    let link = self.topo.fabric.link(l);
-                                    PathSignal {
-                                        tree: t as u32,
-                                        queue_bytes: link.occupancy(now),
-                                        rate_fraction: if link.up {
-                                            link.rate_fraction()
-                                        } else {
-                                            0.0
-                                        },
-                                    }
-                                }
-                                None => PathSignal {
-                                    tree: t as u32,
-                                    queue_bytes: 0,
-                                    rate_fraction: 1.0,
-                                },
-                            })
-                            .collect()
-                    });
-                    Some(sigs.clone())
-                })
-                .collect()
-        };
-        for (&h, sigs) in self.topo.hosts.iter().zip(per_host) {
-            if let Some(s) = sigs {
-                self.hosts[h.index()]
-                    .vswitch
-                    .policy_mut()
-                    .path_feedback(now, &s);
+                }
+                None => PathSignal {
+                    tree: t as u32,
+                    queue_bytes: 0,
+                    rate_fraction: 1.0,
+                },
+            }));
+        }
+        for &h in &topo.hosts {
+            let leaf = topo.host_leaf[h.index()];
+            if !topo.is_leaf(leaf) {
+                continue;
             }
+            let at = topo.position_in_tier(leaf) * trees;
+            self.hosts[h.index()]
+                .vswitch
+                .policy_mut()
+                .path_feedback(now, &signals[at..at + trees]);
         }
         let next = now + every;
         if next <= self.end {

@@ -197,3 +197,61 @@ fn bakeoff_baseline_fingerprints_are_unchanged_with_probing_off() {
         assert_eq!(row.probe_rounds, 0, "bakeoff rows never probed");
     }
 }
+
+/// The committed skew baseline's prequal digests, rebuilt through the lab
+/// exactly as `ci/skew_smoke.sh` runs them (40 ms, 10 ms warm-up). The
+/// matrices above only compare prequal with itself; these pins catch any
+/// change to what the policy or its probe pool decides.
+#[test]
+fn prequal_skew_campaign_digests_are_pinned() {
+    let toml = std::fs::read_to_string("campaigns/skew.toml").expect("committed campaign");
+    let points = presto_lab::Campaign::from_toml(&toml)
+        .expect("parses")
+        .expand()
+        .expect("expands");
+    for (label, pinned) in [
+        (
+            "prequal/testbed16/skew:8:32:1000:400:2/none/cell64k/s1",
+            0x84c756644b4f66f5u64,
+        ),
+        (
+            "prequal/testbed16/incast:8:32:1000:400/none/cell64k/s1",
+            0xbb2b06951f2bfa6a,
+        ),
+    ] {
+        let point = points
+            .iter()
+            .find(|p| p.label() == label)
+            .unwrap_or_else(|| panic!("{label} is in the campaign"));
+        let digest = point.to_scenario().run().digest();
+        assert_eq!(digest, pinned, "{label}: digest {digest:#018x}");
+    }
+}
+
+/// A zero probe interval would reschedule the probe round at one instant
+/// forever; building the simulation must refuse it instead.
+#[test]
+#[should_panic(expected = "probe interval")]
+fn zero_probe_interval_is_rejected() {
+    let params = presto_testbed::ProbeParams {
+        every: SimDuration::ZERO,
+        ..Default::default()
+    };
+    let scheme = SchemeSpec::prequal().with_policy(presto_testbed::PolicyKind::Prequal(params));
+    Scenario::builder(scheme, 1)
+        .duration(SimDuration::from_millis(1))
+        .build()
+        .run();
+}
+
+/// The same for a feedback-only scheme with a zero feedback period.
+#[test]
+#[should_panic(expected = "path-feedback interval")]
+fn zero_feedback_interval_is_rejected() {
+    let scheme =
+        SchemeSpec::caft().with_policy(presto_testbed::PolicyKind::Caft(SimDuration::ZERO));
+    Scenario::builder(scheme, 1)
+        .duration(SimDuration::from_millis(1))
+        .build()
+        .run();
+}
