@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks of the simulator's hot paths.
 //!
 //! These measure the cost of the data structures every simulated packet
-//! touches: the event queue, the GRO merge/flush cycle, Algorithm 1's
-//! flowcell scheduler, prequal's probe pool, TSO splitting, and the TCP
-//! receiver's out-of-order store.
+//! touches: the event queue, a link's departure cycle, the GRO merge/flush
+//! cycle, Algorithm 1's flowcell scheduler, prequal's probe pool, TSO
+//! splitting, and the TCP receiver's out-of-order store.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -11,7 +11,9 @@ use std::hint::black_box;
 use presto_core::FlowcellScheduler;
 use presto_endhost::{tso_split, tso_split_into, EdgePolicy, PathTag, ReceiveOffload, TxSegment};
 use presto_gro::{OfficialGro, PrestoGro};
-use presto_netsim::{FlowKey, HostId, Mac, Packet, PacketKind, PacketPool, MSS};
+use presto_netsim::{
+    FlowKey, HostId, Link, Mac, Node, Packet, PacketKind, PacketPool, SwitchId, MSS,
+};
 use presto_probe::{HclPool, ProbeParams};
 use presto_simcore::{EventQueue, HeapEventQueue, SimDuration, SimTime};
 use presto_transport::TcpReceiver;
@@ -110,6 +112,31 @@ macro_rules! link_mix_bench {
     };
 }
 
+/// The pattern a wheel slot's head cursor serves: the bucket being drained
+/// keeps receiving keys. 32 keys seed one 256 ns bucket; every pop pushes
+/// a follow-up into the rest of that bucket (or the next one) until 20 k
+/// events have fired, as a busy port's `TxDone`/`Arrive` pairs and the NIC
+/// and CPU events they trigger do.
+macro_rules! drain_push_bench {
+    ($c:expr, $name:expr, $ty:ty) => {
+        $c.bench_function($name, |b| {
+            b.iter(|| {
+                let mut q: $ty = <$ty>::new();
+                for i in 0..32u64 {
+                    q.push(SimTime::from_nanos(i * 7), i);
+                }
+                let mut sum = 0u64;
+                for i in 0..20_000u64 {
+                    let (now, v) = q.pop().expect("every pop pushes one");
+                    sum += v;
+                    q.push(now + SimDuration::from_nanos((i * 37) % 300), i);
+                }
+                black_box(sum)
+            })
+        });
+    };
+}
+
 fn bench_queue_head_to_head(c: &mut Criterion) {
     // Uniform near-horizon timers: the common case (packet serializations,
     // coalescing timers) — everything lands in the calendar wheel.
@@ -143,6 +170,42 @@ fn bench_queue_head_to_head(c: &mut Criterion) {
 
     link_mix_bench!(c, "event_queue_link_mix_calendar", EventQueue<u64>);
     link_mix_bench!(c, "event_queue_link_mix_heap", HeapEventQueue<u64>);
+
+    drain_push_bench!(c, "queue_drain_push_calendar", EventQueue<u64>);
+    drain_push_bench!(c, "queue_drain_push_heap", HeapEventQueue<u64>);
+}
+
+/// One busy 10 Gbps port, the netsim layer alone: each of 1000 departures
+/// settles the packet on the wire (its `TxDone`), offers a new packet
+/// behind a 16-packet backlog (occupancy and tail-drop check), and commits
+/// the next head.
+fn bench_link_departure(c: &mut Criterion) {
+    c.bench_function("link_departure", |b| {
+        let mut link = Link::new(
+            Node::Host(HostId(0)),
+            Node::Switch(SwitchId(0)),
+            10_000_000_000,
+            SimDuration::from_micros(1),
+            1 << 30,
+        );
+        let mut now = SimTime::ZERO;
+        for i in 0..16 {
+            link.enqueue(now, data_packet(i));
+        }
+        let mut done = now + link.commit(now).expect("backlog").1;
+        b.iter(|| {
+            let mut bytes = 0u64;
+            for i in 0..1000 {
+                now = done;
+                bytes += link.settle();
+                link.enqueue(now, data_packet(i));
+                let (pkt, d) = link.commit(now).expect("backlog");
+                black_box(pkt);
+                done = now + d;
+            }
+            black_box(bytes)
+        })
+    });
 }
 
 fn bench_gro(c: &mut Criterion) {
@@ -278,6 +341,6 @@ fn bench_receiver(c: &mut Criterion) {
 criterion_group!(
     name = hotpaths;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_event_queue, bench_queue_head_to_head, bench_gro, bench_flowcell_scheduler, bench_probe_pool, bench_tso, bench_receiver
+    targets = bench_event_queue, bench_queue_head_to_head, bench_link_departure, bench_gro, bench_flowcell_scheduler, bench_probe_pool, bench_tso, bench_receiver
 );
 criterion_main!(hotpaths);

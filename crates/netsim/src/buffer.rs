@@ -56,9 +56,10 @@ impl SharedBuffer {
     }
 
     /// [`SharedBuffer::admits`] with `credit` bytes virtually released:
-    /// packets that finished serializing but whose batched `TxDone` has
-    /// not yet settled the pool (see `Link::finished_unsettled`). Keeps
-    /// DT admission exact under departure batching.
+    /// packets that finished serializing at the current instant but whose
+    /// `TxDone` has not yet popped to settle the pool (see
+    /// `Link::finished_unsettled`). Keeps DT admission independent of
+    /// that same-instant tie's order.
     pub fn admits_with_credit(&self, credit: u64, queue_bytes: u64, wire: u64) -> bool {
         let used = self.used.saturating_sub(credit);
         if used + wire > self.pool_bytes {

@@ -54,8 +54,8 @@ pub struct Fabric {
     /// admission); `None` = static per-port drop-tail.
     shared: Vec<Option<SharedBuffer>>,
     /// Egress links per switch index (links whose `src` is the switch) —
-    /// used to compute the pool's virtual-settlement credit under
-    /// departure batching.
+    /// used to credit the pool for packets that finished serializing at
+    /// the current instant but whose `TxDone` has not popped yet.
     egress: Vec<Vec<LinkId>>,
     /// Host uplink (host → leaf) per host index.
     host_uplink: Vec<LinkId>,
@@ -170,11 +170,9 @@ impl Fabric {
         match ev {
             NetEvent::TxDone { link } => {
                 let l = &mut self.links[link.index()];
-                let (bytes, _pkts) = l.settle_batch();
-                let src = l.src;
-                // Release shared-buffer occupancy at the egress switch for
-                // the whole settled batch.
-                if let Node::Switch(sw) = src {
+                let bytes = l.settle();
+                // Release shared-buffer occupancy at the egress switch.
+                if let Node::Switch(sw) = l.src {
                     if let Some(buf) = &mut self.shared[sw.index()] {
                         buf.on_dequeue(bytes);
                     }
@@ -220,9 +218,9 @@ impl Fabric {
         let mut charge_pool: Option<usize> = None;
         if let Node::Switch(sw) = self.links[link.index()].src {
             if let Some(buf) = &self.shared[sw.index()] {
-                // Credit the pool for committed packets that already left
-                // the wire: batched TxDone settles them late, and DT
-                // admission must see the per-packet-model occupancy.
+                // Credit the pool for packets that finished serializing at
+                // `now` but whose same-instant TxDone has not popped yet,
+                // so admission does not depend on that tie's order.
                 let credit: u64 = self.egress[sw.index()]
                     .iter()
                     .map(|l| self.links[l.index()].finished_unsettled(now))
@@ -292,30 +290,16 @@ impl Fabric {
         }
     }
 
-    /// Commit the next departure batch on `link`: pre-schedule each
-    /// committed packet's arrival at its exact completion + propagation
-    /// instant, and one `TxDone` at the batch's last completion. Packets
-    /// are committed to the wire here; propagation loss on a link that
-    /// fails mid-batch is modeled at forwarding time, not here.
+    /// Commit the head packet of `link` to the wire: pre-schedule its
+    /// arrival at its completion + propagation instant, then its `TxDone`
+    /// at completion. Propagation loss on a link that fails mid-flight is
+    /// modeled at forwarding time, not here.
+    #[inline]
     fn start_tx(&mut self, link: LinkId, s: &mut impl NetScheduler) {
-        let now = s.now();
         let l = &mut self.links[link.index()];
-        let prop = l.propagation;
-        let last = l.commit_batch(now, |packet, completion| {
-            s.schedule_net(completion + prop, NetEvent::Arrive { link, packet });
-        });
-        if let Some(last) = last {
-            s.schedule_net(last, NetEvent::TxDone { link });
-        }
-    }
-
-    /// Set the departure batch size on every link (1 = the classic
-    /// one-event-per-packet model). Arrival times are identical for any
-    /// batch size; only queue-release accounting granularity changes.
-    pub fn set_tx_batch(&mut self, batch: u32) {
-        let batch = batch.max(1);
-        for l in &mut self.links {
-            l.tx_batch = batch;
+        if let Some((packet, d)) = l.commit(s.now()) {
+            s.schedule_net(d + l.propagation, NetEvent::Arrive { link, packet });
+            s.schedule_net(d, NetEvent::TxDone { link });
         }
     }
 
@@ -577,30 +561,55 @@ mod tests {
     }
 
     #[test]
-    fn batched_departures_keep_exact_delivery_times() {
-        // The departure batch only coalesces TxDone bookkeeping; every
-        // packet's arrival instant must be bit-identical to the classic
-        // one-event-per-packet model.
-        let mut traces = Vec::new();
-        for batch in [1u32, 4, 8, 64] {
-            let (mut f, ..) = two_host_fabric();
-            f.set_tx_batch(batch);
-            let mut h = Harness::new();
-            for i in 0..25 {
-                assert!(h.inject(&mut f, HostId(0), data_pkt(MSS, i * MSS as u64)));
-            }
-            h.run(&mut f);
-            let trace: Vec<(u64, Option<u64>)> = h
-                .delivered
-                .iter()
-                .map(|(t, _, p)| (t.as_nanos(), p.end_seq()))
-                .collect();
-            assert_eq!(trace.len(), 25);
-            traces.push(trace);
+    fn shared_buffer_admission_credits_packet_finished_at_now() {
+        // sw0 has two egress ports into one DT pool. Port `fast` carries
+        // one packet finishing at `done`; port `slow` holds three. At
+        // `done`, before `fast`'s TxDone pops, the pool must already
+        // count `fast`'s packet as gone: without that credit, DT would
+        // refuse `slow` a fourth packet at exactly the instant a
+        // one-event-per-packet replay admits it.
+        let wire = (MSS + crate::packet::WIRE_OVERHEAD) as u64;
+        let mut f = Fabric::new();
+        let sw = f.add_switch();
+        let port = |f: &mut Fabric, host: u32, rate_bps: u64| {
+            f.add_link(Link::new(
+                Node::Switch(sw),
+                Node::Host(HostId(host)),
+                rate_bps,
+                SimDuration::from_micros(1),
+                u64::MAX >> 1,
+            ))
+        };
+        let fast = port(&mut f, 1, 10_000_000_000);
+        let slow = port(&mut f, 2, 1_000_000_000);
+        // alpha = 1: `slow` (3 wire) is admitted only while the pool has
+        // more than 3 wire free, i.e. while at most 3.5 wire are used.
+        f.set_shared_buffer(sw, crate::buffer::SharedBuffer::new(13 * wire / 2, 1.0));
+        let mut h = Harness::new();
+        let mut enqueue_at = |f: &mut Fabric, now: SimTime, link: LinkId| {
+            let mut s = HarnessSched {
+                now,
+                queue: &mut h.queue,
+                delivered: &mut h.delivered,
+            };
+            f.enqueue_on(link, data_pkt(MSS, 0), &mut s)
+        };
+        assert!(enqueue_at(&mut f, SimTime::ZERO, fast));
+        for _ in 0..3 {
+            assert!(enqueue_at(&mut f, SimTime::ZERO, slow));
         }
-        for t in &traces[1..] {
-            assert_eq!(t, &traces[0], "delivery trace changed with batch size");
-        }
+        assert_eq!(f.shared_buffer(sw).unwrap().used(), 4 * wire);
+        let done = SimTime::ZERO + SimDuration::transmission(wire, 10_000_000_000);
+        let before = done - SimDuration::from_nanos(1);
+        assert_eq!(f.link(fast).finished_unsettled(done), wire);
+        assert!(!enqueue_at(&mut f, before, slow), "no credit yet");
+        assert!(enqueue_at(&mut f, done, slow), "credit at done");
+        assert_eq!(f.link(slow).counters.dropped_packets, 1);
+        assert_eq!(f.shared_buffer(sw).unwrap().used(), 5 * wire);
+        // The TxDone then settles the pool for real.
+        h.run(&mut f);
+        assert_eq!(f.shared_buffer(sw).unwrap().used(), 0);
+        assert_eq!(h.delivered.len(), 5);
     }
 
     #[test]

@@ -6,17 +6,15 @@
 //! occupies the transmitter for `wire_bytes / rate`, and the tail-drop
 //! decision happens at enqueue time against the configured buffer size.
 //!
-//! Departures are *batched*: instead of one `TxDone` event per packet, the
-//! link commits up to [`Link::tx_batch`] queued packets at a time. Each
-//! committed packet's completion instant is the exact cumulative
-//! serialization sum, so arrival timing is identical to the one-event-per-
-//! packet model. Occupancy is also exact: the link remembers every
-//! committed packet's completion offset, and [`Link::occupancy`] excludes
-//! packets that have already finished serializing by the query instant —
-//! so tail-drop decisions match the one-event-per-packet model bit for
-//! bit. Only the *counter* updates (`tx_packets`, shared-buffer release
-//! upstream) settle once per batch. A busy 10 Gbps port therefore costs
-//! ~1 scheduled event per packet instead of 2.
+//! One packet is on the wire at a time. [`Link::commit`] takes the head of
+//! the queue and returns its serialization time; the caller schedules the
+//! packet's arrival and a `TxDone` at its completion instant, which calls
+//! [`Link::settle`] to release its bytes and then commits the next packet.
+//! The link remembers the committed packet's completion instant, so
+//! [`Link::occupancy`] excludes a packet that finished at exactly the
+//! query instant even before its `TxDone` pops — the one tie between
+//! same-instant events whose order would otherwise leak into drop
+//! decisions.
 //!
 //! Per-link [`LinkCounters`] provide the "switch counters" the paper reads
 //! loss rates from (§4).
@@ -68,10 +66,6 @@ pub struct Link {
     /// Line rate the link was built with. [`Link::degrade`] lowers
     /// `rate_bps` relative to this; [`Link::restore_rate`] returns to it.
     nominal_rate_bps: u64,
-    /// Maximum packets committed to the wire per `TxDone` event. 1 gives
-    /// the classic one-event-per-packet model; larger values amortize
-    /// event-queue traffic on busy ports without changing arrival times.
-    pub tx_batch: u32,
     /// ECN marking threshold in wire bytes (DCTCP's K): a data packet
     /// enqueued while exact occupancy is at or above this gets its CE bit
     /// set. `None` (the default) disables marking entirely, keeping the
@@ -80,20 +74,10 @@ pub struct Link {
 
     queue: VecDeque<Packet>,
     queued_bytes: u64,
-    /// Whether a `TxDone` event is outstanding (a committed batch is
-    /// still on the wire).
-    busy: bool,
-    /// Wire bytes of the committed-but-unsettled batch (still included in
-    /// `queued_bytes` until the batch's `TxDone` settles it).
-    committed_bytes: u64,
-    /// Packets in the committed-but-unsettled batch.
-    committed_packets: u32,
-    /// When the outstanding batch was committed.
-    commit_start: SimTime,
-    /// Per committed packet: (cumulative completion offset from
-    /// `commit_start`, wire bytes). Ascending offsets; lets occupancy
-    /// queries settle finished packets virtually, mid-batch.
-    committed: Vec<(SimDuration, u64)>,
+    /// The committed-but-unsettled packet, as `(completion instant, wire
+    /// bytes)`: `Some` while its `TxDone` is outstanding. Its bytes stay
+    /// in `queued_bytes` until [`Link::settle`].
+    on_wire: Option<(SimTime, u64)>,
     /// The last `(wire bytes, rate, serialization time)` computed by
     /// [`Link::serialization`]. Most links carry mostly full data packets
     /// or mostly ACKs, so one entry saves most u128 divisions (88% on the
@@ -104,19 +88,11 @@ pub struct Link {
     pub counters: LinkCounters,
 }
 
-/// Default departure batch: 1, the classic one-event-per-packet model —
-/// the figure harnesses are calibrated against its event interleaving.
-/// Raising it (e.g. to an interrupt-coalescing-sized 8) halves the event
-/// rate on busy ports with bit-identical arrival times and drop
-/// decisions; only same-instant tie ordering across links differs.
-pub const DEFAULT_TX_BATCH: u32 = 1;
-
 /// Result of offering a packet to a link's queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Enqueue {
-    /// The transmitter was idle: the caller must now start it by
-    /// committing a departure batch ([`Link::commit_batch`]) and
-    /// scheduling its `TxDone`.
+    /// The transmitter was idle: the caller must now start it with
+    /// [`Link::commit`] and schedule the packet's `TxDone`.
     StartTx,
     /// Queued behind in-flight traffic.
     Queued,
@@ -142,15 +118,10 @@ impl Link {
             queue_capacity_bytes,
             up: true,
             nominal_rate_bps: rate_bps,
-            tx_batch: DEFAULT_TX_BATCH,
             ecn_threshold_bytes: None,
             queue: VecDeque::new(),
             queued_bytes: 0,
-            busy: false,
-            committed_bytes: 0,
-            committed_packets: 0,
-            commit_start: SimTime::ZERO,
-            committed: Vec::new(),
+            on_wire: None,
             tx_memo: (0, rate_bps, SimDuration::ZERO),
             counters: LinkCounters::default(),
         }
@@ -159,12 +130,12 @@ impl Link {
     /// Offer `pkt` to the output queue at simulated instant `now`.
     ///
     /// If the transmitter is idle ([`Enqueue::StartTx`]) the caller must
-    /// start it with [`Link::commit_batch`]. A full queue tail-drops; the
-    /// drop decision uses [`Link::occupancy`] at `now`, so it is identical
-    /// to the one-event-per-packet model regardless of `tx_batch`.
+    /// start it with [`Link::commit`]. A full queue tail-drops; the drop
+    /// decision uses [`Link::occupancy`] at `now`, so it does not depend
+    /// on whether the `TxDone` of a packet finishing at `now` has popped.
     pub fn enqueue(&mut self, now: SimTime, mut pkt: Packet) -> Enqueue {
         let wire = pkt.wire_bytes() as u64;
-        if !self.busy {
+        if self.on_wire.is_none() {
             debug_assert!(self.queue.is_empty());
             self.queue.push_back(pkt);
             self.queued_bytes += wire;
@@ -195,41 +166,23 @@ impl Link {
         Enqueue::Queued
     }
 
-    /// Commit up to [`Link::tx_batch`] queued packets to the wire.
+    /// Commit the head of the queue to the wire at `now`.
     ///
-    /// For each committed packet, `emit(packet, completion)` is called
-    /// with the exact cumulative serialization offset from now — the
-    /// instant the packet finishes serializing, from which the caller
-    /// pre-schedules its arrival (`+ propagation`). Returns the offset of
-    /// the batch's last completion, when the caller must fire `TxDone` to
-    /// [`Link::settle_batch`] the accounting and commit the next batch.
-    /// Returns `None` (and stays idle) if nothing is queued.
-    pub fn commit_batch(
-        &mut self,
-        now: SimTime,
-        mut emit: impl FnMut(Packet, SimDuration),
-    ) -> Option<SimDuration> {
-        debug_assert!(!self.busy, "commit while a batch is outstanding");
-        debug_assert_eq!(self.committed_bytes, 0);
-        self.commit_start = now;
-        let mut elapsed = SimDuration::ZERO;
-        while self.committed_packets < self.tx_batch {
-            let Some(pkt) = self.queue.pop_front() else {
-                break;
-            };
-            let wire = pkt.wire_bytes() as u64;
-            elapsed += self.serialization(wire);
-            self.committed_bytes += wire;
-            self.committed_packets += 1;
-            self.committed.push((elapsed, wire));
-            emit(pkt, elapsed);
-        }
-        if self.committed_packets > 0 {
-            self.busy = true;
-            Some(elapsed)
-        } else {
-            None
-        }
+    /// Returns the packet and its serialization time: the caller
+    /// schedules its arrival at that offset plus propagation, and a
+    /// `TxDone` at that offset to [`Link::settle`] it and commit the next
+    /// packet. Returns `None` (and stays idle) if nothing is queued.
+    #[inline]
+    pub fn commit(&mut self, now: SimTime) -> Option<(Packet, SimDuration)> {
+        debug_assert!(
+            self.on_wire.is_none(),
+            "commit while a packet is on the wire"
+        );
+        let pkt = self.queue.pop_front()?;
+        let wire = pkt.wire_bytes() as u64;
+        let d = self.serialization(wire);
+        self.on_wire = Some((now + d, wire));
+        Some((pkt, d))
     }
 
     /// `SimDuration::transmission(wire, self.rate_bps)`, memoized on the
@@ -245,47 +198,44 @@ impl Link {
         d
     }
 
-    /// Settle the accounting for the committed batch when its `TxDone`
-    /// fires: release the batch's bytes from the queue occupancy and count
-    /// the transmissions. Returns `(wire_bytes, packets)` of the settled
-    /// batch so the caller can release shared-buffer occupancy upstream.
-    pub fn settle_batch(&mut self) -> (u64, u32) {
-        debug_assert!(self.busy, "TxDone on idle link");
-        let (bytes, pkts) = (self.committed_bytes, self.committed_packets);
+    /// Settle the committed packet when its `TxDone` fires: release its
+    /// bytes from the queue occupancy and count the transmission. Returns
+    /// its wire bytes so the caller can release shared-buffer occupancy
+    /// upstream.
+    #[inline]
+    pub fn settle(&mut self) -> u64 {
+        let (_, bytes) = self.on_wire.take().expect("TxDone on idle link");
         self.queued_bytes -= bytes;
-        self.counters.tx_packets += pkts as u64;
+        self.counters.tx_packets += 1;
         self.counters.tx_bytes += bytes;
-        self.committed_bytes = 0;
-        self.committed_packets = 0;
-        self.committed.clear();
-        self.busy = false;
-        (bytes, pkts)
+        bytes
     }
 
     /// Total queued wire bytes, *including* the committed-but-unsettled
-    /// batch. Coarser than [`Link::occupancy`] by up to one batch; use
-    /// `occupancy` for any decision that must match the per-packet model.
+    /// packet. Coarser than [`Link::occupancy`] at the instant that packet
+    /// completes; use `occupancy` for drop and admission decisions.
     pub fn queued_bytes(&self) -> u64 {
         self.queued_bytes
     }
 
     /// Exact queue occupancy at instant `now`, in wire bytes: total
-    /// queued bytes minus committed packets that have already finished
-    /// serializing (their per-packet `TxDone` would have fired by `now`
-    /// in the unbatched model). Includes the packet currently on the wire.
+    /// queued bytes minus the committed packet if it has already finished
+    /// serializing (its `TxDone` is due at `now` but has not popped yet).
+    /// Includes the packet currently on the wire.
+    #[inline]
     pub fn occupancy(&self, now: SimTime) -> u64 {
         self.queued_bytes - self.finished_unsettled(now)
     }
 
-    /// Wire bytes of committed packets already past their completion
-    /// instant at `now` but not yet settled by the batch `TxDone` — the
-    /// correction a shared-buffer pool needs for exact admission.
+    /// Wire bytes of the committed packet if it finished serializing by
+    /// `now` but its `TxDone` has not settled it — the correction a
+    /// shared-buffer pool needs for exact admission.
+    #[inline]
     pub fn finished_unsettled(&self, now: SimTime) -> u64 {
-        self.committed
-            .iter()
-            .take_while(|&&(off, _)| self.commit_start + off <= now)
-            .map(|&(_, wire)| wire)
-            .sum()
+        match self.on_wire {
+            Some((end, wire)) if end <= now => wire,
+            _ => 0,
+        }
     }
 
     /// Number of queued packets (including the one being serialized).
@@ -295,7 +245,7 @@ impl Link {
 
     /// Whether the transmitter is mid-packet.
     pub fn is_busy(&self) -> bool {
-        self.busy
+        self.on_wire.is_some()
     }
 
     /// Queueing delay a packet enqueued at `now` would experience.
@@ -337,9 +287,9 @@ impl Link {
 
     /// Degrade the line rate to `fraction` of nominal (clamped to
     /// `(0, 1]`). The link stays up — fast failover does not trigger —
-    /// so only controller re-weighting can steer traffic away. Packets
-    /// already committed to the wire keep their departure times; the
-    /// new rate applies from the next committed batch.
+    /// so only controller re-weighting can steer traffic away. A packet
+    /// already committed to the wire keeps its departure time; the new
+    /// rate applies from the next committed packet.
     pub fn degrade(&mut self, fraction: f64) {
         let f = fraction.clamp(0.0, 1.0);
         self.rate_bps = ((self.nominal_rate_bps as f64 * f).round() as u64).max(1);
@@ -360,12 +310,6 @@ impl Link {
     pub fn reset_counters(&mut self) {
         self.counters = LinkCounters::default();
     }
-}
-
-/// Convenience: absolute delivery time for a packet finishing serialization
-/// at `tx_end` on a link.
-pub fn arrival_time(link: &Link, tx_end: SimTime) -> SimTime {
-    tx_end + link.propagation
 }
 
 #[cfg(test)]
@@ -400,105 +344,75 @@ mod tests {
         )
     }
 
-    /// Drive one commit/settle cycle, returning the committed packets and
-    /// their completion offsets.
-    fn commit(l: &mut Link) -> (Vec<(Packet, SimDuration)>, Option<SimDuration>) {
-        commit_at(l, SimTime::ZERO)
-    }
-
-    fn commit_at(l: &mut Link, now: SimTime) -> (Vec<(Packet, SimDuration)>, Option<SimDuration>) {
-        let mut emitted = Vec::new();
-        let last = l.commit_batch(now, |p, off| emitted.push((p, off)));
-        (emitted, last)
+    /// Commit the head packet at t = 0.
+    fn commit(l: &mut Link) -> Option<(Packet, SimDuration)> {
+        l.commit(SimTime::ZERO)
     }
 
     #[test]
     fn idle_link_starts_tx_immediately() {
         let mut l = link(1_000_000);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::StartTx);
-        let (emitted, last) = commit(&mut l);
-        let d = SimDuration::transmission((MSS + WIRE_OVERHEAD) as u64, 10_000_000_000);
-        assert_eq!(last, Some(d));
-        assert_eq!(emitted.len(), 1);
-        assert_eq!(emitted[0].1, d);
+        let (p, d) = commit(&mut l).expect("a packet to commit");
+        assert_eq!(p.payload_bytes(), MSS);
+        assert_eq!(
+            d,
+            SimDuration::transmission((MSS + WIRE_OVERHEAD) as u64, 10_000_000_000)
+        );
         assert!(l.is_busy());
+        assert_eq!(l.queue_len(), 0);
     }
 
     #[test]
-    fn busy_link_queues_then_drains_fifo() {
+    fn busy_link_commits_one_packet_at_a_time_fifo() {
         let mut l = link(1_000_000);
-        l.tx_batch = 8;
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(100)), Enqueue::StartTx);
-        let (first, _) = commit(&mut l);
-        assert_eq!(first[0].0.payload_bytes(), 100);
+        assert_eq!(commit(&mut l).unwrap().0.payload_bytes(), 100);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(200)), Enqueue::Queued);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(300)), Enqueue::Queued);
         assert_eq!(l.queue_len(), 2);
 
-        l.settle_batch();
-        let (rest, last) = commit(&mut l);
-        // One batch commits both queued packets, FIFO, at cumulative
-        // completion offsets.
-        assert_eq!(rest.len(), 2);
-        assert_eq!(rest[0].0.payload_bytes(), 200);
-        assert_eq!(rest[1].0.payload_bytes(), 300);
-        let d2 = SimDuration::transmission((200 + WIRE_OVERHEAD) as u64, 10_000_000_000);
-        let d3 = SimDuration::transmission((300 + WIRE_OVERHEAD) as u64, 10_000_000_000);
-        assert_eq!(rest[0].1, d2);
-        assert_eq!(rest[1].1, d2 + d3);
-        assert_eq!(last, Some(d2 + d3));
-        l.settle_batch();
+        for len in [200, 300] {
+            l.settle();
+            let (p, d) = commit(&mut l).expect("queued packet");
+            assert_eq!(p.payload_bytes(), len);
+            assert_eq!(
+                d,
+                SimDuration::transmission((len + WIRE_OVERHEAD) as u64, 10_000_000_000)
+            );
+        }
+        assert_eq!(l.queue_len(), 0);
+        assert_eq!(l.settle(), (300 + WIRE_OVERHEAD) as u64);
+        assert!(!l.is_busy());
+        assert!(commit(&mut l).is_none(), "an empty queue stays idle");
         assert!(!l.is_busy());
         assert_eq!(l.counters.tx_packets, 3);
     }
 
     #[test]
-    fn batch_limit_caps_commit() {
-        let mut l = link(1_000_000);
-        l.tx_batch = 2;
-        assert_eq!(l.enqueue(SimTime::ZERO, pkt(100)), Enqueue::StartTx);
-        let (first, _) = commit(&mut l);
-        assert_eq!(first.len(), 1);
-        for _ in 0..5 {
-            assert_eq!(l.enqueue(SimTime::ZERO, pkt(100)), Enqueue::Queued);
-        }
-        l.settle_batch();
-        let (batch, _) = commit(&mut l);
-        assert_eq!(batch.len(), 2, "commit respects tx_batch");
-        assert_eq!(l.queue_len(), 3);
-    }
-
-    #[test]
-    fn occupancy_settles_virtually_mid_batch() {
-        // Three packets committed as one batch: occupancy at time t must
-        // exclude every packet whose serialization finished by t, exactly
-        // as per-packet TxDone would have released them.
-        let mut l = link(1_000_000);
-        l.tx_batch = 8;
+    fn occupancy_excludes_head_finished_at_now() {
+        // The head packet completes at `d`; its `TxDone` is due then but
+        // has not popped. Occupancy and tail-drop at `d` must already
+        // exclude it, and not a nanosecond earlier.
         let wire = (MSS + WIRE_OVERHEAD) as u64;
-        let d = SimDuration::transmission(wire, 10_000_000_000);
+        let mut l = link(2 * wire);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::StartTx);
-        let (batch, last) = commit_at(&mut l, SimTime::ZERO);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(last, Some(d));
-        // Two more packets land behind the in-flight one.
+        let (_, d) = commit(&mut l).unwrap();
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::Queued);
-        assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::Queued);
-        l.settle_batch();
-        let (batch, _) = commit_at(&mut l, SimTime::ZERO + d);
-        assert_eq!(batch.len(), 2, "one batch commits both queued packets");
-        let t0 = SimTime::ZERO + d;
-        assert_eq!(l.occupancy(t0), 2 * wire);
-        // Just before the first completes: still both on the books.
-        assert_eq!(l.occupancy(t0 + d - SimDuration::from_nanos(1)), 2 * wire);
-        // First one done: released without any TxDone having fired.
-        assert_eq!(l.occupancy(t0 + d), wire);
-        assert_eq!(l.finished_unsettled(t0 + d), wire);
-        assert_eq!(l.occupancy(t0 + d + d), 0);
-        // Settling the batch converges to the same answer.
-        l.settle_batch();
-        assert_eq!(l.occupancy(t0 + d + d), 0);
-        assert_eq!(l.queued_bytes(), 0);
+        let done = SimTime::ZERO + d;
+        let before = done - SimDuration::from_nanos(1);
+        assert_eq!(l.occupancy(before), 2 * wire);
+        assert_eq!(l.finished_unsettled(before), 0);
+        assert_eq!(l.occupancy(done), wire);
+        assert_eq!(l.finished_unsettled(done), wire);
+        assert_eq!(l.queued_bytes(), 2 * wire, "not settled yet");
+        assert_eq!(l.enqueue(before, pkt(MSS)), Enqueue::Dropped);
+        assert_eq!(l.enqueue(done, pkt(MSS)), Enqueue::Queued);
+        // Settling converges to the same answer.
+        l.settle();
+        assert_eq!(l.finished_unsettled(done), 0);
+        assert_eq!(l.occupancy(done), 2 * wire);
+        assert_eq!(l.queued_bytes(), 2 * wire);
     }
 
     #[test]
@@ -513,8 +427,8 @@ mod tests {
         assert_eq!(l.counters.dropped_packets, 1);
         assert_eq!(l.counters.dropped_data_packets, 1);
         assert_eq!(l.counters.dropped_bytes, wire);
-        // Settling a batch frees space again.
-        l.settle_batch();
+        // Settling the head frees space again.
+        l.settle();
         commit(&mut l);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::Queued);
     }
@@ -542,7 +456,7 @@ mod tests {
         let expect = 5 * (MSS + WIRE_OVERHEAD) as u64;
         assert_eq!(l.counters.max_queue_bytes, expect);
         while l.is_busy() {
-            l.settle_batch();
+            l.settle();
             commit(&mut l);
         }
         assert_eq!(

@@ -7,9 +7,10 @@
 //!
 //! * [`EventQueue`] — the default: a calendar queue (timing wheel with a
 //!   sorted overflow tier). Each wheel slot is a narrow bucket kept as a
-//!   `(time, seq)`-sorted deque, so near-horizon events, which dominate
-//!   link and NIC scheduling, cost a short back-scan per push and a
-//!   `pop_front` per pop; far timers (RTOs, scenario markers) sit in a
+//!   `(time, seq)`-sorted `Vec` with a head cursor, so near-horizon
+//!   events, which dominate link and NIC scheduling, cost a short
+//!   back-scan (usually a plain `push`) per push and a read plus a cursor
+//!   bump per pop; far timers (RTOs, scenario markers) sit in a
 //!   binary-heap overflow tier and migrate into the wheel as the cursor
 //!   approaches them.
 //! * [`HeapEventQueue`] — the original thin wrapper over
@@ -24,7 +25,7 @@
 //! keeps the hot path to a couple of cheap operations per event.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -173,6 +174,34 @@ fn bucket_of(time: SimTime) -> u64 {
     time.as_nanos() >> WIDTH_SHIFT
 }
 
+/// One wheel slot: pending keys of a single bucket in ascending `(time,
+/// seq)` order from `head` on. Keys before `head` have been popped; they
+/// stay in place until the slot drains, when `keys` is cleared (keeping
+/// its capacity) and `head` rewinds to 0, or until a push finds `keys`
+/// full, when the popped prefix is reclaimed instead of growing. Popping
+/// is therefore a read and a cursor bump, with none of a ring buffer's
+/// wrap arithmetic.
+#[derive(Default)]
+struct Slot {
+    keys: Vec<Key>,
+    head: usize,
+}
+
+impl Slot {
+    /// The next key to pop, if the slot holds any.
+    #[inline]
+    fn front(&self) -> Option<&Key> {
+        self.keys.get(self.head)
+    }
+
+    /// Drop every key and rewind the cursor, keeping the allocation.
+    #[inline]
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.head = 0;
+    }
+}
+
 /// An event classifier: maps an event to a row of a [`QueueProfile`].
 type Classifier<E> = fn(&E) -> usize;
 
@@ -240,9 +269,9 @@ impl QueueProfile {
 pub struct EventQueue<E> {
     /// Per-slot pending event keys in ascending `(time, seq)` order. A
     /// slot holds one narrow bucket (about 17 keys when popped on a busy
-    /// run), so the insert's back-scan is short and a pop is `pop_front`.
-    /// Slots hold 24-byte [`Key`]s; payloads live in `arena`.
-    slots: Vec<VecDeque<Key>>,
+    /// run), so the insert's back-scan is short and a pop is a cursor
+    /// bump. Slots hold 24-byte [`Key`]s; payloads live in `arena`.
+    slots: Vec<Slot>,
     /// One bit per slot: set iff the slot is non-empty.
     occupied: [u64; WORDS],
     /// Events beyond the wheel horizon, min-ordered by `(time, seq)`.
@@ -275,7 +304,7 @@ impl<E> EventQueue<E> {
     /// An empty queue with the watermark at t = 0.
     pub fn new() -> Self {
         let mut slots = Vec::with_capacity(SLOTS);
-        slots.resize_with(SLOTS, VecDeque::new);
+        slots.resize_with(SLOTS, Slot::default);
         EventQueue {
             slots,
             occupied: [0; WORDS],
@@ -328,20 +357,31 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Insert `key` into its slot, keeping the slot sorted. The scan runs
-    /// from the back and compares the full `(time, seq)`, not only the
-    /// time, so the slot stays sorted whatever order keys arrive in: a key
-    /// migrated from the overflow tier carries an older seq than every key
-    /// pushed since it was scheduled.
+    /// Insert `key` into its slot, keeping the pending part sorted. The
+    /// scan runs from the back, stops at the slot's head cursor, and
+    /// compares the full `(time, seq)`, not only the time, so the slot
+    /// stays sorted whatever order keys arrive in: a key migrated from the
+    /// overflow tier carries an older seq than every key pushed since it
+    /// was scheduled. The common case, a key later than every pending
+    /// one, is a plain `push`.
     #[inline]
     fn insert_wheel(&mut self, bucket: u64, key: Key) {
         let slot = (bucket & SLOT_MASK) as usize;
-        let keys = &mut self.slots[slot];
+        let Slot { keys, head } = &mut self.slots[slot];
+        if *head > 0 && keys.len() == keys.capacity() {
+            // Full: reclaim the popped prefix instead of growing.
+            keys.drain(..*head);
+            *head = 0;
+        }
         let mut at = keys.len();
-        while at > 0 && key.precedes(&keys[at - 1]) {
+        while at > *head && key.precedes(&keys[at - 1]) {
             at -= 1;
         }
-        keys.insert(at, key);
+        if at == keys.len() {
+            keys.push(key);
+        } else {
+            keys.insert(at, key);
+        }
         self.occupied[slot / 64] |= 1u64 << (slot % 64);
     }
 
@@ -407,10 +447,11 @@ impl<E> EventQueue<E> {
             self.migrate_overflow();
         }
         let slot = (self.cur_bucket & SLOT_MASK) as usize;
-        let s = self.slots[slot]
-            .pop_front()
-            .expect("occupied slot is non-empty");
-        if self.slots[slot].is_empty() {
+        let wheel_slot = &mut self.slots[slot];
+        let s = *wheel_slot.front().expect("occupied slot is non-empty");
+        wheel_slot.head += 1;
+        if wheel_slot.head == wheel_slot.keys.len() {
+            wheel_slot.clear();
             self.occupied[slot / 64] &= !(1u64 << (slot % 64));
         }
         self.len -= 1;
@@ -913,6 +954,173 @@ mod tests {
             assert_eq!(self.cal.len(), self.heap.len());
             assert_eq!(self.cal.peek_time(), self.heap.peek_time());
         }
+
+        /// The head cursor of the wheel slot holding `ns`.
+        fn cursor_of(&self, ns: u64) -> usize {
+            let slot = (bucket_of(SimTime::from_nanos(ns)) & SLOT_MASK) as usize;
+            self.cal.slots[slot].head
+        }
+
+        /// Interleave pops with pushes into the bucket being drained: each
+        /// round pops once and pushes `per_pop` keys at or a little after
+        /// the new watermark, most of them inside the current bucket.
+        fn drain_while_pushing(&mut self, rounds: u64, per_pop: u64, mut x: u64) {
+            let width = 1u64 << WIDTH_SHIFT;
+            for _ in 0..rounds {
+                let Some((t, _)) = self.pop() else { break };
+                let now = t.as_nanos();
+                for _ in 0..per_pop {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let r = x >> 33;
+                    let delta = match r % 8 {
+                        0 | 1 => 0,
+                        2..=5 => r / 8 % width,
+                        6 => r / 8 % (4 * width),
+                        _ => 300_000 + r / 8 % 5_000_000,
+                    };
+                    self.push(now + delta);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_at_watermark_into_half_drained_slot() {
+        // Pop part of one bucket, then push at exactly the popped time:
+        // the new key has the newest seq, so it fires after the pending
+        // keys of the same instant and before later ones.
+        let mut q = Lockstep::new();
+        let base = 50 << WIDTH_SHIFT;
+        for off in [0, 0, 10, 10, 10, 20, 30] {
+            q.push(base + off);
+        }
+        assert_eq!(q.pop().unwrap().0.as_nanos(), base);
+        assert_eq!(q.pop().unwrap().0.as_nanos(), base);
+        assert_eq!(q.pop().unwrap().0.as_nanos(), base + 10);
+        assert_eq!(q.cursor_of(base), 3, "slot is half drained");
+        q.push(base + 10);
+        q.push(base + 10);
+        q.drain();
+        assert_eq!(q.cursor_of(base), 0, "a drained slot rewinds");
+        assert!(q.cal.slots[(50 & SLOT_MASK) as usize].keys.is_empty());
+    }
+
+    #[test]
+    fn full_slot_reclaims_popped_prefix() {
+        // A slot that keeps receiving keys while it drains must reuse the
+        // space of its popped keys rather than grow.
+        let mut q = Lockstep::new();
+        let base = 12 << WIDTH_SHIFT;
+        for off in 0..8 {
+            q.push(base + off);
+        }
+        let slot = 12 & SLOT_MASK as usize;
+        let cap = q.cal.slots[slot].keys.capacity();
+        for _ in 0..3 {
+            q.pop();
+        }
+        let mut off = 8;
+        while q.cal.slots[slot].keys.len() < cap {
+            q.push(base + off);
+            off += 1;
+        }
+        assert_eq!(q.cursor_of(base), 3);
+        q.push(base + 100);
+        assert_eq!(q.cursor_of(base), 0, "the popped prefix was reclaimed");
+        assert_eq!(q.cal.slots[slot].keys.capacity(), cap, "no growth");
+        q.push(base + 50);
+        q.drain();
+    }
+
+    #[test]
+    fn insert_between_cursor_and_tail() {
+        // Keys that sort between the next pending key and the tail must
+        // land there, and the back-scan must never walk into the popped
+        // prefix.
+        let mut q = Lockstep::new();
+        let base = 77 << WIDTH_SHIFT;
+        for off in [5, 40, 80, 120, 200] {
+            q.push(base + off);
+        }
+        q.pop();
+        q.pop();
+        assert_eq!(q.cursor_of(base), 2);
+        q.push(base + 100);
+        q.push(base + 80);
+        q.push(base + 199);
+        // At the head: earlier than every pending key, later than the
+        // watermark.
+        q.push(base + 41);
+        q.drain();
+    }
+
+    #[test]
+    fn peek_time_after_partial_pops() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let base = 9 << WIDTH_SHIFT;
+        for (i, off) in [3u64, 7, 7, 11].into_iter().enumerate() {
+            q.push(SimTime::from_nanos(base + off), i as u32);
+        }
+        q.push(SimTime::from_millis(50), 99);
+        let expect = [7, 7, 11];
+        for want in expect {
+            q.pop();
+            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(base + want)));
+        }
+        q.pop();
+        // The bucket drained: the overflow timer is next.
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(50)));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(50), 99)));
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn clear_mid_slot_then_reuse() {
+        // Clear while the cursor sits inside a slot, then refill that
+        // very slot from t = 0: the stale prefix must be gone and the
+        // cursor rewound.
+        let mut q = Lockstep::new();
+        for i in 0..12 {
+            q.push(300 + i);
+        }
+        q.push(40_000_000);
+        for _ in 0..5 {
+            q.pop();
+        }
+        assert_eq!(q.cursor_of(300), 5);
+        q.clear();
+        assert_eq!(q.cursor_of(300), 0);
+        assert_eq!(q.cal.peek_time(), None);
+        for i in (0..12).rev() {
+            q.push(290 + i);
+        }
+        q.push(300);
+        assert_eq!(q.pop().unwrap().0.as_nanos(), 290);
+        q.push(295);
+        q.drain();
+    }
+
+    #[test]
+    fn pushes_while_the_current_bucket_drains_match_reference() {
+        // The simulator's dominant pattern: every pop schedules follow-ups
+        // at the same instant or a few hundred ns later, so the bucket
+        // being drained keeps receiving keys behind, between and at its
+        // cursor.
+        for (seed, per_pop) in [(1u64, 1u64), (7, 2), (0xABCD, 3)] {
+            let mut q = Lockstep::new();
+            for i in 0..64 {
+                q.push(i * 37);
+            }
+            q.drain_while_pushing(6_000, per_pop, seed);
+            q.drain();
+        }
+        // A lone seed key keeps the queue in one bucket for a while.
+        let mut q = Lockstep::new();
+        q.push(1_000);
+        q.drain_while_pushing(3_000, 1, 99);
+        q.drain();
     }
 
     #[test]

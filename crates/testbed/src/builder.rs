@@ -78,7 +78,6 @@ impl ScenarioBuilder {
                 collect_reorder: false,
                 cpu_sample: None,
                 host_uplink_queue: 16 * 1024 * 1024,
-                tx_batch: 1,
                 telemetry: None,
             },
         }
@@ -216,12 +215,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Link departure batch (see the `Scenario` field docs).
-    pub fn tx_batch(mut self, batch: u32) -> Self {
-        self.inner.tx_batch = batch;
-        self
-    }
-
     /// Attach the telemetry layer with this configuration.
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.inner.telemetry = Some(cfg);
@@ -249,7 +242,6 @@ mod tests {
         assert_eq!(b.warmup(), SimDuration::from_millis(40));
         assert_eq!(b.probe_interval(), SimDuration::from_micros(500));
         assert_eq!(b.host_uplink_queue(), 16 * 1024 * 1024);
-        assert_eq!(b.tx_batch(), 1);
         assert!(b.faults().is_empty());
         assert!(b.flows().is_empty());
         assert_eq!(b.n_servers(), 16);
@@ -275,7 +267,6 @@ mod tests {
             .collect_reorder(true)
             .cpu_sample(SimDuration::from_millis(1))
             .host_uplink_queue(1 << 20)
-            .tx_batch(4)
             .faults(FaultPlan::new().link_down(SimTime::from_millis(5), 0, 0, 0, Notify::Immediate))
             .build();
         assert_eq!(s.name(), "custom");
@@ -287,7 +278,6 @@ mod tests {
         assert!(s.collect_reorder());
         assert_eq!(s.cpu_sample(), Some(SimDuration::from_millis(1)));
         assert_eq!(s.host_uplink_queue(), 1 << 20);
-        assert_eq!(s.tx_batch(), 4);
         assert_eq!(s.faults().events.len(), 1);
     }
 

@@ -228,18 +228,6 @@ pub struct Scenario {
         note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
     )]
     pub host_uplink_queue: u64,
-    /// Link departure batch (`Link::tx_batch`). 1 (the default) replays
-    /// the classic one-event-per-packet model exactly; larger values
-    /// coalesce `TxDone` bookkeeping for a lower event rate — arrival
-    /// times and drop decisions stay exact, but same-instant event ties
-    /// across links resolve in commit order, which perturbs tightly
-    /// synchronized workloads slightly. Set with
-    /// `ScenarioBuilder::tx_batch`; it is part of the scenario
-    /// fingerprint.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub tx_batch: u32,
     /// Attach the telemetry layer with this configuration (`None` = off).
     /// Enabling it never changes simulation behaviour or the report
     /// digest; it only collects counters, samples, and trace events.
@@ -327,10 +315,6 @@ impl Scenario {
     /// Host uplink queue capacity in bytes.
     pub fn host_uplink_queue(&self) -> u64 {
         self.host_uplink_queue
-    }
-    /// Link departure batch.
-    pub fn tx_batch(&self) -> u32 {
-        self.tx_batch
     }
     /// Telemetry configuration, if attached.
     pub fn telemetry(&self) -> Option<TelemetryConfig> {
@@ -648,7 +632,6 @@ impl Scenario {
         let end = SimTime::ZERO + self.duration;
         let warm = SimTime::ZERO + self.warmup;
         let mut sim = Simulation::new(topo, self.scheme.clone(), mk_host, end, warm);
-        sim.topo.fabric.set_tx_batch(self.tx_batch);
         sim.controller = controller;
         sim.label_pairs = label_sets
             .iter()

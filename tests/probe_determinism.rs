@@ -172,29 +172,43 @@ fn pinned_two_tier_digests_are_unchanged_with_probing_off() {
     assert_eq!(smoke_ecmp.digest(), 0xf7bb59607124854c);
 }
 
-/// Every fingerprint in the committed bakeoff baseline — 64 points over
-/// eight non-probing schemes — must be reproduced by today's canonical
-/// texts. Fingerprints hash the full scenario canon, so this pins the
-/// whole pre-probe grid (schemes, workloads, faults) without re-running
-/// any simulation.
+/// Every fingerprint in the four committed baselines must be reproduced by
+/// today's canonical texts. Fingerprints hash the full scenario canon
+/// (schemes, workloads, transport, faults and the constant link-departure
+/// line), so this pins every committed grid without re-running any
+/// simulation. The bakeoff's eight schemes never probe, so its rows also
+/// pin that probing stays off for them.
 #[test]
-fn bakeoff_baseline_fingerprints_are_unchanged_with_probing_off() {
-    let toml = std::fs::read_to_string("campaigns/bakeoff.toml").expect("committed campaign");
-    let campaign = presto_lab::Campaign::from_toml(&toml).expect("parses");
-    let points = campaign.expand().expect("expands");
-    let baseline =
-        presto_lab::read_table(std::path::Path::new("baselines/bakeoff.json")).expect("baseline");
-    assert_eq!(points.len(), 64);
-    assert_eq!(baseline.len(), points.len());
-    for (point, row) in points.iter().zip(&baseline) {
-        assert_eq!(point.label(), row.label, "grid order is pinned");
-        assert_eq!(
-            point.fingerprint(),
-            row.fp,
-            "{}: canonical text drifted with probing off",
-            row.label
-        );
-        assert_eq!(row.probe_rounds, 0, "bakeoff rows never probed");
+fn committed_baseline_fingerprints_are_unchanged() {
+    for (name, points_expected, never_probes) in [
+        ("paper_grid", 30, false),
+        ("incast", 16, false),
+        ("skew", 12, false),
+        ("bakeoff", 64, true),
+    ] {
+        let toml =
+            std::fs::read_to_string(format!("campaigns/{name}.toml")).expect("committed campaign");
+        let points = presto_lab::Campaign::from_toml(&toml)
+            .expect("parses")
+            .expand()
+            .expect("expands");
+        let baseline =
+            presto_lab::read_table(std::path::Path::new(&format!("baselines/{name}.json")))
+                .expect("baseline");
+        assert_eq!(points.len(), points_expected, "{name}: grid size");
+        assert_eq!(baseline.len(), points.len(), "{name}: one row per point");
+        for (point, row) in points.iter().zip(&baseline) {
+            assert_eq!(point.label(), row.label, "{name}: grid order is pinned");
+            assert_eq!(
+                point.fingerprint(),
+                row.fp,
+                "{name}: canonical text of {} drifted",
+                row.label
+            );
+            if never_probes {
+                assert_eq!(row.probe_rounds, 0, "{}: never probed", row.label);
+            }
+        }
     }
 }
 
