@@ -1,9 +1,10 @@
 //! Criterion microbenchmarks of the simulator's hot paths.
 //!
 //! These measure the cost of the data structures every simulated packet
-//! touches: the event queue, a link's departure cycle, the GRO merge/flush
-//! cycle, Algorithm 1's flowcell scheduler, prequal's probe pool, TSO
-//! splitting, and the TCP receiver's out-of-order store.
+//! touches: the event queue, a link's departure cycle, a switch's
+//! shadow-label lookup, the GRO merge/flush cycle, Algorithm 1's flowcell
+//! scheduler, prequal's probe pool, TSO splitting, and the TCP receiver's
+//! out-of-order store.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -12,7 +13,7 @@ use presto_core::FlowcellScheduler;
 use presto_endhost::{tso_split, tso_split_into, EdgePolicy, PathTag, ReceiveOffload, TxSegment};
 use presto_gro::{OfficialGro, PrestoGro};
 use presto_netsim::{
-    FlowKey, HostId, Link, Mac, Node, Packet, PacketKind, PacketPool, SwitchId, MSS,
+    FlowKey, HostId, Link, LinkId, Mac, Node, Packet, PacketKind, PacketPool, Switch, SwitchId, MSS,
 };
 use presto_probe::{HclPool, ProbeParams};
 use presto_simcore::{EventQueue, HeapEventQueue, SimDuration, SimTime};
@@ -208,6 +209,47 @@ fn bench_link_departure(c: &mut Criterion) {
     });
 }
 
+/// A transit switch loaded like an aggregation switch of the 8192-host
+/// three-tier workload: 128 active hosts × 16 trees, a quarter of them
+/// below one of 4 down-neighbors and the rest behind the uplinks. It
+/// forwards a stream of 1024 shadow-labelled packets spread over every
+/// (host, tree).
+fn bench_switch_forward_shadow(c: &mut Criterion) {
+    const HOSTS: u32 = 128;
+    const TREES: u32 = 16;
+    // The workload's active hosts: 64 stride sources and their
+    // destinations 256 ids on.
+    let host = |h: u32| HostId(if h < 64 { h } else { 192 + h });
+    c.bench_function("switch_forward_shadow", |b| {
+        let mut sw = Switch::new(SwitchId(7));
+        let ups: Vec<LinkId> = (0..TREES).map(LinkId).collect();
+        for h in 0..HOSTS {
+            let dst = host(h);
+            let row: Vec<LinkId> = match h % 16 {
+                d @ 0..=3 => (0..TREES).map(|t| LinkId(TREES + 4 * d + t % 4)).collect(),
+                _ => ups.clone(),
+            };
+            sw.install_label_row(dst, &row);
+        }
+        let packets: Vec<Packet> = (0..1024u32)
+            .map(|i| {
+                let h = (i * 37) % HOSTS;
+                let mut p = data_packet(i as u64);
+                p.dst_host = host(h);
+                p.dst_mac = Mac::shadow(p.dst_host, (i * 7) % TREES);
+                p
+            })
+            .collect();
+        b.iter(|| {
+            let mut sum = 0u64;
+            for p in &packets {
+                sum += sw.forward(p, |_| true).map_or(0, |l| l.0 as u64);
+            }
+            black_box(sum)
+        })
+    });
+}
+
 fn bench_gro(c: &mut Criterion) {
     c.bench_function("presto_gro_inorder_batch64", |b| {
         b.iter(|| {
@@ -341,6 +383,6 @@ fn bench_receiver(c: &mut Criterion) {
 criterion_group!(
     name = hotpaths;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_event_queue, bench_queue_head_to_head, bench_link_departure, bench_gro, bench_flowcell_scheduler, bench_probe_pool, bench_tso, bench_receiver
+    targets = bench_event_queue, bench_queue_head_to_head, bench_link_departure, bench_switch_forward_shadow, bench_gro, bench_flowcell_scheduler, bench_probe_pool, bench_tso, bench_receiver
 );
 criterion_main!(hotpaths);

@@ -134,13 +134,15 @@ impl Controller {
     ///
     /// Every host behind one attachment switch gets the same egress per
     /// tree, so each switch computes its per-tree uplinks once and its
-    /// per-tree downlinks once per attachment switch, then writes them
-    /// for the whole group.
+    /// per-tree downlinks once per attachment switch, then writes them as
+    /// one label row per host of the group (the switch stores equal rows
+    /// once).
     fn install_shadow_labels(topo: &mut Topology, trees: &[TreePath], active: Option<&[bool]>) {
         let groups = topo.hosts_by_attachment(active);
         let live: usize = groups.iter().map(|(_, hosts)| hosts.len()).sum();
         let mut ups = Vec::with_capacity(trees.len());
         let mut downs = Vec::with_capacity(trees.len());
+        let mut ports = Vec::with_capacity(trees.len());
         for tier in 0..topo.tier_count() {
             for pos in 0..topo.tiers[tier].len() {
                 let sw = topo.tiers[tier][pos];
@@ -161,16 +163,15 @@ impl Controller {
                         grp[tree.link.min(grp.len() - 1)]
                     }));
                 }
-                topo.fabric.switch_mut(sw).reserve_l2(trees.len() * live);
+                topo.fabric.switch_mut(sw).reserve_l2(live);
                 for (attach, hosts) in &groups {
                     let attach = *attach;
                     if attach == sw {
                         let switch = topo.fabric.switch_mut(sw);
                         for &h in hosts {
-                            let port = topo.host_down[h.index()];
-                            for t in 0..trees.len() {
-                                switch.install_l2(Mac::shadow(h, t as u32), port);
-                            }
+                            ports.clear();
+                            ports.resize(trees.len(), topo.host_down[h.index()]);
+                            switch.install_label_row(h, &ports);
                         }
                         continue;
                     }
@@ -185,9 +186,7 @@ impl Controller {
                     };
                     let switch = topo.fabric.switch_mut(sw);
                     for &h in hosts {
-                        for (t, &out) in egress.iter().enumerate() {
-                            switch.install_l2(Mac::shadow(h, t as u32), out);
-                        }
+                        switch.install_label_row(h, egress);
                     }
                 }
             }

@@ -94,6 +94,11 @@ impl Fabric {
 
     /// Add a unidirectional link, returning its id.
     pub fn add_link(&mut self, link: Link) -> LinkId {
+        // Link ids stop short of the label-row sentinel.
+        assert!(
+            self.links.len() < Switch::EMPTY_SLOT.index(),
+            "link ids exhausted"
+        );
         let id = LinkId(self.links.len() as u32);
         if let Node::Switch(sw) = link.src {
             self.egress[sw.index()].push(id);

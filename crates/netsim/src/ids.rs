@@ -6,7 +6,6 @@
 //! "opaque forwarding labels" installed in L2 tables, §3.1).
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A host (server) attachment point on the fabric.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -57,28 +56,10 @@ pub enum Node {
 ///
 /// Real host MACs and shadow MACs share this type; the controller keeps
 /// them distinct via [`Mac::host`] and [`Mac::shadow`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mac(pub u64);
 
 const SHADOW_BIT: u64 = 1 << 63;
-
-/// Odd multiplier (the 64-bit golden ratio) spreading a MAC's high word
-/// over its low word before hashing.
-const HIGH_WORD_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl Hash for Mac {
-    /// Hashes the label with its high word (tree bits 32–62 and the
-    /// shadow bit) folded into the low word. Switch L2 tables use the Fx
-    /// hash, whose bucket index comes from the low bits of `word · K`,
-    /// i.e. only from the word's low bits: unfolded, every shadow label of
-    /// one host would share a bucket group. The rotate brings the shadow
-    /// bit to bit 0 so a host MAC and its tree-0 label differ there too.
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let high = ((self.0 >> 32) as u32).rotate_left(1) as u64;
-        state.write_u64(self.0 ^ high.wrapping_mul(HIGH_WORD_MIX));
-    }
-}
 
 impl Mac {
     /// The real MAC address of a host NIC.
@@ -155,28 +136,6 @@ mod tests {
         for h in 0..64 {
             assert!(seen.insert(Mac::host(HostId(h))));
         }
-    }
-
-    #[test]
-    fn shadow_labels_of_one_host_spread_over_low_bits() {
-        use presto_simcore::FxHasher;
-        let low_bits = |m: Mac| {
-            let mut h = FxHasher::default();
-            m.hash(&mut h);
-            h.finish() & 0xFF
-        };
-        let buckets: std::collections::HashSet<u64> = (0..16)
-            .map(|t| low_bits(Mac::shadow(HostId(5), t)))
-            .collect();
-        assert_eq!(
-            buckets.len(),
-            16,
-            "trees of one host collide in the low bits"
-        );
-        assert_ne!(
-            low_bits(Mac::host(HostId(5))),
-            low_bits(Mac::shadow(HostId(5), 0))
-        );
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! (`presto-testbed`).
 //!
 //! Fx takes a table's bucket index from the low bits of `word · K`, so
-//! those low bits must vary across keys. A key type whose distinguishing
-//! bits sit high in the word folds them down in its `Hash` impl, as
-//! `presto_netsim::Mac` does for the tree bits of shadow labels.
+//! those low bits must vary across keys: key a table by small integers,
+//! not by words whose distinguishing bits sit high.
 //!
 //! # Determinism rule
 //!

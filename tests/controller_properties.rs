@@ -5,7 +5,8 @@
 //! no reachable host pair's label multiset ever empties. A scoped install
 //! (`Controller::install_for` with an active-host mask) writes, for every
 //! active host, exactly the state the unscoped install writes, and
-//! nothing for the others.
+//! nothing for the others. Switches store that state as shared label
+//! rows, not one entry per (host, tree).
 
 use std::collections::{HashMap, HashSet};
 
@@ -133,6 +134,31 @@ fn assert_scoped_matches_full(build: impl Fn() -> Topology, mask_bits: u64) {
                 f.failover_backup(l),
                 "switch {i} failover {l:?}"
             );
+        }
+    }
+}
+
+/// Remote hosts share a label row per down-neighbor they sit behind, plus
+/// one for the uplinks; only a switch's local hosts need a row each. A
+/// switch storing one entry per (host, tree) again breaks this bound.
+#[test]
+fn switches_store_one_label_row_per_egress_pattern() {
+    let mut topo = Topology::three_tier(&ThreeTierSpec::default());
+    let ctl = Controller::install(&mut topo);
+    for (i, switch) in topo.fabric.switches().iter().enumerate() {
+        let sw = switch.id;
+        let local = topo.host_leaf.iter().filter(|&&leaf| leaf == sw).count();
+        let bound = local + topo.down_neighbors(sw).len() + 1;
+        assert!(
+            switch.label_row_count() <= bound,
+            "switch {i}: {} label rows, bound {bound}",
+            switch.label_row_count()
+        );
+        // Every (host, tree) label still resolves.
+        for &h in &topo.hosts {
+            for t in 0..ctl.tree_count() as u32 {
+                assert!(switch.l2_lookup(Mac::shadow(h, t)).is_some());
+            }
         }
     }
 }
