@@ -80,29 +80,37 @@ macro_rules! queue_bench {
 /// a serialization end (`TxDone`, +1.23 µs) and an arrival (+2.23 µs)
 /// pending, beside 12 k far, stale RTO-scale timers that never come due.
 /// Every popped `TxDone` schedules the link's next pair, so the queue
-/// runs at about 100 events per simulated µs.
+/// runs at about 100 events per simulated µs. Events are `u64` codes:
+/// links below 64 are `TxDone`s, 64.. `Arrive`s, and `u64::MAX` a stale
+/// timer. The five-argument form wraps each code in a wider payload
+/// (`$wrap`) and reads it back (`$code`).
 macro_rules! link_mix_bench {
     ($c:expr, $name:expr, $ty:ty) => {
+        link_mix_bench!($c, $name, $ty, |code: u64| code, |ev: u64| ev)
+    };
+    ($c:expr, $name:expr, $ty:ty, $wrap:expr, $code:expr) => {
         $c.bench_function($name, |b| {
             const LINKS: u64 = 64;
             const STALE: u64 = u64::MAX;
+            let (wrap, code) = ($wrap, $code);
             let tx = SimDuration::from_nanos(1_230);
             let arrive = SimDuration::from_nanos(2_230);
             b.iter(|| {
                 let mut q: $ty = <$ty>::new();
                 for i in 0..12_000u64 {
                     let t = 10_000_000 + (i * 104_729) % 40_000_000;
-                    q.push(SimTime::from_nanos(t), STALE);
+                    q.push(SimTime::from_nanos(t), wrap(STALE));
                 }
                 for link in 0..LINKS {
-                    q.push(SimTime::from_nanos(link * 19), link);
+                    q.push(SimTime::from_nanos(link * 19), wrap(link));
                 }
                 let mut arrivals = 0u64;
                 for _ in 0..100_000 {
                     let (now, ev) = q.pop().expect("links keep the queue busy");
+                    let ev = code(ev);
                     if ev < LINKS {
-                        q.push(now + tx, ev);
-                        q.push(now + arrive, LINKS + ev);
+                        q.push(now + tx, wrap(ev));
+                        q.push(now + arrive, wrap(LINKS + ev));
                     } else {
                         arrivals += 1;
                     }
@@ -112,6 +120,10 @@ macro_rules! link_mix_bench {
         });
     };
 }
+
+// The 16-byte link-mix payload is as wide as the simulator's own event.
+const _: () =
+    assert!(std::mem::size_of::<[u64; 2]>() == std::mem::size_of::<presto_testbed::sim::Event>());
 
 /// The pattern a wheel slot's head cursor serves: the bucket being drained
 /// keeps receiving keys. 32 keys seed one 256 ns bucket; every pop pushes
@@ -170,6 +182,15 @@ fn bench_queue_head_to_head(c: &mut Criterion) {
     queue_bench!(c, "queue_burst_2k_heap", burst, HeapEventQueue<u64>);
 
     link_mix_bench!(c, "event_queue_link_mix_calendar", EventQueue<u64>);
+    // The code in the first word; the second stands in for a timer
+    // generation.
+    link_mix_bench!(
+        c,
+        "event_queue_link_mix_calendar_event16",
+        EventQueue<[u64; 2]>,
+        |code: u64| [code, 0],
+        |ev: [u64; 2]| ev[0]
+    );
     link_mix_bench!(c, "event_queue_link_mix_heap", HeapEventQueue<u64>);
 
     drain_push_bench!(c, "queue_drain_push_calendar", EventQueue<u64>);
@@ -178,8 +199,10 @@ fn bench_queue_head_to_head(c: &mut Criterion) {
 
 /// One busy 10 Gbps port, the netsim layer alone: each of 1000 departures
 /// settles the packet on the wire (its `TxDone`), offers a new packet
-/// behind a 16-packet backlog (occupancy and tail-drop check), and commits
-/// the next head.
+/// behind a 16-packet backlog (occupancy and tail-drop check), commits
+/// the next one, and hands over the packet settled before it (its
+/// `Arrive`, due 1 µs after its `TxDone`), so in-flight packets do not
+/// pile up in the link.
 fn bench_link_departure(c: &mut Criterion) {
     c.bench_function("link_departure", |b| {
         let mut link = Link::new(
@@ -193,16 +216,15 @@ fn bench_link_departure(c: &mut Criterion) {
         for i in 0..16 {
             link.enqueue(now, data_packet(i));
         }
-        let mut done = now + link.commit(now).expect("backlog").1;
+        let mut done = now + link.commit(now).expect("backlog");
         b.iter(|| {
             let mut bytes = 0u64;
             for i in 0..1000 {
                 now = done;
                 bytes += link.settle();
                 link.enqueue(now, data_packet(i));
-                let (pkt, d) = link.commit(now).expect("backlog");
-                black_box(pkt);
-                done = now + d;
+                done = now + link.commit(now).expect("backlog");
+                black_box(link.arrive());
             }
             black_box(bytes)
         })

@@ -3,6 +3,8 @@
 //! [`Fabric`] owns every switch and link and advances them in response to
 //! two event kinds: `TxDone` (a link finished serializing a packet) and
 //! `Arrive` (a packet reached the far end of a link after propagation).
+//! Both carry only the link id: a packet waits in its link from enqueue to
+//! arrival, so fabric events stay 8 bytes however large a packet grows.
 //! Packets that arrive at a host are handed to the environment through the
 //! [`NetScheduler`] trait — the fabric knows nothing about NICs, GRO or
 //! TCP, which keeps it independently testable.
@@ -25,14 +27,16 @@ pub enum NetEvent {
         /// The transmitting link.
         link: LinkId,
     },
-    /// A packet finished propagating and arrives at the link's sink.
+    /// The oldest committed packet of the link finished propagating and
+    /// arrives at the link's sink.
     Arrive {
         /// The delivering link.
         link: LinkId,
-        /// The packet itself.
-        packet: Packet,
     },
 }
+
+// A packet-sized variant would widen every queued event of the simulator.
+const _: () = assert!(std::mem::size_of::<NetEvent>() <= 8);
 
 /// The fabric's interface to the outside world: a clock, a way to schedule
 /// its own future events, and a sink for packets that reach hosts.
@@ -184,10 +188,14 @@ impl Fabric {
                 }
                 self.start_tx(link, s);
             }
-            NetEvent::Arrive { link, packet } => match self.links[link.index()].dst {
-                Node::Host(h) => s.deliver(h, packet),
-                Node::Switch(sw) => self.forward_at(sw, packet, s),
-            },
+            NetEvent::Arrive { link } => {
+                let l = &mut self.links[link.index()];
+                let packet = l.arrive();
+                match l.dst {
+                    Node::Host(h) => s.deliver(h, packet),
+                    Node::Switch(sw) => self.forward_at(sw, packet, s),
+                }
+            }
         }
     }
 
@@ -295,15 +303,15 @@ impl Fabric {
         }
     }
 
-    /// Commit the head packet of `link` to the wire: pre-schedule its
-    /// arrival at its completion + propagation instant, then its `TxDone`
-    /// at completion. Propagation loss on a link that fails mid-flight is
-    /// modeled at forwarding time, not here.
+    /// Commit the next waiting packet of `link` to the wire: pre-schedule
+    /// its arrival at its completion + propagation instant, then its
+    /// `TxDone` at completion. Propagation loss on a link that fails
+    /// mid-flight is modeled at forwarding time, not here.
     #[inline]
     fn start_tx(&mut self, link: LinkId, s: &mut impl NetScheduler) {
         let l = &mut self.links[link.index()];
-        if let Some((packet, d)) = l.commit(s.now()) {
-            s.schedule_net(d + l.propagation, NetEvent::Arrive { link, packet });
+        if let Some(d) = l.commit(s.now()) {
+            s.schedule_net(d + l.propagation, NetEvent::Arrive { link });
             s.schedule_net(d, NetEvent::TxDone { link });
         }
     }
@@ -424,7 +432,13 @@ mod tests {
         }
 
         fn run(&mut self, fabric: &mut Fabric) {
-            while let Some((t, ev)) = self.queue.pop() {
+            self.run_until(fabric, SimTime::MAX);
+        }
+
+        /// Handle every event due at or before `end`.
+        fn run_until(&mut self, fabric: &mut Fabric, end: SimTime) {
+            while self.queue.peek_time().is_some_and(|t| t <= end) {
+                let (t, ev) = self.queue.pop().expect("peeked");
                 self.now = t;
                 let mut s = HarnessSched {
                     now: t,
@@ -507,6 +521,61 @@ mod tests {
         let first = h.delivered[0].0;
         let last = h.delivered[9].0;
         assert_eq!((last - first).as_nanos(), 9 * 1231);
+    }
+
+    /// A fault on `two_host_fabric`, given its uplink and downlink.
+    type Fault = fn(&mut Fabric, LinkId, LinkId);
+
+    /// Delivery `(instant, seq)` pairs of three back-to-back MSS packets
+    /// on `two_host_fabric`, with each fault applied at its instant.
+    fn deliveries_with(faults: &[(u64, Fault)]) -> Vec<(u64, u64)> {
+        let (mut f, up0, down1) = two_host_fabric();
+        let mut h = Harness::new();
+        for i in 0..3 {
+            assert!(h.inject(&mut f, HostId(0), data_pkt(MSS, i * MSS as u64)));
+        }
+        for (at, fault) in faults {
+            h.run_until(&mut f, SimTime::from_nanos(*at));
+            fault(&mut f, up0, down1);
+        }
+        h.run(&mut f);
+        h.delivered
+            .iter()
+            .map(|(t, _, p)| match p.kind {
+                PacketKind::Data { seq, .. } => (t.as_nanos(), seq),
+                _ => unreachable!("only data was sent"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn faults_between_commit_and_arrival_keep_order_and_instants() {
+        // Serialization s = 1231 ns per hop, propagation 1 µs. Packet i
+        // leaves the host at i * s, reaches the switch at (i + 1) * s +
+        // 1 µs and the host at (i + 2) * s + 2 µs.
+        let s = SimDuration::transmission(1538, 10_000_000_000).as_nanos();
+        let seqs = [0, MSS as u64, 2 * MSS as u64];
+        let clean = deliveries_with(&[]);
+        let want: Vec<(u64, u64)> = (0..3)
+            .map(|i| ((i + 2) * s + 2_000, seqs[i as usize]))
+            .collect();
+        assert_eq!(clean, want);
+
+        // The uplink goes down with packet 0 propagating and packet 1 on
+        // the wire (t = 1300 ns): committed packets still arrive, queued
+        // ones still drain, all at the fault-free instants.
+        let down: Fault = |f, up0, _| f.set_link_down(up0);
+        assert_eq!(deliveries_with(&[(1_300, down)]), clean);
+
+        // The downlink halves its rate at t = 3500 ns, with packet 0
+        // propagating and packet 1 on the wire: both keep their instants;
+        // packet 2, committed at 3 s + 1 µs, serializes at half rate.
+        let slow: Fault = |f, _, down1| f.degrade_link(down1, 0.5);
+        let half = SimDuration::transmission(1538, 5_000_000_000).as_nanos();
+        let mut want = clean.clone();
+        want[2].0 = 3 * s + 1_000 + half + 1_000;
+        assert_eq!(deliveries_with(&[(3_500, slow)]), want);
+        assert_eq!(deliveries_with(&[(1_300, down), (3_500, slow)]), want);
     }
 
     #[test]

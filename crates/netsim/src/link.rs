@@ -6,10 +6,16 @@
 //! occupies the transmitter for `wire_bytes / rate`, and the tail-drop
 //! decision happens at enqueue time against the configured buffer size.
 //!
-//! One packet is on the wire at a time. [`Link::commit`] takes the head of
-//! the queue and returns its serialization time; the caller schedules the
-//! packet's arrival and a `TxDone` at its completion instant, which calls
-//! [`Link::settle`] to release its bytes and then commits the next packet.
+//! One packet is on the wire at a time. [`Link::commit`] marks the oldest
+//! waiting packet as committed and returns its serialization time; the
+//! caller schedules the packet's arrival and a `TxDone` at its completion
+//! instant, which calls [`Link::settle`] to release its bytes and then
+//! commits the next packet. A committed packet stays in the link until its
+//! arrival pops it with [`Link::arrive`], so the arrival event carries only
+//! the link id. Arrivals come in commit order: serialization is sequential
+//! and propagation constant, so each committed packet arrives no earlier
+//! than the one before it, and equal-time events pop in push order.
+//!
 //! The link remembers the committed packet's completion instant, so
 //! [`Link::occupancy`] excludes a packet that finished at exactly the
 //! query instant even before its `TxDone` pops — the one tie between
@@ -72,7 +78,14 @@ pub struct Link {
     /// drop-tail behaviour and event stream bit-identical.
     pub ecn_threshold_bytes: Option<u64>,
 
+    /// Every packet the link holds, oldest first: a prefix of `committed`
+    /// packets that have started serializing and not yet arrived, then
+    /// the packets waiting for the transmitter.
     queue: VecDeque<Packet>,
+    /// Length of the committed prefix of `queue`.
+    committed: u32,
+    /// Wire bytes of the waiting packets plus the one on the wire, until
+    /// its [`Link::settle`]; packets already propagating do not count.
     queued_bytes: u64,
     /// The committed-but-unsettled packet, as `(completion instant, wire
     /// bytes)`: `Some` while its `TxDone` is outstanding. Its bytes stay
@@ -120,6 +133,7 @@ impl Link {
             nominal_rate_bps: rate_bps,
             ecn_threshold_bytes: None,
             queue: VecDeque::new(),
+            committed: 0,
             queued_bytes: 0,
             on_wire: None,
             tx_memo: (0, rate_bps, SimDuration::ZERO),
@@ -136,7 +150,7 @@ impl Link {
     pub fn enqueue(&mut self, now: SimTime, mut pkt: Packet) -> Enqueue {
         let wire = pkt.wire_bytes() as u64;
         if self.on_wire.is_none() {
-            debug_assert!(self.queue.is_empty());
+            debug_assert_eq!(self.queue_len(), 0);
             self.queue.push_back(pkt);
             self.queued_bytes += wire;
             self.counters.max_queue_bytes = self.counters.max_queue_bytes.max(self.queued_bytes);
@@ -166,23 +180,42 @@ impl Link {
         Enqueue::Queued
     }
 
-    /// Commit the head of the queue to the wire at `now`.
+    /// Commit the oldest waiting packet to the wire at `now`.
     ///
-    /// Returns the packet and its serialization time: the caller
-    /// schedules its arrival at that offset plus propagation, and a
-    /// `TxDone` at that offset to [`Link::settle`] it and commit the next
-    /// packet. Returns `None` (and stays idle) if nothing is queued.
+    /// Returns its serialization time: the caller schedules its arrival
+    /// at that offset plus propagation, where [`Link::arrive`] hands the
+    /// packet over, and a `TxDone` at that offset to [`Link::settle`] it
+    /// and commit the next packet. Returns `None` (and stays idle) if
+    /// nothing is waiting.
     #[inline]
-    pub fn commit(&mut self, now: SimTime) -> Option<(Packet, SimDuration)> {
+    pub fn commit(&mut self, now: SimTime) -> Option<SimDuration> {
         debug_assert!(
             self.on_wire.is_none(),
             "commit while a packet is on the wire"
         );
-        let pkt = self.queue.pop_front()?;
-        let wire = pkt.wire_bytes() as u64;
+        let wire = self.queue.get(self.committed as usize)?.wire_bytes() as u64;
+        self.committed += 1;
         let d = self.serialization(wire);
         self.on_wire = Some((now + d, wire));
-        Some((pkt, d))
+        Some(d)
+    }
+
+    /// Hand over the oldest committed packet when its arrival fires.
+    /// Arrivals come in commit order (see the module docs), so this is
+    /// always the packet the arrival was scheduled for.
+    ///
+    /// # Panics
+    /// If no committed packet is pending.
+    #[inline]
+    pub fn arrive(&mut self) -> Packet {
+        assert!(
+            self.committed > 0,
+            "arrival on a link with nothing in flight"
+        );
+        self.committed -= 1;
+        self.queue
+            .pop_front()
+            .expect("committed packets are queued")
     }
 
     /// `SimDuration::transmission(wire, self.rate_bps)`, memoized on the
@@ -238,9 +271,10 @@ impl Link {
         }
     }
 
-    /// Number of queued packets (including the one being serialized).
+    /// Number of packets waiting for the transmitter, excluding the one
+    /// being serialized and those propagating.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() - self.committed as usize
     }
 
     /// Whether the transmitter is mid-packet.
@@ -344,9 +378,16 @@ mod tests {
         )
     }
 
-    /// Commit the head packet at t = 0.
+    /// Commit the next waiting packet at t = 0, returning it with its
+    /// serialization time.
     fn commit(l: &mut Link) -> Option<(Packet, SimDuration)> {
-        l.commit(SimTime::ZERO)
+        let d = l.commit(SimTime::ZERO)?;
+        Some((l.queue[l.committed as usize - 1], d))
+    }
+
+    /// The packets waiting for the transmitter, oldest first.
+    fn waiting(l: &Link) -> impl Iterator<Item = &Packet> {
+        l.queue.iter().skip(l.committed as usize)
     }
 
     #[test]
@@ -387,6 +428,63 @@ mod tests {
         assert!(commit(&mut l).is_none(), "an empty queue stays idle");
         assert!(!l.is_busy());
         assert_eq!(l.counters.tx_packets, 3);
+    }
+
+    #[test]
+    fn arrivals_pop_in_commit_order() {
+        // Packets stay in the link from enqueue to arrival. Committed
+        // packets still propagating must not show in the queue length or
+        // the queued bytes, and arrivals hand them over oldest first.
+        let wire = |len: u32| (len + WIRE_OVERHEAD) as u64;
+        let mut l = link(1_000_000);
+        assert_eq!(l.enqueue(SimTime::ZERO, pkt(100)), Enqueue::StartTx);
+        commit(&mut l);
+        for len in [200, 300, 400] {
+            assert_eq!(l.enqueue(SimTime::ZERO, pkt(len)), Enqueue::Queued);
+        }
+        // Each step: (settle?, commit?, arrival, then the expected waiting
+        // count and the bytes of the waiting packets plus the one on the
+        // wire).
+        let steps: [(bool, bool, Option<u32>, usize, u64); 7] = [
+            (true, true, None, 2, wire(200) + wire(300) + wire(400)),
+            (
+                false,
+                false,
+                Some(100),
+                2,
+                wire(200) + wire(300) + wire(400),
+            ),
+            (true, true, None, 1, wire(300) + wire(400)),
+            (true, true, None, 0, wire(400)),
+            (false, false, Some(200), 0, wire(400)),
+            (false, false, Some(300), 0, wire(400)),
+            (true, false, Some(400), 0, 0),
+        ];
+        for (settle, start, arrival, len, bytes) in steps {
+            if settle {
+                l.settle();
+            }
+            if start {
+                assert!(commit(&mut l).is_some());
+            }
+            if let Some(want) = arrival {
+                assert_eq!(l.arrive().payload_bytes(), want);
+            }
+            assert_eq!(l.queue_len(), len);
+            assert_eq!(l.queued_bytes(), bytes);
+            assert_eq!(l.occupancy(SimTime::ZERO), bytes);
+        }
+        assert!(!l.is_busy());
+        assert!(l.queue.is_empty());
+        assert_eq!(l.counters.tx_packets, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "nothing in flight")]
+    fn arrival_without_a_committed_packet_panics() {
+        let mut l = link(1_000_000);
+        assert_eq!(l.enqueue(SimTime::ZERO, pkt(100)), Enqueue::StartTx);
+        l.arrive();
     }
 
     #[test]
@@ -480,9 +578,9 @@ mod tests {
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::Queued);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::Queued);
         assert_eq!(l.counters.ce_marked_packets, 2);
-        // The committed head was popped by `commit`; the queue holds the
-        // three later packets: below-K unmarked, then marked.
-        let marks: Vec<bool> = l.queue.iter().map(|p| p.ce).collect();
+        // The committed head is on the wire; three later packets wait:
+        // below-K unmarked, then marked.
+        let marks: Vec<bool> = waiting(&l).map(|p| p.ce).collect();
         assert_eq!(marks, vec![false, true, true]);
 
         // ACKs are never marked even over threshold.
@@ -504,7 +602,7 @@ mod tests {
             l.enqueue(SimTime::ZERO, pkt(MSS));
         }
         assert_eq!(l.counters.ce_marked_packets, 0);
-        assert!(l.queue.iter().all(|p| !p.ce));
+        assert!(waiting(&l).all(|p| !p.ce));
     }
 
     #[test]

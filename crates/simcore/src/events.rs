@@ -12,7 +12,10 @@
 //!   back-scan (usually a plain `push`) per push and a read plus a cursor
 //!   bump per pop; far timers (RTOs, scenario markers) sit in a
 //!   binary-heap overflow tier and migrate into the wheel as the cursor
-//!   approaches them.
+//!   approaches them. Keys hold their payload inline, so payloads must be
+//!   small and `Copy`: the simulator's events are 16-byte handles (a link
+//!   id, a host id, a timer generation), and anything larger, such as a
+//!   packet in flight, waits in the component that owns it.
 //! * [`HeapEventQueue`] — the original thin wrapper over
 //!   [`std::collections::BinaryHeap`]. Kept as the reference
 //!   implementation: the trace-equality tests below assert both queues
@@ -29,121 +32,42 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-struct Scheduled<E> {
+/// A pending event: the `(time, seq)` sort key and the payload itself.
+/// [`EventQueue`] stores keys inline in its wheel slots and overflow heap,
+/// so it asks for small `Copy` payloads (the simulator's `Event` is 16
+/// bytes, making a key 32); [`HeapEventQueue`] takes any payload.
+#[derive(Clone, Copy, Debug)]
+struct Key<E> {
     time: SimTime,
     seq: u64,
     event: E,
 }
 
-/// A queue entry for the arena-backed [`EventQueue`]: the `(time, seq)`
-/// sort key plus an index into an [`Arena`] holding the payload. Keeping
-/// entries at 24 bytes (instead of the full event, ~80 for the simulator's
-/// `Event`) means sifts and slot shifts move keys, not payloads — the
-/// "SoA" half of the arena/SoA layout.
-#[derive(Clone, Copy, Debug)]
-struct Key {
-    time: SimTime,
-    seq: u64,
-    idx: u32,
-}
-
-impl Key {
+impl<E> Key<E> {
     /// Whether `self` fires before `other` in `(time, seq)` order. The
     /// `Ord` impl below is reversed for the max-heaps; this is the plain
     /// ascending order the sorted wheel slots keep.
     #[inline]
-    fn precedes(&self, other: &Key) -> bool {
+    fn precedes(&self, other: &Key<E>) -> bool {
         (self.time, self.seq) < (other.time, other.seq)
     }
 }
 
-impl PartialEq for Key {
+impl<E> PartialEq for Key<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl Eq for Key {}
+impl<E> Eq for Key<E> {}
 
-impl PartialOrd for Key {
+impl<E> PartialOrd for Key<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Slab storage for pending event payloads, addressed by the `idx` of a
-/// [`Key`]. Freed slots are recycled through a free list, so steady-state
-/// simulation reuses a compact block of memory instead of churning the
-/// allocator with one box per event.
-struct Arena<E> {
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
-}
-
-impl<E> Default for Arena<E> {
-    fn default() -> Self {
-        Arena {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-}
-
-impl<E> Arena<E> {
-    #[inline]
-    fn insert(&mut self, event: E) -> u32 {
-        match self.free.pop() {
-            Some(idx) => {
-                debug_assert!(self.slots[idx as usize].is_none());
-                self.slots[idx as usize] = Some(event);
-                idx
-            }
-            None => {
-                let idx = u32::try_from(self.slots.len()).expect("arena capacity");
-                self.slots.push(Some(event));
-                idx
-            }
-        }
-    }
-
-    #[inline]
-    fn take(&mut self, idx: u32) -> E {
-        let e = self.slots[idx as usize].take().expect("live arena slot");
-        self.free.push(idx);
-        e
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
+impl<E> Ord for Key<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
         other
@@ -154,7 +78,12 @@ impl<E> Ord for Scheduled<E> {
 }
 
 /// Slots in the wheel. Power of two so slot lookup is a mask.
-const SLOTS: usize = 1024;
+///
+/// Every slot keeps the capacity its busiest bucket needed, so the wheel's
+/// retained memory is about `SLOTS` × peak keys per bucket × 32 bytes;
+/// 512 slots keep that small while the horizon still covers every
+/// per-packet timer (see `WIDTH_SHIFT`).
+const SLOTS: usize = 512;
 /// log2 of the bucket width in nanoseconds: 256 ns per bucket.
 ///
 /// Tuned for the simulator's event mix. A busy run schedules about 120
@@ -162,7 +91,7 @@ const SLOTS: usize = 1024;
 /// it is popped (a 4096 ns one held about 164), which keeps the sorted
 /// insert's back-scan short and the capacity each slot retains small.
 /// One MTU transmission at 10 Gbps is ~1.2 µs, NIC coalescing 20 µs and
-/// GRO holds ≤ 85 µs — all land within the `SLOTS * 256 ns ≈ 262 µs`
+/// GRO holds ≤ 85 µs — all land within the `SLOTS * 256 ns ≈ 131 µs`
 /// horizon, leaving only RTO-scale timers (10 ms+) and scenario
 /// bookkeeping for the overflow tier.
 const WIDTH_SHIFT: u32 = 8;
@@ -181,16 +110,24 @@ fn bucket_of(time: SimTime) -> u64 {
 /// full, when the popped prefix is reclaimed instead of growing. Popping
 /// is therefore a read and a cursor bump, with none of a ring buffer's
 /// wrap arithmetic.
-#[derive(Default)]
-struct Slot {
-    keys: Vec<Key>,
+struct Slot<E> {
+    keys: Vec<Key<E>>,
     head: usize,
 }
 
-impl Slot {
+impl<E> Default for Slot<E> {
+    fn default() -> Self {
+        Slot {
+            keys: Vec::new(),
+            head: 0,
+        }
+    }
+}
+
+impl<E> Slot<E> {
     /// The next key to pop, if the slot holds any.
     #[inline]
-    fn front(&self) -> Option<&Key> {
+    fn front(&self) -> Option<&Key<E>> {
         self.keys.get(self.head)
     }
 
@@ -270,14 +207,13 @@ pub struct EventQueue<E> {
     /// Per-slot pending event keys in ascending `(time, seq)` order. A
     /// slot holds one narrow bucket (about 17 keys when popped on a busy
     /// run), so the insert's back-scan is short and a pop is a cursor
-    /// bump. Slots hold 24-byte [`Key`]s; payloads live in `arena`.
-    slots: Vec<Slot>,
+    /// bump. Keys carry their payload inline: a pop copies one key out,
+    /// with no side table to index.
+    slots: Vec<Slot<E>>,
     /// One bit per slot: set iff the slot is non-empty.
     occupied: [u64; WORDS],
     /// Events beyond the wheel horizon, min-ordered by `(time, seq)`.
-    overflow: BinaryHeap<Key>,
-    /// Payload storage for every pending event, wheel and overflow alike.
-    arena: Arena<E>,
+    overflow: BinaryHeap<Key<E>>,
     /// Bucket index the wheel window starts at; never decreases while
     /// events are pending.
     cur_bucket: u64,
@@ -294,13 +230,13 @@ pub struct EventQueue<E> {
     profiler: Option<(Classifier<E>, QueueProfile)>,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// An empty queue with the watermark at t = 0.
     pub fn new() -> Self {
         let mut slots = Vec::with_capacity(SLOTS);
@@ -309,7 +245,6 @@ impl<E> EventQueue<E> {
             slots,
             occupied: [0; WORDS],
             overflow: BinaryHeap::new(),
-            arena: Arena::default(),
             cur_bucket: 0,
             len: 0,
             high_water: 0,
@@ -348,8 +283,7 @@ impl<E> EventQueue<E> {
         // In release builds a past push (already a logic error) clamps into
         // the cursor bucket instead of corrupting the window invariant.
         let bucket = bucket_of(time).max(self.cur_bucket);
-        let idx = self.arena.insert(event);
-        let key = Key { time, seq, idx };
+        let key = Key { time, seq, event };
         if bucket < self.cur_bucket + SLOTS as u64 {
             self.insert_wheel(bucket, key);
         } else {
@@ -365,7 +299,7 @@ impl<E> EventQueue<E> {
     /// was scheduled. The common case, a key later than every pending
     /// one, is a plain `push`.
     #[inline]
-    fn insert_wheel(&mut self, bucket: u64, key: Key) {
+    fn insert_wheel(&mut self, bucket: u64, key: Key<E>) {
         let slot = (bucket & SLOT_MASK) as usize;
         let Slot { keys, head } = &mut self.slots[slot];
         if *head > 0 && keys.len() == keys.capacity() {
@@ -456,7 +390,7 @@ impl<E> EventQueue<E> {
         }
         self.len -= 1;
         self.watermark = s.time;
-        Some((s.time, self.arena.take(s.idx)))
+        Some((s.time, s.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
@@ -530,7 +464,6 @@ impl<E> EventQueue<E> {
             self.occupied[w] = 0;
         }
         self.overflow.clear();
-        self.arena.clear();
         self.cur_bucket = 0;
         self.len = 0;
         self.high_water = 0;
@@ -545,7 +478,7 @@ impl<E> EventQueue<E> {
 /// contract as [`EventQueue`]; kept as the reference implementation for
 /// trace-equality tests and head-to-head benchmarks.
 pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Key<E>>,
     next_seq: u64,
     high_water: usize,
     watermark: SimTime,
@@ -579,7 +512,7 @@ impl<E> HeapEventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        self.heap.push(Key { time, seq, event });
         self.high_water = self.high_water.max(self.heap.len());
     }
 
@@ -795,7 +728,7 @@ mod tests {
     #[test]
     fn far_timers_go_through_overflow_and_return() {
         let mut q = EventQueue::new();
-        // Far beyond the wheel horizon (~262 µs): an RTO-scale timer.
+        // Far beyond the wheel horizon (~131 µs): an RTO-scale timer.
         q.push(SimTime::from_millis(200), "rto");
         q.push(SimTime::from_micros(5), "tx");
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
@@ -904,6 +837,43 @@ mod tests {
         // NIC coalescing (20 µs) and GRO holds (≤ 85 µs) must stay in the
         // wheel; only RTO-scale timers belong in the overflow tier.
         assert!((SLOTS as u64) << WIDTH_SHIFT >= 100_000);
+    }
+
+    #[test]
+    fn pushes_at_the_horizon_edge_match_reference() {
+        // Keys one bucket inside, exactly at, and one bucket beyond the
+        // window's end (`cur_bucket + SLOTS`): the first lands in the
+        // wheel's last slot, the other two wait in the overflow tier. The
+        // drain then walks the cursor through their migration, pushing at
+        // the moving edge as it goes.
+        let width = 1u64 << WIDTH_SHIFT;
+        let slots = SLOTS as u64;
+        for start in [0, 3, slots - 1, 5 * slots + 17] {
+            let mut q = Lockstep::new();
+            q.push(start * width + 1);
+            q.pop();
+            assert_eq!(q.cal.cur_bucket, start);
+            let edge = start + slots;
+            for bucket in [edge - 1, edge, edge + 1] {
+                for off in [width - 1, 0, width / 2, 0] {
+                    q.push(bucket * width + off);
+                }
+            }
+            assert_eq!(q.cal.overflow.len(), 8, "edge and edge + 1 overflow");
+            q.push(start * width + 7);
+            for pops in 0..300u64 {
+                if q.pop().is_none() {
+                    break;
+                }
+                let edge = q.cal.cur_bucket + slots;
+                if pops % 3 == 0 {
+                    for bucket in [edge - 1, edge, edge + 1] {
+                        q.push(bucket * width + pops % width);
+                    }
+                }
+            }
+            q.drain();
+        }
     }
 
     /// Both queue implementations driven in lockstep: every push goes to
@@ -1137,11 +1107,10 @@ mod tests {
         q.push(t, "seq 1");
         q.push(t, "seq 2");
         // Re-use the retired seq 0 as a long-waiting overflow key would.
-        let idx = q.arena.insert("older seq");
         let older = Key {
             time: t,
             seq: 0,
-            idx,
+            event: "older seq",
         };
         q.insert_wheel(bucket_of(t), older);
         q.len += 1;
@@ -1217,7 +1186,7 @@ mod tests {
 
     #[test]
     fn reuse_after_clear_matches_reference() {
-        // Leave wheel, overflow and arena populated, clear, then run a
+        // Leave wheel and overflow populated, clear, then run a
         // fresh scenario from t = 0 on the same queues.
         let mut q = Lockstep::new();
         for i in 0..500u64 {

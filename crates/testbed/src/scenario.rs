@@ -905,6 +905,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "MPTCP subflow count must be in 1..=256")]
+    fn simulation_rejects_too_many_subflows_before_the_run() {
+        let scheme = SchemeSpec::mptcp()
+            .with_transport(crate::scheme::TransportKind::Mptcp { subflows: 257 });
+        Scenario::builder(scheme, 3).build().build();
+    }
+
+    #[test]
     fn fault_resolution_covers_both_directions() {
         let s = Scenario::builder(SchemeSpec::presto(), 3)
             .faults(FaultPlan::new().link_down(SimTime::from_millis(5), 0, 1, 0, Notify::Immediate))

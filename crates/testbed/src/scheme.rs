@@ -141,6 +141,10 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
+    /// Most subflows an MPTCP connection may have: the simulator's RTO
+    /// timer events name the subflow in 8 bits.
+    pub const MAX_SUBFLOWS: usize = 256;
+
     /// Canonical text form, pinned like [`PolicyKind::name`]: canonical
     /// scenario text embeds these strings, so they must never change for
     /// an existing variant.
@@ -152,12 +156,16 @@ impl TransportKind {
     }
 
     /// Parse the canonical text form back — the exact inverse of
-    /// [`TransportKind::name`].
+    /// [`TransportKind::name`]. An MPTCP subflow count outside
+    /// `1..=MAX_SUBFLOWS` is rejected.
     pub fn parse(s: &str) -> Option<TransportKind> {
         match s.split_once(':') {
             None if s == "tcp" => Some(TransportKind::Tcp),
             Some(("mptcp", n)) => Some(TransportKind::Mptcp {
-                subflows: n.parse().ok()?,
+                subflows: n
+                    .parse()
+                    .ok()
+                    .filter(|n| (1..=Self::MAX_SUBFLOWS).contains(n))?,
             }),
             _ => None,
         }
@@ -530,6 +538,10 @@ mod tests {
             TransportKind::Tcp,
             TransportKind::Mptcp { subflows: 8 },
             TransportKind::Mptcp { subflows: 2 },
+            TransportKind::Mptcp { subflows: 1 },
+            TransportKind::Mptcp {
+                subflows: TransportKind::MAX_SUBFLOWS,
+            },
         ] {
             assert_eq!(TransportKind::parse(&t.name()), Some(t), "{}", t.name());
         }
@@ -539,6 +551,10 @@ mod tests {
         assert_eq!(TransportKind::parse("tcp:1"), None);
         assert_eq!(TransportKind::parse("mptcp"), None);
         assert_eq!(TransportKind::parse("sctp"), None);
+        // A connection needs a subflow, and RTO timers name at most 256.
+        assert_eq!(TransportKind::parse("mptcp:0"), None);
+        assert_eq!(TransportKind::parse("mptcp:257"), None);
+        assert_eq!(TransportKind::parse("mptcp:-1"), None);
     }
 
     #[test]

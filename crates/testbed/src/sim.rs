@@ -13,7 +13,7 @@
 //!     vSwitch (reverse-path policy) → wire
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use presto_core::Controller;
 use presto_endhost::{
@@ -68,7 +68,50 @@ pub enum SenderRef {
     },
 }
 
-/// Global event type.
+/// A [`SenderRef`] packed into 32 bits, so that [`Event::Rto`] fits a
+/// 16-byte event. Bit 31 clear is `Tcp(i)`, with `i` in the low 31 bits;
+/// bit 31 set is an MPTCP subflow, with the connection in bits 8..31 and
+/// the subflow in bits 0..8. [`Simulation::new`] rejects a subflow count
+/// beyond [`TransportKind::MAX_SUBFLOWS`], and [`Simulation::start_flow`]
+/// a connection beyond the field's reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RtoOwner(u32);
+
+impl RtoOwner {
+    const MPTCP: u32 = 1 << 31;
+    const SUB_BITS: u32 = 8;
+    /// TCP connections an owner can name.
+    const TCP_CONNS: usize = 1 << 31;
+    /// MPTCP connections an owner can name.
+    const MPTCP_CONNS: usize = 1 << (31 - Self::SUB_BITS);
+
+    /// Pack `sender`; panics if an index does not fit its field.
+    fn new(sender: SenderRef) -> Self {
+        let packed = match sender {
+            SenderRef::Tcp(i) => u32::try_from(i).ok().filter(|&i| i < Self::MPTCP),
+            SenderRef::Mptcp { conn, sub } => u32::try_from(conn)
+                .ok()
+                .filter(|&c| c < Self::MPTCP >> Self::SUB_BITS && sub < 1 << Self::SUB_BITS)
+                .map(|c| Self::MPTCP | c << Self::SUB_BITS | sub as u32),
+        };
+        RtoOwner(packed.expect("sender index too large for an RTO timer"))
+    }
+
+    fn sender(self) -> SenderRef {
+        if self.0 & Self::MPTCP == 0 {
+            SenderRef::Tcp(self.0 as usize)
+        } else {
+            SenderRef::Mptcp {
+                conn: ((self.0 & !Self::MPTCP) >> Self::SUB_BITS) as usize,
+                sub: (self.0 & ((1 << Self::SUB_BITS) - 1)) as usize,
+            }
+        }
+    }
+}
+
+/// Global event type. Every variant is a small handle (16 bytes, pinned
+/// below): payloads too large for that, such as packets in flight and
+/// segments in the receive CPU, wait in the component that owns them.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// Fabric-internal event.
@@ -77,10 +120,13 @@ pub enum Event {
     NicPoll(HostId),
     /// GRO hold-timeout re-evaluation at a host.
     GroTimer(HostId),
-    /// CPU finished processing a segment; deliver it to TCP.
-    CpuDone(HostId, Segment),
-    /// TCP retransmission timer.
-    Rto(SenderRef, u64),
+    /// The host's CPU finished its oldest pending segment; deliver it to
+    /// TCP. Internal: each one is scheduled together with an entry of the
+    /// host's CPU completion queue, so scheduling one by hand through
+    /// [`Simulation::schedule`] is a logic error.
+    CpuDone(HostId),
+    /// TCP retransmission timer of a sender, with the timer generation.
+    Rto(RtoOwner, u64),
     /// Start pending flow `i`.
     FlowStart(usize),
     /// Launch the next mouse of series `i`.
@@ -116,6 +162,11 @@ pub enum Event {
     ProbeRound,
 }
 
+// Events are stored inline in the event queue: a wider variant would
+// widen every pending event.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+const _: () = assert!(TransportKind::MAX_SUBFLOWS == 1 << RtoOwner::SUB_BITS);
+
 /// Event-class names for the queue profiler, index-aligned with
 /// [`classify_event`].
 pub const EVENT_NAMES: &[&str] = &[
@@ -145,7 +196,7 @@ pub fn classify_event(ev: &Event) -> usize {
         Event::Net(_) => 0,
         Event::NicPoll(_) => 1,
         Event::GroTimer(_) => 2,
-        Event::CpuDone(..) => 3,
+        Event::CpuDone(_) => 3,
         Event::Rto(..) => 4,
         Event::FlowStart(_) => 5,
         Event::MiceNext(_) => 6,
@@ -201,6 +252,10 @@ pub struct HostNode {
     pub egress: HostEgress,
     gro_timer_at: Option<SimTime>,
     cpu_busy_snapshot: SimDuration,
+    /// Segments the CPU is processing, with their completion instants,
+    /// oldest first. The core is one FIFO whose completion instants never
+    /// decrease, so the `CpuDone` events fire in this order.
+    cpu_done: VecDeque<(SimTime, Segment)>,
 }
 
 /// Host egress scheduler modeling Linux TSQ + per-flow queueing.
@@ -708,6 +763,14 @@ impl Simulation {
             feedback_every != Some(SimDuration::ZERO),
             "path-feedback interval (EdgePolicy::feedback_interval) must be non-zero"
         );
+        // RTO timers name an MPTCP subflow in a few bits (see `RtoOwner`).
+        if let TransportKind::Mptcp { subflows } = scheme.transport {
+            assert!(
+                (1..=TransportKind::MAX_SUBFLOWS).contains(&subflows),
+                "MPTCP subflow count must be in 1..={}, got {subflows}",
+                TransportKind::MAX_SUBFLOWS
+            );
+        }
         let tcp_cfg = TcpConfig {
             max_tso: scheme.max_tso,
             ..TcpConfig::default()
@@ -891,6 +954,10 @@ impl Simulation {
                     None => sender.set_unlimited(now),
                 };
                 let idx = self.tcp_conns.len();
+                assert!(
+                    idx < RtoOwner::TCP_CONNS,
+                    "more TCP connections than RTO timers can name"
+                );
                 self.tcp_conns.push(TcpConnState {
                     flow,
                     sender,
@@ -920,6 +987,10 @@ impl Simulation {
                 }
                 let outs = conn.start(self.now);
                 let idx = self.mptcp_conns.len();
+                assert!(
+                    idx < RtoOwner::MPTCP_CONNS,
+                    "more MPTCP connections than RTO timers can name"
+                );
                 for (i, &f) in flows.iter().enumerate() {
                     self.flow_senders
                         .insert(f, SenderRef::Mptcp { conn: idx, sub: i });
@@ -964,7 +1035,8 @@ impl Simulation {
             self.send_segment(flow, a.seq, a.len, a.retx);
         }
         if let Some((deadline, gen)) = out.arm_rto {
-            self.queue.push(deadline, Event::Rto(sref, gen));
+            self.queue
+                .push(deadline, Event::Rto(RtoOwner::new(sref), gen));
         }
         if out.completed {
             self.on_flow_complete(sref);
@@ -1266,8 +1338,16 @@ impl Simulation {
             }
             Event::NicPoll(h) => self.on_poll(h),
             Event::GroTimer(h) => self.on_gro_timer(h),
-            Event::CpuDone(h, seg) => self.on_segment_up(h, seg),
-            Event::Rto(sref, gen) => {
+            Event::CpuDone(h) => {
+                let (done, seg) = self.hosts[h.index()]
+                    .cpu_done
+                    .pop_front()
+                    .expect("CpuDone without a pending CPU completion");
+                debug_assert_eq!(done, self.now, "CPU completions fire in order");
+                self.on_segment_up(h, seg);
+            }
+            Event::Rto(owner, gen) => {
+                let sref = owner.sender();
                 let (flow, out) = match sref {
                     SenderRef::Tcp(i) => {
                         let c = &mut self.tcp_conns[i];
@@ -1505,17 +1585,16 @@ impl Simulation {
     fn push_up_flushed(&mut self, h: HostId, expired_only: bool) {
         let mut segs = std::mem::take(&mut self.scratch.segs);
         let mut completions = std::mem::take(&mut self.scratch.completions);
-        {
-            let host = &mut self.hosts[h.index()];
-            if expired_only {
-                host.gro.flush_expired_into(self.now, &mut segs);
-            } else {
-                host.gro.flush_into(self.now, &mut segs);
-            }
-            host.cpu.process_into(self.now, &segs, &mut completions);
+        let host = &mut self.hosts[h.index()];
+        if expired_only {
+            host.gro.flush_expired_into(self.now, &mut segs);
+        } else {
+            host.gro.flush_into(self.now, &mut segs);
         }
+        host.cpu.process_into(self.now, &segs, &mut completions);
         for &(t, seg) in &completions {
-            self.queue.push(t, Event::CpuDone(h, seg));
+            host.cpu_done.push_back((t, seg));
+            self.queue.push(t, Event::CpuDone(h));
         }
         segs.clear();
         completions.clear();
@@ -2165,6 +2244,7 @@ pub fn make_host(
         egress: HostEgress::default(),
         gro_timer_at: None,
         cpu_busy_snapshot: SimDuration::ZERO,
+        cpu_done: VecDeque::new(),
     }
 }
 
@@ -2189,6 +2269,30 @@ mod tests {
 
     fn flow(sport: u16) -> FlowKey {
         FlowKey::new(HostId(0), HostId(1), sport, 80)
+    }
+
+    #[test]
+    fn rto_owner_round_trips_every_sender() {
+        let senders = [
+            SenderRef::Tcp(0),
+            SenderRef::Tcp(12_345),
+            SenderRef::Tcp((1 << 31) - 1),
+            SenderRef::Mptcp { conn: 0, sub: 0 },
+            SenderRef::Mptcp { conn: 7, sub: 7 },
+            SenderRef::Mptcp {
+                conn: (1 << 23) - 1,
+                sub: 255,
+            },
+        ];
+        for s in senders {
+            assert_eq!(RtoOwner::new(s).sender(), s);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for an RTO timer")]
+    fn rto_owner_rejects_a_subflow_beyond_its_field() {
+        RtoOwner::new(SenderRef::Mptcp { conn: 0, sub: 256 });
     }
 
     #[test]
