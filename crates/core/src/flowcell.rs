@@ -114,11 +114,6 @@ impl FlowcellScheduler {
     pub fn labels_for(&self, dst: HostId) -> Option<&[Mac]> {
         self.labels.get(&dst).map(|v| v.as_slice())
     }
-
-    /// Forget per-flow state (between experiment phases).
-    pub fn reset_flows(&mut self) {
-        self.flows.clear();
-    }
 }
 
 impl EdgePolicy for FlowcellScheduler {
@@ -367,16 +362,5 @@ mod tests {
         assert_eq!(t1.dst_mac, Mac::host(HostId(9)));
         assert_eq!(t2.dst_mac, Mac::host(HostId(9)));
         assert_eq!(t2.flowcell, t1.flowcell + 1);
-    }
-
-    #[test]
-    fn reset_flows_restarts_counters() {
-        let mut s = sched(2);
-        let f = flow(5);
-        s.assign(SimTime::ZERO, f, 64 * 1024, false);
-        let cells_before = s.flowcells_created;
-        s.reset_flows();
-        s.assign(SimTime::ZERO, f, 64 * 1024, false);
-        assert_eq!(s.flowcells_created, cells_before + 1);
     }
 }

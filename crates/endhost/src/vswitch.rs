@@ -246,13 +246,6 @@ impl VSwitch {
         self.policy.assign(now, flow, len, retx)
     }
 
-    /// Swap the policy (the controller does this when weights change at
-    /// scheme boundaries; Presto's own weight updates go through the
-    /// policy's interior state instead).
-    pub fn set_policy(&mut self, policy: Box<dyn EdgePolicy>) {
-        self.policy = policy;
-    }
-
     /// Borrow the policy for inspection/mutation by the controller.
     pub fn policy_mut(&mut self) -> &mut dyn EdgePolicy {
         self.policy.as_mut()
@@ -324,19 +317,5 @@ mod tests {
         assert_ne!(a.dst_mac, b.dst_mac);
         assert_eq!(a.flowcell + 1, b.flowcell);
         assert!(a.dst_mac.is_shadow());
-    }
-
-    #[test]
-    fn set_policy_replaces_behaviour() {
-        let mut v = VSwitch::new(HostId(0), Box::new(Alternating { count: 0 }));
-        assert!(v
-            .process(SimTime::ZERO, flow(), 1, false)
-            .dst_mac
-            .is_shadow());
-        v.set_policy(Box::new(DirectPolicy));
-        assert!(!v
-            .process(SimTime::ZERO, flow(), 1, false)
-            .dst_mac
-            .is_shadow());
     }
 }

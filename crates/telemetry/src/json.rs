@@ -3,7 +3,7 @@
 //! The workspace vendors no serde, and the telemetry wire format is
 //! deliberately flat — every line is a single-level object of string and
 //! number fields — so a small writer plus a key-extractor parser covers
-//! both exporters and the `trace_inspect` file mode without a dependency.
+//! both exporters and the `trace` binary's file mode without a dependency.
 //!
 //! Writer determinism: fields are emitted in a fixed order by the caller
 //! and floats use Rust's shortest-roundtrip `Display`, so identical

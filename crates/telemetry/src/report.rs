@@ -1,7 +1,7 @@
 //! Assembled per-run telemetry: counter tables, flush-reason and spray
 //! attribution, queue-depth summaries, event-queue profile and the
 //! drained trace ring — plus the JSONL and Chrome `trace_event`
-//! exporters and the text summary used by `examples/trace_inspect.rs`.
+//! exporters and the text summary printed by the `trace` binary.
 //!
 //! Everything here is plain owned data (`Send`), assembled once after a
 //! run from state the simulation accumulated; ordering of every table is

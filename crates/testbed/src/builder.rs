@@ -2,10 +2,8 @@
 //!
 //! [`ScenarioBuilder`] is the supported way to assemble an experiment:
 //! start from [`Scenario::builder`] (paper-testbed defaults), chain the
-//! setters you need, and `build()`. The presets
-//! (`Scenario::testbed16` / `scalability` / `oversubscription`) are thin
-//! wrappers over this builder, and direct field construction of
-//! [`Scenario`] is deprecated.
+//! setters you need, and `build()`. It is the only way to construct a
+//! [`Scenario`]: the fields are private to this crate.
 //!
 //! ```
 //! use presto_simcore::{SimDuration, SimTime};
@@ -53,7 +51,6 @@ impl Scenario {
     }
 }
 
-#[allow(deprecated)]
 impl ScenarioBuilder {
     /// A builder with the paper-testbed defaults, named after the scheme.
     pub fn new(scheme: SchemeSpec, seed: u64) -> Self {

@@ -6,9 +6,8 @@
 //! per-host policies, GRO engines) and executes it to a [`Report`].
 //!
 //! Scenarios are built with the fluent [`ScenarioBuilder`] (see
-//! [`Scenario::builder`] and the preset constructors); the struct's public
-//! fields remain readable through accessor methods but direct field
-//! construction is deprecated.
+//! [`Scenario::builder`]) and read through accessor methods; the fields
+//! are private to this crate.
 //!
 //! [`ScenarioBuilder`]: crate::ScenarioBuilder
 
@@ -120,125 +119,60 @@ impl From<FailureSpec> for FaultPlan {
 
 /// A complete experiment description.
 ///
-/// Build one with [`Scenario::builder`] (or the `testbed16` /
-/// `scalability` / `oversubscription` presets) and read it through the
-/// accessor methods. The fields are still public for backwards
-/// compatibility but deprecated: the builder is the supported way to
-/// construct and mutate a scenario.
+/// Build one with [`Scenario::builder`] and read it through the accessor
+/// methods.
 pub struct Scenario {
     /// Run label.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub name: String,
+    pub(crate) name: String,
     /// Master seed.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Scheme under test.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub scheme: SchemeSpec,
+    pub(crate) scheme: SchemeSpec,
     /// Clos parameters (ignored for single-switch schemes, which reuse the
     /// host count).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub clos: ClosSpec,
+    pub(crate) clos: ClosSpec,
     /// 3-tier topology override: when set, the fabric is built from this
     /// spec instead of `clos` (hosts → ToR → aggregation → core).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub three_tier: Option<ThreeTierSpec>,
+    pub(crate) three_tier: Option<ThreeTierSpec>,
     /// Simulated duration.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Measurement window starts here.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub warmup: SimDuration,
+    pub(crate) warmup: SimDuration,
     /// Flows to run (host indices; `dst` may point at a WAN remote).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub flows: Vec<FlowSpec>,
+    pub(crate) flows: Vec<FlowSpec>,
     /// Mice series.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub mice: Vec<MiceSpec>,
+    pub(crate) mice: Vec<MiceSpec>,
     /// RTT probe pairs.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub probes: Vec<(usize, usize)>,
+    pub(crate) probes: Vec<(usize, usize)>,
     /// Probe send interval.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub probe_interval: SimDuration,
+    pub(crate) probe_interval: SimDuration,
     /// Shuffle workload (replaces `flows`).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub shuffle: Option<ShuffleSpec>,
+    pub(crate) shuffle: Option<ShuffleSpec>,
     /// Partition-aggregate incast workload.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub incast: Option<IncastSpec>,
+    pub(crate) incast: Option<IncastSpec>,
     /// Ring-allreduce collective workload.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub allreduce: Option<AllreduceSpec>,
+    pub(crate) allreduce: Option<AllreduceSpec>,
     /// Fault timeline: typed, sim-time-scheduled link/spine events plus
     /// probabilistic flap processes, expanded deterministically from the
     /// scenario seed at build time.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub faults: FaultPlan,
+    pub(crate) faults: FaultPlan,
     /// Number of WAN "remote users" attached to spines at 100 Mbps
     /// (Table 2's north-south experiment). Their host indices follow the
     /// servers'.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub wan_remotes: usize,
+    pub(crate) wan_remotes: usize,
     /// Collect the Fig 5a flowcell-interleaving metric.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub collect_reorder: bool,
+    pub(crate) collect_reorder: bool,
     /// CPU utilization sampling period (Fig 6).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub cpu_sample: Option<SimDuration>,
+    pub(crate) cpu_sample: Option<SimDuration>,
     /// Host uplink queue (large: the sender NIC/qdisc backpressures
     /// instead of dropping).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub host_uplink_queue: u64,
+    pub(crate) host_uplink_queue: u64,
     /// Attach the telemetry layer with this configuration (`None` = off).
     /// Enabling it never changes simulation behaviour or the report
     /// digest; it only collects counters, samples, and trace events.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub telemetry: Option<TelemetryConfig>,
+    pub(crate) telemetry: Option<TelemetryConfig>,
 }
 
-/// Read accessors — the non-deprecated way to inspect a scenario.
-#[allow(deprecated)]
 impl Scenario {
     /// Run label.
     pub fn name(&self) -> &str {
@@ -320,41 +254,6 @@ impl Scenario {
     pub fn telemetry(&self) -> Option<TelemetryConfig> {
         self.telemetry
     }
-}
-
-#[allow(deprecated)]
-impl Scenario {
-    /// The paper's 16-host, 4-spine, 4-leaf testbed (Fig 3) with default
-    /// measurement windows. Thin wrapper over [`Scenario::builder`].
-    pub fn testbed16(scheme: SchemeSpec, seed: u64) -> Self {
-        Self::builder(scheme, seed).build()
-    }
-
-    /// The Fig 4a scalability topology: 2 leaves × `paths` spines, 8 hosts
-    /// per leaf. Thin wrapper over [`Scenario::builder`].
-    pub fn scalability(scheme: SchemeSpec, paths: usize, seed: u64) -> Self {
-        Self::builder(scheme, seed)
-            .topology(ClosSpec {
-                spines: paths,
-                leaves: 2,
-                hosts_per_leaf: 8,
-                ..ClosSpec::default()
-            })
-            .build()
-    }
-
-    /// The Fig 4b oversubscription topology: 2 leaves × 2 spines. Thin
-    /// wrapper over [`Scenario::builder`].
-    pub fn oversubscription(scheme: SchemeSpec, seed: u64) -> Self {
-        Self::builder(scheme, seed)
-            .topology(ClosSpec {
-                spines: 2,
-                leaves: 2,
-                hosts_per_leaf: 8,
-                ..ClosSpec::default()
-            })
-            .build()
-    }
 
     /// Number of server hosts in the chosen topology.
     pub fn n_servers(&self) -> usize {
@@ -383,68 +282,49 @@ impl Scenario {
         (report, telemetry)
     }
 
-    /// Server hosts that send or receive anything in this scenario, or
-    /// `None` when every server does (including shuffles, which are
-    /// all-to-all). Drives the scoped forwarding-state installs: on an
-    /// 8192-host fabric with a sparse workload, routing and label state
-    /// is only materialized for the hosts that will ever see a packet.
-    fn active_servers(&self) -> Option<Vec<bool>> {
-        let n_servers = self.n_servers();
+    /// Host pairs that exchange traffic in this scenario, in either
+    /// direction (WAN-remote indices follow the servers'), or `None` when
+    /// every server talks to every other (shuffles are all-to-all). Drives
+    /// the scoped forwarding-state installs: on an 8192-host fabric with a
+    /// sparse workload, routing and label state is only materialized for
+    /// the hosts and pairs that will ever see a packet.
+    fn talking_pairs(&self) -> Option<Vec<(usize, usize)>> {
         if self.shuffle.is_some() {
             return None;
         }
-        let mut active = vec![false; n_servers];
-        let mut mark = |h: usize| {
-            // WAN-remote indices sit past the servers; their routing is
-            // installed by the attach step, not the basic install.
-            if h < n_servers {
-                active[h] = true;
-            }
-        };
-        for f in &self.flows {
-            mark(f.src);
-            mark(f.dst);
-        }
-        for m in &self.mice {
-            mark(m.src);
-            mark(m.dst);
-        }
-        for &(src, dst) in &self.probes {
-            mark(src);
-            mark(dst);
-        }
+        let mut pairs: Vec<(usize, usize)> = self
+            .flows
+            .iter()
+            .map(|f| (f.src, f.dst))
+            .chain(self.mice.iter().map(|m| (m.src, m.dst)))
+            .chain(self.probes.iter().copied())
+            .collect();
         if let Some(inc) = &self.incast {
-            mark(inc.aggregator);
-            // A probing (load-aware) aggregator may pick replicas from the
-            // whole server pool, so every server can see traffic.
-            if matches!(self.scheme.policy, PolicyKind::Prequal(_)) {
-                for w in 0..n_servers {
-                    mark(w);
-                }
+            // The aggregator is active even with no workers (a self-pair
+            // marks it without giving it a peer). A probing (load-aware)
+            // aggregator may pick replicas from the whole server pool, so
+            // every server may answer it.
+            pairs.push((inc.aggregator, inc.aggregator));
+            let n_servers = self.n_servers();
+            let workers = if matches!(self.scheme.policy, PolicyKind::Prequal(_)) {
+                (0..n_servers).collect()
             } else {
-                for w in patterns::incast_senders(n_servers, inc.aggregator, inc.fanout) {
-                    mark(w);
-                }
-            }
+                patterns::incast_senders(n_servers, inc.aggregator, inc.fanout)
+            };
+            pairs.extend(workers.into_iter().map(|w| (w, inc.aggregator)));
         }
         if let Some(ar) = &self.allreduce {
-            for (src, dst) in patterns::ring(ar.participants) {
-                mark(src);
-                mark(dst);
-            }
+            pairs.extend(patterns::ring(ar.participants));
         }
-        if active.iter().all(|&a| a) {
-            None
-        } else {
-            Some(active)
-        }
+        Some(pairs)
     }
 
     /// Assemble the simulator without running it — useful for inspection
     /// and custom drivers.
     pub fn build(&self) -> Simulation {
         let n_servers = self.n_servers();
-        let active = self.active_servers();
+        let pairs = self.talking_pairs();
+        let active = pairs.as_deref().and_then(|p| active_servers(n_servers, p));
         // 1. Topology.
         let mut topo = if self.scheme.single_switch {
             Topology::single_switch(
@@ -527,45 +407,10 @@ impl Scenario {
         // an active-host filter, labels are materialized only for
         // communicating pairs — both directions, since ACKs ride the
         // reverse path — instead of all n² of them.
-        let peers: Option<Vec<Vec<usize>>> = active.as_ref().map(|_| {
-            let mut sets: Vec<std::collections::BTreeSet<usize>> =
-                vec![Default::default(); topo.host_count()];
-            let mut link = |a: usize, b: usize| {
-                if a < sets.len() && b < sets.len() && a != b {
-                    sets[a].insert(b);
-                    sets[b].insert(a);
-                }
-            };
-            for f in &self.flows {
-                link(f.src, f.dst);
-            }
-            for m in &self.mice {
-                link(m.src, m.dst);
-            }
-            for &(src, dst) in &self.probes {
-                link(src, dst);
-            }
-            if let Some(inc) = &self.incast {
-                // Mirror `active_servers`: a probing aggregator may select
-                // any server as a replica, so labels must exist for every
-                // (server, aggregator) pair.
-                if matches!(self.scheme.policy, PolicyKind::Prequal(_)) {
-                    for w in 0..n_servers {
-                        link(w, inc.aggregator);
-                    }
-                } else {
-                    for w in patterns::incast_senders(n_servers, inc.aggregator, inc.fanout) {
-                        link(w, inc.aggregator);
-                    }
-                }
-            }
-            if let Some(ar) = &self.allreduce {
-                for (src, dst) in patterns::ring(ar.participants) {
-                    link(src, dst);
-                }
-            }
-            sets.into_iter().map(|s| s.into_iter().collect()).collect()
-        });
+        let peers = active
+            .as_ref()
+            .and(pairs.as_deref())
+            .map(|p| directed_pairs(topo.host_count(), p));
         let label_sets: Vec<Vec<(HostId, Vec<Mac>)>> = topo
             .hosts
             .iter()
@@ -591,7 +436,8 @@ impl Scenario {
                 };
                 match &peers {
                     Some(p) => {
-                        for &dst in &p[src.index()] {
+                        let from = p.partition_point(|&(a, _)| a < src.index());
+                        for &(_, dst) in p[from..].iter().take_while(|&&(a, _)| a == src.index()) {
                             push_dst(dst, &mut v);
                         }
                     }
@@ -736,6 +582,39 @@ impl Scenario {
     }
 }
 
+/// The servers that appear in `pairs`, or `None` when every one does.
+/// WAN-remote indices sit past the servers; their routing is installed by
+/// the attach step, not the basic install.
+fn active_servers(n_servers: usize, pairs: &[(usize, usize)]) -> Option<Vec<bool>> {
+    let mut active = vec![false; n_servers];
+    for &(a, b) in pairs {
+        for h in [a, b] {
+            if h < n_servers {
+                active[h] = true;
+            }
+        }
+    }
+    if active.iter().all(|&a| a) {
+        None
+    } else {
+        Some(active)
+    }
+}
+
+/// `pairs` in both directions (ACKs ride the reverse path), sorted and
+/// deduplicated, so each host's peers are one ascending run; self-pairs
+/// and out-of-range hosts are skipped.
+fn directed_pairs(n_hosts: usize, pairs: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut directed: Vec<(usize, usize)> = pairs
+        .iter()
+        .filter(|&&(a, b)| a < n_hosts && b < n_hosts && a != b)
+        .flat_map(|&(a, b)| [(a, b), (b, a)])
+        .collect();
+    directed.sort_unstable();
+    directed.dedup();
+    directed
+}
+
 /// Turn a fault event's structural `(leaf, spine, link)` coordinates into
 /// concrete fabric link ids. `spine` indexes the leaf's upper-tier
 /// neighbor list (the spine index on a 2-tier Clos, the pod-local
@@ -856,19 +735,6 @@ mod tests {
         assert_eq!(b.len(), 16);
         let r = random_elephants(16, 4, 1);
         assert_eq!(r.len(), 16);
-    }
-
-    #[test]
-    fn testbed16_defaults() {
-        let s = Scenario::testbed16(SchemeSpec::presto(), 1);
-        assert_eq!(s.n_servers(), 16);
-        assert_eq!(s.clos().spines, 4);
-        assert!(s.faults().is_empty());
-        let s = Scenario::scalability(SchemeSpec::ecmp(), 6, 1);
-        assert_eq!(s.clos().spines, 6);
-        assert_eq!(s.n_servers(), 16);
-        let s = Scenario::oversubscription(SchemeSpec::mptcp(), 1);
-        assert_eq!(s.clos().spines, 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! cargo run --release --example custom_topology
 //! ```
 //!
-//! Shows three things the `Scenario` presets don't expose directly:
+//! Shows three things the `ScenarioBuilder` defaults leave out:
 //!
 //! 1. a Clos fabric with γ = 2 parallel leaf-spine cables — the controller
 //!    allocates ν·γ spanning trees (§3.1);

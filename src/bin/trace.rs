@@ -13,8 +13,7 @@
 //! trace [--write-jsonl t.jsonl] [--write-chrome t.json]
 //! ```
 //!
-//! All logic lives in [`presto::trace_tool`]; the `trace_inspect` example
-//! is a thin wrapper over the same module.
+//! All logic lives in [`presto::trace_tool`].
 
 use std::process::ExitCode;
 

@@ -1,5 +1,4 @@
-//! The trace inspector behind `src/bin/trace.rs` (and the
-//! `trace_inspect` example, which is a thin wrapper).
+//! The trace inspector behind `src/bin/trace.rs`.
 //!
 //! Two modes:
 //!

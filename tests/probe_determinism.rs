@@ -212,33 +212,69 @@ fn committed_baseline_fingerprints_are_unchanged() {
     }
 }
 
-/// The committed skew baseline's prequal digests, rebuilt through the lab
-/// exactly as `ci/skew_smoke.sh` runs them (40 ms, 10 ms warm-up). The
-/// matrices above only compare prequal with itself; these pins catch any
-/// change to what the policy or its probe pool decides.
+/// Committed baseline digests, rebuilt through the lab exactly as
+/// `ci/campaign_smoke.sh` runs them: the skew campaign's prequal points
+/// (40 ms, 10 ms warm-up) and one bake-off point per arena scheme (web
+/// search with a link failure, where every scheme's decisions matter).
+/// The matrices above only compare a scheme with itself; these pins catch
+/// any change to what prequal and its probe pool, or an arena scheme,
+/// decides.
 #[test]
 fn prequal_skew_campaign_digests_are_pinned() {
-    let toml = std::fs::read_to_string("campaigns/skew.toml").expect("committed campaign");
-    let points = presto_lab::Campaign::from_toml(&toml)
-        .expect("parses")
-        .expand()
-        .expect("expands");
-    for (label, pinned) in [
+    for (campaign, label, pinned) in [
         (
+            "skew",
             "prequal/testbed16/skew:8:32:1000:400:2/none/cell64k/s1",
             0x84c756644b4f66f5u64,
         ),
         (
+            "skew",
             "prequal/testbed16/incast:8:32:1000:400/none/cell64k/s1",
             0xbb2b06951f2bfa6a,
         ),
+        (
+            "bakeoff",
+            "flowlet-100us/testbed16/websearch:1/linkdown:20/cell64k/s1",
+            0x3ffe3758424bbcea,
+        ),
+        (
+            "bakeoff",
+            "flowlet-500us/testbed16/websearch:1/linkdown:20/cell64k/s1",
+            0x0a8644877c63429a,
+        ),
+        (
+            "bakeoff",
+            "flowdyn/testbed16/websearch:1/linkdown:20/cell64k/s1",
+            0x5a7139ad6b5de721,
+        ),
+        (
+            "bakeoff",
+            "diffflow/testbed16/websearch:1/linkdown:20/cell64k/s1",
+            0x4df277fa01b89979,
+        ),
+        (
+            "bakeoff",
+            "sprinklers/testbed16/websearch:1/linkdown:20/cell64k/s1",
+            0xf3851f0a9f32f957,
+        ),
+        (
+            "bakeoff",
+            "caft/testbed16/websearch:1/linkdown:20/cell64k/s1",
+            0xfc225bcacf903511,
+        ),
     ] {
+        let toml = std::fs::read_to_string(format!("campaigns/{campaign}.toml"))
+            .expect("committed campaign");
+        let points = presto_lab::Campaign::from_toml(&toml)
+            .expect("parses")
+            .expand()
+            .expect("expands");
         let point = points
             .iter()
             .find(|p| p.label() == label)
-            .unwrap_or_else(|| panic!("{label} is in the campaign"));
+            .unwrap_or_else(|| panic!("{label} is in {campaign}"));
         let digest = point.to_scenario().run().digest();
-        assert_eq!(digest, pinned, "{label}: digest {digest:#018x}");
+        assert_eq!(digest, pinned, "{campaign} {label}: digest {digest:#018x}");
     }
 }
 
