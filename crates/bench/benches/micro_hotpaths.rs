@@ -77,13 +77,19 @@ macro_rules! queue_bench {
 
 /// Steady state of a busy fabric, modelled on `perfbench`'s `stride`
 /// workload so this number sits beside its `run_s`: 64 links, each with
-/// a serialization end (`TxDone`, +1.23 µs) and an arrival (+2.23 µs)
+/// a serialization end (`TxDone`, +1.231 µs) and an arrival (+2.231 µs)
 /// pending, beside 12 k far, stale RTO-scale timers that never come due.
-/// Every popped `TxDone` schedules the link's next pair, so the queue
-/// runs at about 100 events per simulated µs. Events are `u64` codes:
-/// links below 64 are `TxDone`s, 64.. `Arrive`s, and `u64::MAX` a stale
-/// timer. The five-argument form wraps each code in a wider payload
-/// (`$wrap`) and reads it back (`$code`).
+/// Every popped `TxDone` schedules the link's next pair. Every arrival
+/// schedules its ACK's serialization end and arrival (+68 ns, +1.068 µs)
+/// and, one time in four, a follow-up at a pseudo-random delay under
+/// 3 µs, as `EgressDrain`, NIC polls and GRO holds do. So the queue runs
+/// at about 220 events per simulated µs. In the calendar queue the first
+/// link pushes claim its delay lanes, drain, and the four constant
+/// delays reclaim them; the random delays take the wheel, and the stale
+/// timers the overflow tier. Events are `u64` codes: links below 64 are
+/// `TxDone`s, 64.. `Arrive`s, `ACK` an ACK or follow-up event, and
+/// `u64::MAX` a stale timer. The five-argument form wraps each code in a
+/// wider payload (`$wrap`) and reads it back (`$code`).
 macro_rules! link_mix_bench {
     ($c:expr, $name:expr, $ty:ty) => {
         link_mix_bench!($c, $name, $ty, |code: u64| code, |ev: u64| ev)
@@ -91,10 +97,12 @@ macro_rules! link_mix_bench {
     ($c:expr, $name:expr, $ty:ty, $wrap:expr, $code:expr) => {
         $c.bench_function($name, |b| {
             const LINKS: u64 = 64;
+            const ACK: u64 = 2 * LINKS;
             const STALE: u64 = u64::MAX;
             let (wrap, code) = ($wrap, $code);
-            let tx = SimDuration::from_nanos(1_230);
-            let arrive = SimDuration::from_nanos(2_230);
+            let ns = SimDuration::from_nanos;
+            let (tx, arrive) = (ns(1_231), ns(2_231));
+            let (ack_tx, ack_arrive) = (ns(68), ns(1_068));
             b.iter(|| {
                 let mut q: $ty = <$ty>::new();
                 for i in 0..12_000u64 {
@@ -104,6 +112,7 @@ macro_rules! link_mix_bench {
                 for link in 0..LINKS {
                     q.push(SimTime::from_nanos(link * 19), wrap(link));
                 }
+                let mut x = 0x2545_F491_4F6C_DD1Du64;
                 let mut arrivals = 0u64;
                 for _ in 0..100_000 {
                     let (now, ev) = q.pop().expect("links keep the queue busy");
@@ -111,8 +120,16 @@ macro_rules! link_mix_bench {
                     if ev < LINKS {
                         q.push(now + tx, wrap(ev));
                         q.push(now + arrive, wrap(LINKS + ev));
-                    } else {
+                    } else if ev < ACK {
                         arrivals += 1;
+                        q.push(now + ack_tx, wrap(ACK));
+                        q.push(now + ack_arrive, wrap(ACK));
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        if x >> 62 == 0 {
+                            q.push(now + ns((x >> 20) % 3_000), wrap(ACK));
+                        }
                     }
                 }
                 black_box(arrivals)

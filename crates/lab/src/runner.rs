@@ -42,10 +42,6 @@ pub struct RunOptions {
     /// Error out if any point would actually execute — CI uses this to
     /// assert a second run is 100 % cache hits.
     pub require_cached: bool,
-    /// Multiply the goodput of *freshly executed* rows by this factor.
-    /// A test hook for the regression gate: CI injects `0.5` and asserts
-    /// `lab diff` flags the drop. Leave at `1.0` for real campaigns.
-    pub goodput_scale: f64,
 }
 
 impl Default for RunOptions {
@@ -55,7 +51,6 @@ impl Default for RunOptions {
             retry_failed: false,
             write_traces: true,
             require_cached: false,
-            goodput_scale: 1.0,
         }
     }
 }
@@ -172,8 +167,7 @@ impl<'a> LabRunner<'a> {
                     (sc.run(), None)
                 };
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let mut row = Row::from_report(sc.name(), fp, &report, wall_ms);
-                row.goodput_gbps *= opts.goodput_scale;
+                let row = Row::from_report(sc.name(), fp, &report, wall_ms);
                 if let Some(tel) = telemetry {
                     // An unwritable trace panics into a Failed row: the
                     // artifact was requested, so losing it silently would
@@ -245,6 +239,8 @@ pub fn sanitize_label(label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{diff_tables, Tolerances};
+    use crate::store::read_table;
     use presto_simcore::SimDuration;
     use std::fs;
     use std::path::Path;
@@ -323,28 +319,28 @@ mod tests {
     }
 
     #[test]
-    fn goodput_scale_only_touches_fresh_rows() {
-        let (dir, store) = temp_store("scale");
-        let campaign = tiny_campaign("scale");
-        let base = LabRunner::new(&store, RunOptions::default())
-            .run(&campaign)
+    fn halved_goodput_table_fails_diff_against_the_fresh_run() {
+        // The paper grid's CI gate: the fresh table, read back as `lab
+        // diff` reads it, passes against itself, and the same table with
+        // every goodput halved fails with one goodput regression per row.
+        let (dir, store) = temp_store("halved");
+        let fresh = LabRunner::new(&store, RunOptions::default())
+            .run(&tiny_campaign("halved"))
             .unwrap();
-        // Re-running with an injected regression changes nothing: every
-        // point is answered from the cache.
-        let opts = RunOptions {
-            goodput_scale: 0.5,
-            ..RunOptions::default()
-        };
-        let cached = LabRunner::new(&store, opts.clone()).run(&campaign).unwrap();
-        assert_eq!(cached.rows, base.rows);
-        // A cold store actually applies the scale.
-        let (dir2, store2) = temp_store("scale2");
-        let scaled = LabRunner::new(&store2, opts).run(&campaign).unwrap();
-        for (s, b) in scaled.rows.iter().zip(&base.rows) {
-            assert!((s.goodput_gbps - b.goodput_gbps * 0.5).abs() < 1e-12);
-        }
+        let table = read_table(&fresh.table_json).unwrap();
+        let tol = Tolerances::default();
+        assert!(diff_tables(&table, &table, &tol).passed());
+        let halved: Vec<Row> = table
+            .iter()
+            .map(|row| Row {
+                goodput_gbps: row.goodput_gbps * 0.5,
+                ..row.clone()
+            })
+            .collect();
+        let report = diff_tables(&table, &halved, &tol);
+        assert_eq!(report.regressions.len(), table.len(), "{report:?}");
+        assert!(report.regressions.iter().all(|r| r.contains("goodput")));
         let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&dir2);
     }
 
     #[test]

@@ -5,17 +5,25 @@
 //! order they were scheduled and simulation runs are bit-for-bit
 //! reproducible regardless of queue internals.
 //!
-//! * [`EventQueue`] — the default: a calendar queue (timing wheel with a
-//!   sorted overflow tier). Each wheel slot is a narrow bucket kept as a
-//!   `(time, seq)`-sorted `Vec` with a head cursor, so near-horizon
-//!   events, which dominate link and NIC scheduling, cost a short
-//!   back-scan (usually a plain `push`) per push and a read plus a cursor
-//!   bump per pop; far timers (RTOs, scenario markers) sit in a
-//!   binary-heap overflow tier and migrate into the wheel as the cursor
-//!   approaches them. Keys hold their payload inline, so payloads must be
-//!   small and `Copy`: the simulator's events are 16-byte handles (a link
-//!   id, a host id, a timer generation), and anything larger, such as a
-//!   packet in flight, waits in the component that owns it.
+//! * [`EventQueue`] — the default: four FIFO *delay lanes* beside a
+//!   calendar queue (timing wheel with a sorted overflow tier). Almost
+//!   every event the simulator schedules recurs at a fixed delay from the
+//!   event being dispatched (a link's serialization time, serialization
+//!   plus propagation, the NIC's coalescing timer), and a stream of
+//!   pushes at one delay is already in `(time, seq)` order because the
+//!   watermark only moves forward. A push whose delay matches a lane's,
+//!   or that finds a lane empty and claims it, is an append; every other
+//!   push takes the wheel: each wheel slot is a narrow bucket kept as a
+//!   `(time, seq)`-sorted `Vec` with a head cursor, so a push costs a
+//!   short back-scan and a pop a read plus a cursor bump; far timers
+//!   (RTOs, scenario markers) sit in a binary-heap overflow tier and
+//!   migrate into the wheel as the cursor approaches them. A pop takes
+//!   the least of a cached packed `(time, seq)` head per lane and one for
+//!   the wheel tier, and refreshes only the source it popped. Keys hold
+//!   their payload inline, so payloads must be small and `Copy`: the
+//!   simulator's events are 16-byte handles (a link id, a host id, a
+//!   timer generation), and anything larger, such as a packet in flight,
+//!   waits in the component that owns it.
 //! * [`HeapEventQueue`] — the original thin wrapper over
 //!   [`std::collections::BinaryHeap`]. Kept as the reference
 //!   implementation: the trace-equality tests below assert both queues
@@ -28,13 +36,13 @@
 //! keeps the hot path to a couple of cheap operations per event.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
 /// A pending event: the `(time, seq)` sort key and the payload itself.
-/// [`EventQueue`] stores keys inline in its wheel slots and overflow heap,
-/// so it asks for small `Copy` payloads (the simulator's `Event` is 16
+/// [`EventQueue`] stores keys inline in its lanes, wheel slots and overflow
+/// heap, so it asks for small `Copy` payloads (the simulator's `Event` is 16
 /// bytes, making a key 32); [`HeapEventQueue`] takes any payload.
 #[derive(Clone, Copy, Debug)]
 struct Key<E> {
@@ -188,27 +196,85 @@ impl QueueProfile {
     }
 }
 
+/// Delay lanes beside the wheel.
+///
+/// Nearly every event the simulator schedules recurs at one of a few
+/// fixed delays from the event being dispatched (on `stride`, an MTU
+/// serialization, a serialization plus propagation, the NIC's
+/// coalescing timer), and each such stream is already in `(time, seq)`
+/// order because the watermark only moves forward. A lane holds one
+/// stream as a plain FIFO. Four lanes, chosen by a 2/4/8 ablation
+/// (DESIGN §5.1).
+const LANES: usize = 4;
+
+/// The wheel's horizon in nanoseconds. Only a push due within it may
+/// claim an empty lane: a one-off far timer would hold its lane for as
+/// long as it waits, and the overflow tier is its place.
+const HORIZON_NS: u64 = (SLOTS as u64) << WIDTH_SHIFT;
+
+/// A `(time, seq)` order key packed into one integer, time in the high
+/// half, so a head comparison is one `u128` compare.
+#[inline]
+fn pack<E>(key: &Key<E>) -> u128 {
+    (u128::from(key.time.as_nanos()) << 64) | u128::from(key.seq)
+}
+
+/// The time half of a packed key.
+#[inline]
+fn head_time(head: u128) -> SimTime {
+    SimTime::from_nanos((head >> 64) as u64)
+}
+
+/// The packed head of a source with no pending key: sorts after all.
+const NO_HEAD: u128 = u128::MAX;
+
+/// A push earlier than the last pop: a component tried to schedule into
+/// the past.
+#[cold]
+#[inline(never)]
+fn scheduled_into_past(time: SimTime, watermark: SimTime) -> ! {
+    panic!("scheduled event at {time:?} before current time {watermark:?}")
+}
+
 /// A priority queue of timestamped events with deterministic FIFO ordering
-/// among events scheduled for the same instant, implemented as a calendar
-/// queue.
+/// among events scheduled for the same instant, implemented as delay
+/// lanes beside a calendar queue.
 ///
 /// # Invariants
 ///
+/// * Each lane's keys are in ascending `(time, seq)` order: a push joins
+///   a lane only if it does not precede the lane's tail. A lane is empty
+///   exactly when its head is `NO_HEAD`.
+/// * `heads[i]` is the packed minimum of lane `i`, and `heads[LANES]` that
+///   of the wheel and overflow tier together (`NO_HEAD` when empty), so
+///   the global minimum is the least of `LANES + 1` integers.
 /// * Every wheel-resident event has a bucket in `[cur_bucket, cur_bucket +
 ///   SLOTS)`; within that window `bucket & SLOT_MASK` is injective, so a
 ///   slot holds events of exactly one bucket.
 /// * Every overflow-resident event has a bucket `>= cur_bucket + SLOTS`.
 ///   Whenever the cursor advances, overflow events that fell inside the
 ///   new window migrate into the wheel, preserving this.
-/// * Together these mean the wheel, when non-empty, holds the global
-///   minimum — `pop` only ever needs the first occupied slot at or after
-///   the cursor.
+/// * Together these mean the wheel, when non-empty, holds the minimum of
+///   its tier: a wheel pop moves the cursor to the bucket of the tier's
+///   cached head and reads the front of that slot.
+/// * After every pop the cursor is the watermark's bucket, whichever
+///   source the key came from: no pending key is earlier than the
+///   watermark, so the window may always move up to it, and a run of lane
+///   pops does not leave the window behind and push near keys into the
+///   overflow tier.
 pub struct EventQueue<E> {
+    /// Per lane, the delay after the watermark at which its keys were
+    /// pushed. An empty lane keeps its delay until a push at a delay no
+    /// lane has claims it.
+    lane_delays: [u64; LANES],
+    /// The delay lanes (see [`LANES`]): FIFOs whose pushes are appends.
+    lanes: [VecDeque<Key<E>>; LANES],
+    /// Packed head of each lane, then of the wheel tier.
+    heads: [u128; LANES + 1],
     /// Per-slot pending event keys in ascending `(time, seq)` order. A
-    /// slot holds one narrow bucket (about 17 keys when popped on a busy
-    /// run), so the insert's back-scan is short and a pop is a cursor
-    /// bump. Keys carry their payload inline: a pop copies one key out,
-    /// with no side table to index.
+    /// slot holds one narrow bucket, so the insert's back-scan is short
+    /// and a pop is a cursor bump. Keys carry their payload inline: a pop
+    /// copies one key out, with no side table to index.
     slots: Vec<Slot<E>>,
     /// One bit per slot: set iff the slot is non-empty.
     occupied: [u64; WORDS],
@@ -222,7 +288,7 @@ pub struct EventQueue<E> {
     high_water: usize,
     next_seq: u64,
     /// Time of the most recently popped event; pushes earlier than this are
-    /// a logic error (time travel) and panic in debug builds.
+    /// a logic error (time travel) and panic.
     watermark: SimTime,
     /// Optional per-event-type profiling: a classifier mapping events to
     /// rows of a [`QueueProfile`]. `None` (the default) costs one branch
@@ -242,6 +308,9 @@ impl<E: Copy> EventQueue<E> {
         let mut slots = Vec::with_capacity(SLOTS);
         slots.resize_with(SLOTS, Slot::default);
         EventQueue {
+            lane_delays: [0; LANES],
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            heads: [NO_HEAD; LANES + 1],
             slots,
             occupied: [0; WORDS],
             overflow: BinaryHeap::new(),
@@ -257,15 +326,13 @@ impl<E: Copy> EventQueue<E> {
     /// Schedule `event` to fire at `time`.
     ///
     /// # Panics
-    /// In debug builds, panics if `time` is before the last popped event —
-    /// that would mean a component tried to schedule into the past.
+    /// If `time` is before the last popped event — that would mean a
+    /// component tried to schedule into the past.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        debug_assert!(
-            time >= self.watermark,
-            "scheduled event at {time:?} before current time {:?}",
-            self.watermark
-        );
+        let Some(delay) = time.as_nanos().checked_sub(self.watermark.as_nanos()) else {
+            scheduled_into_past(time, self.watermark)
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
@@ -273,17 +340,47 @@ impl<E: Copy> EventQueue<E> {
             self.high_water = self.len;
         }
         if let Some((classify, profile)) = &mut self.profiler {
-            // Pushes happen at the watermark (the event being dispatched),
-            // so push-to-due is exactly `time - watermark`.
-            profile.record(
-                classify(&event),
-                time.saturating_since(self.watermark).as_nanos(),
-            );
+            profile.record(classify(&event), delay);
         }
-        // In release builds a past push (already a logic error) clamps into
-        // the cursor bucket instead of corrupting the window invariant.
-        let bucket = bucket_of(time).max(self.cur_bucket);
         let key = Key { time, seq, event };
+        match self.lane_for(delay, &key) {
+            Some(i) => {
+                if self.heads[i] == NO_HEAD {
+                    self.lane_delays[i] = delay;
+                    self.heads[i] = pack(&key);
+                }
+                self.lanes[i].push_back(key);
+            }
+            None => self.push_wheel(key),
+        }
+    }
+
+    /// The lane `key`, pushed `delay` after the watermark, may join: the
+    /// lane of that delay if `key` does not precede its tail, else the
+    /// first empty lane if no lane has that delay and the key is due
+    /// within the wheel's horizon. Keys of one delay never precede each
+    /// other's tail, because the watermark only moves forward; the check
+    /// keeps the order exact for any input.
+    #[inline]
+    fn lane_for(&self, delay: u64, key: &Key<E>) -> Option<usize> {
+        if let Some(i) = self.lane_delays.iter().position(|&d| d == delay) {
+            return match self.lanes[i].back() {
+                Some(tail) if key.precedes(tail) => None,
+                _ => Some(i),
+            };
+        }
+        if delay >= HORIZON_NS {
+            return None;
+        }
+        self.heads[..LANES].iter().position(|&h| h == NO_HEAD)
+    }
+
+    /// Put `key` in the wheel, or in the overflow tier if it lies beyond
+    /// the window.
+    #[inline]
+    fn push_wheel(&mut self, key: Key<E>) {
+        self.heads[LANES] = self.heads[LANES].min(pack(&key));
+        let bucket = bucket_of(key.time);
         if bucket < self.cur_bucket + SLOTS as u64 {
             self.insert_wheel(bucket, key);
         } else {
@@ -355,58 +452,94 @@ impl<E: Copy> EventQueue<E> {
         }
     }
 
+    /// Move the window up to `bucket`, migrating the overflow events it
+    /// now covers. No-op unless `bucket` is ahead of the cursor.
+    #[inline]
+    fn advance_cursor(&mut self, bucket: u64) {
+        if bucket > self.cur_bucket {
+            self.cur_bucket = bucket;
+            self.migrate_overflow();
+        }
+    }
+
     /// Remove and return the earliest event, advancing the watermark.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
+        let (src, head) = self.min_head();
+        if head == NO_HEAD {
             return None;
         }
-        let offset = match self.first_occupied_offset() {
-            Some(off) => off,
-            None => {
-                // Wheel empty: re-anchor the window at the overflow
-                // minimum and pull the near tail of the overflow in.
-                let head = self.overflow.peek().expect("len > 0 but queues empty");
-                self.cur_bucket = bucket_of(head.time);
-                self.migrate_overflow();
-                0
-            }
+        let key = if src < LANES {
+            let lane = &mut self.lanes[src];
+            let key = lane.pop_front().expect("a lane with a head has a key");
+            self.heads[src] = lane.front().map_or(NO_HEAD, pack);
+            self.advance_cursor(bucket_of(key.time));
+            key
+        } else {
+            self.pop_wheel(head)
         };
-        if offset > 0 {
-            self.cur_bucket += offset;
-            // The window moved: overflow events inside it must migrate
-            // before they could be skipped over. They land at buckets
-            // beyond the old horizon, so the slot found above still holds
-            // the minimum.
-            self.migrate_overflow();
+        self.len -= 1;
+        self.watermark = key.time;
+        Some((key.time, key.event))
+    }
+
+    /// The source holding the earliest pending key and that key packed:
+    /// a lane index, or `LANES` for the wheel tier. Written as selects,
+    /// not branches: which source wins changes from pop to pop.
+    #[inline]
+    fn min_head(&self) -> (usize, u128) {
+        let (mut src, mut best) = (LANES, self.heads[LANES]);
+        for i in 0..LANES {
+            let head = self.heads[i];
+            let earlier = head < best;
+            src = if earlier { i } else { src };
+            best = if earlier { head } else { best };
         }
+        (src, best)
+    }
+
+    /// Pop the wheel tier's minimum, packed as `head`, and refresh its
+    /// cached head.
+    #[inline]
+    fn pop_wheel(&mut self, head: u128) -> Key<E> {
+        // Move the window to the head's bucket. A head beyond the window
+        // is the overflow minimum with the wheel empty: the window
+        // re-anchors on it and pulls the near tail of the overflow in.
+        // Keys that migrate sort after the head, so the cursor slot's
+        // front is the head either way.
+        self.advance_cursor(bucket_of(head_time(head)));
         let slot = (self.cur_bucket & SLOT_MASK) as usize;
         let wheel_slot = &mut self.slots[slot];
-        let s = *wheel_slot.front().expect("occupied slot is non-empty");
+        let key = *wheel_slot.front().expect("occupied slot is non-empty");
         wheel_slot.head += 1;
-        if wheel_slot.head == wheel_slot.keys.len() {
-            wheel_slot.clear();
-            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+        self.heads[LANES] = match wheel_slot.front() {
+            Some(next) => pack(next),
+            None => {
+                wheel_slot.clear();
+                self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+                self.wheel_tier_min().map_or(NO_HEAD, pack)
+            }
+        };
+        key
+    }
+
+    /// The earliest key of the wheel tier: the front of the first
+    /// occupied slot, else the overflow minimum.
+    fn wheel_tier_min(&self) -> Option<&Key<E>> {
+        match self.first_occupied_offset() {
+            Some(offset) => {
+                let slot = ((self.cur_bucket + offset) & SLOT_MASK) as usize;
+                self.slots[slot].front()
+            }
+            None => self.overflow.peek(),
         }
-        self.len -= 1;
-        self.watermark = s.time;
-        Some((s.time, s.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        match self.first_occupied_offset() {
-            // Wheel non-empty: its minimum beats every overflow event.
-            Some(offset) => {
-                let slot = ((self.cur_bucket + offset) & SLOT_MASK) as usize;
-                self.slots[slot].front().map(|s| s.time)
-            }
-            None => self.overflow.peek().map(|s| s.time),
-        }
+        let (_, head) = self.min_head();
+        (head != NO_HEAD).then(|| head_time(head))
     }
 
     /// Number of pending events.
@@ -454,6 +587,10 @@ impl<E: Copy> EventQueue<E> {
     /// counting across clears; the high-water mark and any profile reset
     /// with the scenario.
     pub fn clear(&mut self) {
+        for lane in &mut self.lanes {
+            lane.clear();
+        }
+        self.heads = [NO_HEAD; LANES + 1];
         for w in 0..WORDS {
             let mut word = self.occupied[w];
             while word != 0 {
@@ -608,7 +745,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "before current time")]
-    #[cfg(debug_assertions)]
     fn scheduling_into_past_panics() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(10), ());
@@ -853,6 +989,7 @@ mod tests {
             q.push(start * width + 1);
             q.pop();
             assert_eq!(q.cal.cur_bucket, start);
+            q.park_lanes();
             let edge = start + slots;
             for bucket in [edge - 1, edge, edge + 1] {
                 for off in [width - 1, 0, width / 2, 0] {
@@ -876,6 +1013,10 @@ mod tests {
         }
     }
 
+    /// Delays of the keys that park in the lanes: just inside the
+    /// horizon, and none a delay the tests push at.
+    const PARKED_DELAY: u64 = HORIZON_NS - 11;
+
     /// Both queue implementations driven in lockstep: every push goes to
     /// both, every pop asserts they agree on `(time, event)`, `len` and
     /// `peek_time`. Events are numbered in push order, so equal pops also
@@ -896,11 +1037,37 @@ mod tests {
         }
 
         fn push(&mut self, ns: u64) {
+            self.push_tagged(ns, 0);
+        }
+
+        /// Push an event that carries a two-bit `tag` below its push
+        /// number, so a driver can tell event kinds apart when they pop.
+        fn push_tagged(&mut self, ns: u64, tag: u64) {
             let t = SimTime::from_nanos(ns);
-            self.cal.push(t, self.next_id);
-            self.heap.push(t, self.next_id);
+            let event = self.next_id << 2 | tag;
+            self.cal.push(t, event);
+            self.heap.push(t, event);
             self.next_id += 1;
             self.check();
+        }
+
+        /// Claim every lane with a key parked just inside the horizon,
+        /// among the longest delays that may claim a lane, one delay per
+        /// lane, so that the keys a test pushes next take the
+        /// wheel/overflow path. Every lane must be empty.
+        fn park_lanes(&mut self) {
+            let now = self.cal.watermark.as_nanos();
+            for i in 0..LANES as u64 {
+                self.push(now + PARKED_DELAY - i);
+            }
+            assert!(self.cal.lanes.iter().all(|lane| lane.len() == 1));
+        }
+
+        /// Lanes holding keys, by delay.
+        fn busy_lane_delays(&self) -> Vec<u64> {
+            let cal = &self.cal;
+            let busy = (0..LANES).filter(|&i| !cal.lanes[i].is_empty());
+            busy.map(|i| cal.lane_delays[i]).collect()
         }
 
         fn pop(&mut self) -> Option<(SimTime, u64)> {
@@ -962,6 +1129,7 @@ mod tests {
         // the new key has the newest seq, so it fires after the pending
         // keys of the same instant and before later ones.
         let mut q = Lockstep::new();
+        q.park_lanes();
         let base = 50 << WIDTH_SHIFT;
         for off in [0, 0, 10, 10, 10, 20, 30] {
             q.push(base + off);
@@ -982,6 +1150,7 @@ mod tests {
         // A slot that keeps receiving keys while it drains must reuse the
         // space of its popped keys rather than grow.
         let mut q = Lockstep::new();
+        q.park_lanes();
         let base = 12 << WIDTH_SHIFT;
         for off in 0..8 {
             q.push(base + off);
@@ -1010,6 +1179,7 @@ mod tests {
         // land there, and the back-scan must never walk into the popped
         // prefix.
         let mut q = Lockstep::new();
+        q.park_lanes();
         let base = 77 << WIDTH_SHIFT;
         for off in [5, 40, 80, 120, 200] {
             q.push(base + off);
@@ -1052,6 +1222,7 @@ mod tests {
         // very slot from t = 0: the stale prefix must be gone and the
         // cursor rewound.
         let mut q = Lockstep::new();
+        q.park_lanes();
         for i in 0..12 {
             q.push(300 + i);
         }
@@ -1063,6 +1234,7 @@ mod tests {
         q.clear();
         assert_eq!(q.cursor_of(300), 0);
         assert_eq!(q.cal.peek_time(), None);
+        q.park_lanes();
         for i in (0..12).rev() {
             q.push(290 + i);
         }
@@ -1103,20 +1275,27 @@ mod tests {
         let mut q: EventQueue<&str> = EventQueue::new();
         q.push(SimTime::from_nanos(100), "seq 0");
         assert_eq!(q.pop().unwrap().1, "seq 0");
+        // Seqs 1 to 4 park in the lanes, so the keys below take the wheel.
+        for i in 0..LANES as u64 {
+            q.push(SimTime::from_nanos(100 + PARKED_DELAY - i), "parked");
+        }
         let t = SimTime::from_nanos(300);
-        q.push(t, "seq 1");
-        q.push(t, "seq 2");
+        q.push(t, "seq 5");
+        q.push(t, "seq 6");
         // Re-use the retired seq 0 as a long-waiting overflow key would.
         let older = Key {
             time: t,
             seq: 0,
             event: "older seq",
         };
-        q.insert_wheel(bucket_of(t), older);
+        q.push_wheel(older);
         q.len += 1;
         assert_eq!(q.pop(), Some((t, "older seq")));
-        assert_eq!(q.pop(), Some((t, "seq 1")));
-        assert_eq!(q.pop(), Some((t, "seq 2")));
+        assert_eq!(q.pop(), Some((t, "seq 5")));
+        assert_eq!(q.pop(), Some((t, "seq 6")));
+        for _ in 0..LANES {
+            assert_eq!(q.pop().unwrap().1, "parked");
+        }
         assert!(q.is_empty());
     }
 
@@ -1232,6 +1411,183 @@ mod tests {
         q.push(again);
         q.push(again + 1);
         q.push(again);
+        q.drain();
+    }
+
+    /// Event kinds of [`drive_link_mix`], as `Lockstep` tags.
+    const TX_DONE: u64 = 0;
+    const ARRIVE: u64 = 1;
+    const FOLLOW_UP: u64 = 2;
+    const TIMER: u64 = 3;
+
+    /// The simulator's event mix, modelled on `stride`, for `pops` pops:
+    /// `links` busy links, each `TxDone` scheduling the next one
+    /// (+1231 ns) and its packet's `Arrive` (+2231 ns); each arrival
+    /// schedules an ACK's `TxDone` and `Arrive` (+68 ns, +1068 ns), and
+    /// some also a follow-up at a random delay, as NIC polls, GRO holds
+    /// and egress drains do, or a timer past the wheel horizon, as RTOs
+    /// do. The four constant delays recur and take lanes; the rest take
+    /// the wheel and overflow tier, or claim a lane that drained.
+    fn drive_link_mix(q: &mut Lockstep, links: u64, pops: u64, mut x: u64) {
+        let mut rng = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 11
+        };
+        let start = q.cal.watermark.as_nanos();
+        for link in 0..links {
+            q.push_tagged(start + link * 19, TX_DONE);
+        }
+        for _ in 0..pops {
+            let (t, event) = q.pop().expect("links keep the queue busy");
+            let now = t.as_nanos();
+            match event & 3 {
+                TX_DONE => {
+                    q.push_tagged(now + 1_231, TX_DONE);
+                    q.push_tagged(now + 2_231, ARRIVE);
+                }
+                ARRIVE => {
+                    q.push_tagged(now + 68, FOLLOW_UP);
+                    q.push_tagged(now + 1_068, FOLLOW_UP);
+                    let r = rng();
+                    match r % 16 {
+                        0..=3 => q.push_tagged(now + r / 16 % 3_000, FOLLOW_UP),
+                        4 => q.push_tagged(now + r / 16 % 90_000, FOLLOW_UP),
+                        5 => q.push_tagged(now + 200_000 + r / 16 % 100_000, TIMER),
+                        6 => q.push_tagged(now + 10_000_000 + r / 16 % 1_000, TIMER),
+                        _ => {}
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn link_mix_matches_reference() {
+        // Constant-delay streams interleaved with random-delay pushes and
+        // far timers, over several seeds and fabric loads.
+        for (links, seed) in [(16, 1u64), (3, 0xBEEF), (40, 0x9E37_79B9_7F4A_7C15)] {
+            let mut q = Lockstep::new();
+            drive_link_mix(&mut q, links, 30_000, seed);
+            let busy = q.busy_lane_delays();
+            for delay in [1_231, 2_231] {
+                assert!(busy.contains(&delay), "{delay} ns holds a lane: {busy:?}");
+            }
+            assert!(q.cal.occupied.iter().any(|&w| w != 0), "wheel in use");
+            q.drain();
+        }
+    }
+
+    #[test]
+    fn far_timers_take_the_overflow_tier_while_lanes_carry_the_rest() {
+        // The four recurring delays hold every lane, so the timers past
+        // the horizon queue in the overflow tier, migrate into the wheel
+        // as the cursor reaches them, and fire in order between the lane
+        // keys.
+        let mut q = Lockstep::new();
+        drive_link_mix(&mut q, 24, 20_000, 5);
+        let mut delays = q.cal.lane_delays;
+        delays.sort_unstable();
+        assert_eq!(delays, [68, 1_068, 1_231, 2_231]);
+        assert!(
+            !q.cal.overflow.is_empty(),
+            "far timers wait in the overflow"
+        );
+        let mut timers = 0;
+        for _ in 0..20_000 {
+            let (t, event) = q.pop().expect("links keep the queue busy");
+            if event & 3 == TIMER {
+                timers += 1;
+            }
+            if event & 3 == TX_DONE {
+                q.push_tagged(t.as_nanos() + 1_231, TX_DONE);
+            }
+        }
+        assert!(timers > 0, "overflow timers came due");
+        q.drain();
+    }
+
+    #[test]
+    fn clear_mid_run_then_rerun_matches_reference() {
+        // Clear with every lane, the wheel and the overflow tier holding
+        // keys, then run a fresh scenario from t = 0 on the same queues.
+        let mut q = Lockstep::new();
+        drive_link_mix(&mut q, 16, 5_000, 11);
+        assert!(q.cal.lanes.iter().all(|lane| !lane.is_empty()));
+        assert!(!q.cal.overflow.is_empty());
+        q.clear();
+        assert!(q.cal.lanes.iter().all(|lane| lane.is_empty()));
+        assert_eq!(q.cal.heads, [NO_HEAD; LANES + 1]);
+        drive_link_mix(&mut q, 16, 5_000, 12);
+        q.drain();
+    }
+
+    #[test]
+    fn drained_lane_is_reclaimed_by_a_new_delay() {
+        let mut q = Lockstep::new();
+        for delay in [500, 600, 700, 800] {
+            q.push(delay);
+        }
+        assert_eq!(q.busy_lane_delays(), [500, 600, 700, 800]);
+        // No lane free: a fifth delay takes the wheel.
+        q.push(900);
+        assert_eq!(
+            q.cal.heads[LANES],
+            pack(&Key {
+                time: SimTime::from_nanos(900),
+                seq: 4,
+                event: ()
+            })
+        );
+        // Lane 0 drains and keeps its delay until a new one claims it.
+        q.pop();
+        assert!(q.cal.lanes[0].is_empty());
+        assert_eq!(q.cal.lane_delays[0], 500);
+        q.push(500 + 250);
+        q.push(500 + 250);
+        assert_eq!(q.cal.lane_delays[0], 250);
+        assert_eq!(q.cal.lanes[0].len(), 2);
+        // An empty lane whose delay matches wins over an earlier empty one.
+        q.pop(); // 600
+        q.pop(); // 700
+        assert!(q.cal.lanes[1].is_empty() && q.cal.lanes[2].is_empty());
+        q.push(700 + 700);
+        assert_eq!(q.cal.lanes[2].len(), 1, "lane 2 kept delay 700");
+        assert!(q.cal.lanes[1].is_empty());
+        q.drain();
+    }
+
+    #[test]
+    fn only_pushes_within_the_horizon_claim_a_lane() {
+        // A one-off far timer would hold a lane for as long as it waits:
+        // it takes the overflow tier and leaves every lane empty.
+        let mut q = Lockstep::new();
+        q.push(HORIZON_NS);
+        q.push(5 * HORIZON_NS + 3);
+        assert!(q.busy_lane_delays().is_empty());
+        assert_eq!(q.cal.overflow.len(), 2);
+        q.push(HORIZON_NS - 1);
+        assert_eq!(q.busy_lane_delays(), [HORIZON_NS - 1]);
+        q.drain();
+    }
+
+    #[test]
+    fn push_failing_a_lane_tail_check_takes_the_wheel() {
+        // Keys of one delay never precede the lane's tail through the
+        // public API, so rewrite a lane's delay to make one that would.
+        let mut q = Lockstep::new();
+        q.push(1_000);
+        assert_eq!(q.cal.lane_delays[0], 1_000);
+        q.cal.lane_delays[0] = 5;
+        q.push(5);
+        assert_eq!(q.cal.lanes[0].len(), 1, "5 ns precedes the tail");
+        assert_ne!(q.cal.heads[LANES], NO_HEAD, "it took the wheel");
+        // A key at the tail's own time has a newer seq: it joins the lane.
+        q.cal.lane_delays[0] = 1_000;
+        q.push(1_000);
+        assert_eq!(q.cal.lanes[0].len(), 2);
         q.drain();
     }
 }

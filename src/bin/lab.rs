@@ -3,7 +3,6 @@
 //! ```text
 //! lab run <campaign.toml> [--store DIR] [--workers N] [--no-traces]
 //!         [--retry-failed] [--require-cached] [--quiet]
-//!         [--inject-goodput-scale F]
 //! lab ls  [CAMPAIGN] [--store DIR] [--sort label|wall|rate]
 //! lab diff <baseline.json> <current.json>
 //!         [--goodput-tol F] [--p99-fct-tol F] [--loss-tol F]
@@ -67,7 +66,6 @@ const USAGE: &str = "\
 usage:
   lab run <campaign.toml> [--store DIR] [--workers N] [--no-traces]
           [--retry-failed] [--require-cached] [--quiet]
-          [--inject-goodput-scale F]
   lab ls  [CAMPAIGN] [--store DIR] [--sort label|wall|rate]
   lab diff <baseline.json> <current.json>
           [--goodput-tol F] [--p99-fct-tol F] [--loss-tol F]
@@ -130,9 +128,6 @@ fn cmd_run(rest: &[String]) -> Result<ExitCode, String> {
     };
     if let Some(w) = take_value(&mut args, "--workers")? {
         opts.workers = parse_num("--workers", &w)?;
-    }
-    if let Some(s) = take_value(&mut args, "--inject-goodput-scale")? {
-        opts.goodput_scale = parse_num("--inject-goodput-scale", &s)?;
     }
     opts.write_traces = !take_flag(&mut args, "--no-traces");
     opts.retry_failed = take_flag(&mut args, "--retry-failed");
