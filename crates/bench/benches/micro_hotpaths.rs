@@ -13,7 +13,7 @@ use presto_core::FlowcellScheduler;
 use presto_endhost::{tso_split, tso_split_into, EdgePolicy, PathTag, ReceiveOffload, TxSegment};
 use presto_gro::{OfficialGro, PrestoGro};
 use presto_netsim::{
-    FlowKey, HostId, Link, LinkId, Mac, Node, Packet, PacketKind, PacketPool, Switch, SwitchId, MSS,
+    Fabric, FlowKey, HostId, Link, LinkId, Mac, Node, Packet, PacketKind, PacketPool, SwitchId, MSS,
 };
 use presto_probe::{HclPool, ProbeParams};
 use presto_simcore::{EventQueue, HeapEventQueue, SimDuration, SimTime};
@@ -251,8 +251,9 @@ fn bench_link_departure(c: &mut Criterion) {
 /// A transit switch loaded like an aggregation switch of the 8192-host
 /// three-tier workload: 128 active hosts × 16 trees, a quarter of them
 /// below one of 4 down-neighbors and the rest behind the uplinks. It
-/// forwards a stream of 1024 shadow-labelled packets spread over every
-/// (host, tree).
+/// routes a stream of 1024 shadow-labelled packets spread over every
+/// (host, tree), resolving each destination's host slot as the fabric
+/// does per hop.
 fn bench_switch_forward_shadow(c: &mut Criterion) {
     const HOSTS: u32 = 128;
     const TREES: u32 = 16;
@@ -260,7 +261,18 @@ fn bench_switch_forward_shadow(c: &mut Criterion) {
     // destinations 256 ids on.
     let host = |h: u32| HostId(if h < 64 { h } else { 192 + h });
     c.bench_function("switch_forward_shadow", |b| {
-        let mut sw = Switch::new(SwitchId(7));
+        let mut fabric = Fabric::new();
+        let sw = fabric.add_switch();
+        // 16 uplinks and 4 down-groups of 4 links.
+        for _ in 0..2 * TREES {
+            fabric.add_link(Link::new(
+                Node::Switch(sw),
+                Node::Switch(sw),
+                10_000_000_000,
+                SimDuration::from_micros(1),
+                1 << 20,
+            ));
+        }
         let ups: Vec<LinkId> = (0..TREES).map(LinkId).collect();
         for h in 0..HOSTS {
             let dst = host(h);
@@ -268,7 +280,7 @@ fn bench_switch_forward_shadow(c: &mut Criterion) {
                 d @ 0..=3 => (0..TREES).map(|t| LinkId(TREES + 4 * d + t % 4)).collect(),
                 _ => ups.clone(),
             };
-            sw.install_label_row(dst, &row);
+            fabric.install_label_row(sw, dst, &row);
         }
         let packets: Vec<Packet> = (0..1024u32)
             .map(|i| {
@@ -282,7 +294,7 @@ fn bench_switch_forward_shadow(c: &mut Criterion) {
         b.iter(|| {
             let mut sum = 0u64;
             for p in &packets {
-                sum += sw.forward(p, |_| true).map_or(0, |l| l.0 as u64);
+                sum += fabric.route(sw, p).map_or(0, |l| l.0 as u64);
             }
             black_box(sum)
         })

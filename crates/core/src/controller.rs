@@ -139,7 +139,6 @@ impl Controller {
     /// once).
     fn install_shadow_labels(topo: &mut Topology, trees: &[TreePath], active: Option<&[bool]>) {
         let groups = topo.hosts_by_attachment(active);
-        let live: usize = groups.iter().map(|(_, hosts)| hosts.len()).sum();
         let mut ups = Vec::with_capacity(trees.len());
         let mut downs = Vec::with_capacity(trees.len());
         let mut ports = Vec::with_capacity(trees.len());
@@ -163,15 +162,13 @@ impl Controller {
                         grp[tree.link.min(grp.len() - 1)]
                     }));
                 }
-                topo.fabric.switch_mut(sw).reserve_l2(live);
                 for (attach, hosts) in &groups {
                     let attach = *attach;
                     if attach == sw {
-                        let switch = topo.fabric.switch_mut(sw);
                         for &h in hosts {
                             ports.clear();
                             ports.resize(trees.len(), topo.host_down[h.index()]);
-                            switch.install_label_row(h, &ports);
+                            topo.fabric.install_label_row(sw, h, &ports);
                         }
                         continue;
                     }
@@ -184,9 +181,8 @@ impl Controller {
                         assert!(!ups.is_empty(), "{attach:?} is unreachable from {sw:?}");
                         &ups
                     };
-                    let switch = topo.fabric.switch_mut(sw);
                     for &h in hosts {
-                        switch.install_label_row(h, egress);
+                        topo.fabric.install_label_row(sw, h, egress);
                     }
                 }
             }
@@ -197,22 +193,25 @@ impl Controller {
     /// neighbor p backs up onto the uplink toward neighbor (p+1) % n
     /// (same parallel index, clamped).
     fn install_failover_groups(topo: &mut Topology) {
+        let mut groups = Vec::new();
         for tier in 0..topo.tier_count() - 1 {
             for &sw in &topo.tiers[tier] {
-                let ups = &topo.up_adj[sw.index()];
+                let ups = topo.up_neighbors(sw);
                 if ups.len() <= 1 {
                     continue;
                 }
-                let switch = topo.fabric.switch_mut(sw);
                 for (p, &u) in ups.iter().enumerate() {
                     let next = ups[(p + 1) % ups.len()];
-                    let primaries = &topo.pair_links[&(sw, u)];
-                    let backups = &topo.pair_links[&(sw, next)];
+                    let primaries = topo.links_between(sw, u);
+                    let backups = topo.links_between(sw, next);
                     for (j, &primary) in primaries.iter().enumerate() {
-                        switch.install_failover(primary, backups[j.min(backups.len() - 1)]);
+                        groups.push((primary, backups[j.min(backups.len() - 1)]));
                     }
                 }
             }
+        }
+        for (primary, backup) in groups {
+            topo.fabric.install_failover(primary, backup);
         }
     }
 

@@ -8,15 +8,23 @@
 //! Packets that arrive at a host are handed to the environment through the
 //! [`NetScheduler`] trait — the fabric knows nothing about NICs, GRO or
 //! TCP, which keeps it independently testable.
+//!
+//! The fabric also owns the forwarding state every switch shares: the
+//! `HostId → slot` table that indexes each switch's per-host tables, and
+//! the fast-failover backup of each link. Forwarding state is installed
+//! and read through the fabric ([`Fabric::install_label_row`],
+//! [`Fabric::switch`]), which resolves hosts to slots.
+
+use std::ops::Deref;
 
 use presto_simcore::{SimDuration, SimTime};
 use presto_telemetry::{trace_event, DropReason, SharedSink, TraceEvent};
 
 use crate::buffer::SharedBuffer;
-use crate::ids::{HostId, LinkId, Node, SwitchId};
+use crate::ids::{HostId, LinkId, Mac, Node, SwitchId};
 use crate::link::{Enqueue, Link};
 use crate::packet::Packet;
-use crate::switch::Switch;
+use crate::switch::{HostSlots, Switch};
 
 /// Events internal to the fabric. The composed simulator embeds these in
 /// its global event enum and routes them back to [`Fabric::handle`].
@@ -63,6 +71,13 @@ pub struct Fabric {
     egress: Vec<Vec<LinkId>>,
     /// Host uplink (host → leaf) per host index.
     host_uplink: Vec<LinkId>,
+    /// The host slot of every host with forwarding state: the index into
+    /// each switch's per-host tables.
+    slots: HostSlots,
+    /// Fast-failover backup per primary link id ([`Switch::NO_LINK`], or
+    /// past the end, for none). A link leaves one switch, so one table
+    /// serves every switch.
+    failover: Vec<LinkId>,
     /// Optional trace sink for enqueue/drop events. Recording is compiled
     /// out entirely unless the `telemetry` feature is on.
     sink: Option<SharedSink>,
@@ -98,9 +113,9 @@ impl Fabric {
 
     /// Add a unidirectional link, returning its id.
     pub fn add_link(&mut self, link: Link) -> LinkId {
-        // Link ids stop short of the label-row sentinel.
+        // Link ids stop short of the switches' "no link" sentinel.
         assert!(
-            self.links.len() < Switch::EMPTY_SLOT.index(),
+            self.links.len() < Switch::NO_LINK.index(),
             "link ids exhausted"
         );
         let id = LinkId(self.links.len() as u32);
@@ -127,14 +142,61 @@ impl Fabric {
         self.host_uplink.len()
     }
 
-    /// Immutable access to a switch.
-    pub fn switch(&self, id: SwitchId) -> &Switch {
-        &self.switches[id.index()]
+    /// A switch and the forwarding state it sees.
+    pub fn switch(&self, id: SwitchId) -> SwitchView<'_> {
+        SwitchView {
+            switch: &self.switches[id.index()],
+            fabric: self,
+        }
     }
 
-    /// Mutable access to a switch (controller rule installation).
+    /// Mutable access to a switch's own settings and counters.
     pub fn switch_mut(&mut self, id: SwitchId) -> &mut Switch {
         &mut self.switches[id.index()]
+    }
+
+    /// Install (or overwrite) the exact-match L2 entry `mac → out` at
+    /// `sw`: a host MAC, or one shadow label (see
+    /// [`Fabric::install_label_row`] for bulk installs).
+    ///
+    /// # Panics
+    /// Panics on a MAC that is neither a host MAC nor a shadow MAC.
+    pub fn install_l2(&mut self, sw: SwitchId, mac: Mac, out: LinkId) {
+        self.switches[sw.index()].install_l2(&mut self.slots, mac, out);
+    }
+
+    /// Install (or replace) every shadow label of `dst` at `sw`: `row[t]`
+    /// is the egress of its tree-`t` label, [`Switch::NO_LINK`] for none.
+    /// Hosts with equal rows share one stored row.
+    pub fn install_label_row(&mut self, sw: SwitchId, dst: HostId, row: &[LinkId]) {
+        self.switches[sw.index()].install_label_row(&mut self.slots, dst, row);
+    }
+
+    /// Install (or replace) the ECMP group towards `dst` at `sw`. Hosts
+    /// routed over the same links share one stored group.
+    pub fn install_ecmp(&mut self, sw: SwitchId, dst: HostId, links: &[LinkId]) {
+        self.switches[sw.index()].install_ecmp(&mut self.slots, dst, links);
+    }
+
+    /// Give `hosts`, in order, the next host slots. Installing for a host
+    /// hands it a slot anyway; assigning every host first sizes each
+    /// switch's per-host tables once, at their first write.
+    pub(crate) fn assign_host_slots(&mut self, hosts: impl IntoIterator<Item = HostId>) {
+        for h in hosts {
+            self.slots.assign(h);
+        }
+    }
+
+    /// Install a fast-failover backup for `primary`, a switch's egress.
+    pub fn install_failover(&mut self, primary: LinkId, backup: LinkId) {
+        assert!(
+            matches!(self.links[primary.index()].src, Node::Switch(_)),
+            "failover backs up a switch egress"
+        );
+        if self.failover.len() <= primary.index() {
+            self.failover.resize(self.links.len(), Switch::NO_LINK);
+        }
+        self.failover[primary.index()] = backup;
     }
 
     /// Immutable access to a link.
@@ -147,9 +209,12 @@ impl Fabric {
         &mut self.links[id.index()]
     }
 
-    /// All switches.
-    pub fn switches(&self) -> &[Switch] {
-        &self.switches
+    /// All switches, in id order.
+    pub fn switches(&self) -> impl ExactSizeIterator<Item = SwitchView<'_>> {
+        self.switches.iter().map(|switch| SwitchView {
+            switch,
+            fabric: self,
+        })
     }
 
     /// All links.
@@ -205,11 +270,20 @@ impl Fabric {
         self.sink = Some(sink);
     }
 
+    /// The egress link switch `sw` picks for `pkt` given which links are
+    /// up, or `None` (counted in the switch's `no_route_drops`) if it has
+    /// no usable one.
+    #[inline]
+    pub fn route(&mut self, sw: SwitchId, pkt: &Packet) -> Option<LinkId> {
+        let links = &self.links;
+        self.switches[sw.index()].forward(pkt, &self.slots, &self.failover, |l: LinkId| {
+            links[l.index()].up
+        })
+    }
+
     /// Run the forwarding pipeline of switch `sw` on `packet`.
     fn forward_at(&mut self, sw: SwitchId, packet: Packet, s: &mut impl NetScheduler) {
-        let (switches, links) = (&mut self.switches, &self.links);
-        let out = switches[sw.index()].forward(&packet, |l: LinkId| links[l.index()].up);
-        if let Some(out) = out {
+        if let Some(out) = self.route(sw, &packet) {
             self.enqueue_on(out, packet, s);
         } else {
             // Already counted in the switch's no_route_drops.
@@ -381,10 +455,46 @@ impl Fabric {
     }
 }
 
+/// A switch as its fabric resolves it: its own tables, read through the
+/// fabric's host slots and failover table. Dereferences to the [`Switch`].
+#[derive(Debug, Clone, Copy)]
+pub struct SwitchView<'a> {
+    switch: &'a Switch,
+    fabric: &'a Fabric,
+}
+
+impl<'a> SwitchView<'a> {
+    /// The exact-match L2 entry for `mac`, if any (controller
+    /// verification).
+    pub fn l2_lookup(&self, mac: Mac) -> Option<LinkId> {
+        self.switch.l2_at(self.fabric.slots.of(mac.dst_host()), mac)
+    }
+
+    /// The installed ECMP group towards `dst`, if any.
+    pub fn ecmp_group(&self, dst: HostId) -> Option<&'a [LinkId]> {
+        self.switch.group_at(self.fabric.slots.of(dst))
+    }
+
+    /// The fast-failover backup of `primary`, if it is this switch's
+    /// egress and has one.
+    pub fn failover_backup(&self, primary: LinkId) -> Option<LinkId> {
+        let backup = *self.fabric.failover.get(primary.index())?;
+        let own = self.fabric.links[primary.index()].src == Node::Switch(self.switch.id);
+        (own && backup != Switch::NO_LINK).then_some(backup)
+    }
+}
+
+impl Deref for SwitchView<'_> {
+    type Target = Switch;
+
+    fn deref(&self) -> &Switch {
+        self.switch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Mac;
     use crate::packet::{FlowKey, PacketKind, MSS};
     use presto_simcore::EventQueue;
 
@@ -469,7 +579,7 @@ mod tests {
             1_000_000,
         ));
         f.attach_host(HostId(0), up0);
-        f.switch_mut(sw).install_l2(Mac::host(HostId(1)), down1);
+        f.install_l2(sw, Mac::host(HostId(1)), down1);
         (f, up0, down1)
     }
 
@@ -714,8 +824,8 @@ mod tests {
             1_000_000,
         ));
         f.attach_host(HostId(0), up0);
-        f.switch_mut(sw).install_l2(Mac::host(HostId(1)), primary);
-        f.switch_mut(sw).install_failover(primary, backup);
+        f.install_l2(sw, Mac::host(HostId(1)), primary);
+        f.install_failover(primary, backup);
 
         f.set_link_down(primary);
         let mut h = Harness::new();

@@ -26,7 +26,7 @@ pub mod switch;
 pub mod topology;
 
 pub use buffer::SharedBuffer;
-pub use fabric::{Fabric, NetEvent, NetScheduler};
+pub use fabric::{Fabric, NetEvent, NetScheduler, SwitchView};
 pub use ids::{HostId, LinkId, Mac, Node, SwitchId};
 pub use link::{Link, LinkCounters};
 pub use packet::{

@@ -1,12 +1,13 @@
 //! Incremental assembly of a [`Topology`] graph.
 
-use presto_simcore::{FxHashMap, SimDuration};
+use presto_simcore::SimDuration;
 
 use crate::buffer::SharedBuffer;
 use crate::fabric::Fabric;
 use crate::ids::{HostId, LinkId, Node, SwitchId};
 use crate::link::Link;
 
+use super::tables::{DownClosure, PairLinks};
 use super::Topology;
 
 /// Builds a [`Topology`] switch by switch and link by link.
@@ -28,7 +29,9 @@ pub struct TopologyBuilder {
     host_leaf: Vec<SwitchId>,
     host_up: Vec<LinkId>,
     host_down: Vec<LinkId>,
-    pair_links: FxHashMap<(SwitchId, SwitchId), Vec<LinkId>>,
+    /// Every switch-to-switch link as `(src, dst, link)`, in construction
+    /// order.
+    pair_links: Vec<(SwitchId, SwitchId, LinkId)>,
     up_adj: Vec<Vec<SwitchId>>,
     down_adj: Vec<Vec<SwitchId>>,
 }
@@ -107,7 +110,7 @@ impl TopologyBuilder {
             self.switch_tier[upper.index()],
             "connect joins adjacent tiers bottom-up"
         );
-        if !self.pair_links.contains_key(&(lower, upper)) {
+        if !self.up_adj[lower.index()].contains(&upper) {
             self.up_adj[lower.index()].push(upper);
             self.down_adj[upper.index()].push(lower);
         }
@@ -126,11 +129,8 @@ impl TopologyBuilder {
                 propagation,
                 queue_bytes,
             ));
-            self.pair_links.entry((lower, upper)).or_default().push(up);
-            self.pair_links
-                .entry((upper, lower))
-                .or_default()
-                .push(down);
+            self.pair_links.push((lower, upper, up));
+            self.pair_links.push((upper, lower, down));
         }
     }
 
@@ -157,17 +157,11 @@ impl TopologyBuilder {
         }
         // Downward closure, computed bottom-up so lower tiers are final
         // before their parents union them in.
-        let mut down_closure = vec![vec![false; n_sw]; n_sw];
+        let mut down_closure = DownClosure::new(n_sw);
         for tier in 1..self.tiers.len() {
             for &sw in &self.tiers[tier] {
                 for &d in &self.down_adj[sw.index()] {
-                    down_closure[sw.index()][d.index()] = true;
-                    let below = down_closure[d.index()].clone();
-                    for (i, b) in below.into_iter().enumerate() {
-                        if b {
-                            down_closure[sw.index()][i] = true;
-                        }
-                    }
+                    down_closure.add_subtree(sw, d);
                 }
             }
         }
@@ -182,7 +176,7 @@ impl TopologyBuilder {
             host_up: self.host_up,
             host_down: self.host_down,
             tiers: self.tiers,
-            pair_links: self.pair_links,
+            pair_links: PairLinks::new(n_sw, self.pair_links),
             up_adj: self.up_adj,
             down_adj: self.down_adj,
             switch_tier: self.switch_tier,

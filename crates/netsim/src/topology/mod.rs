@@ -25,6 +25,7 @@
 
 mod build;
 mod single;
+mod tables;
 mod three_tier;
 mod two_tier;
 
@@ -34,18 +35,19 @@ pub use two_tier::ClosSpec;
 
 use std::collections::HashMap;
 
-use presto_simcore::{FxHashMap, SimDuration};
+use presto_simcore::SimDuration;
 
 use crate::fabric::Fabric;
 use crate::ids::{HostId, LinkId, Mac, Node, SwitchId};
 use crate::link::Link;
+use tables::{DownClosure, PairLinks};
 
 /// A built network plus the structural metadata controllers need.
 ///
 /// Switches are arranged in [`Topology::tiers`]; hosts attach to tier-0
 /// switches (except WAN extras added by [`Topology::attach_extra_host`]).
 /// Links between switches live in directional per-pair parallel groups
-/// ([`Topology::pair_links`]); within a pair the group order is the
+/// ([`Topology::links_between`]); within a pair the group order is the
 /// construction order, which the Presto controller uses as the γ
 /// parallel-link index.
 #[derive(Debug)]
@@ -71,8 +73,7 @@ pub struct Topology {
     pub tiers: Vec<Vec<SwitchId>>,
     /// Directional parallel-link groups: `(a, b)` → every a→b link, in
     /// construction order. Covers all switch↔switch links of the graph.
-    /// Fx-hashed: looked up, never iterated in an order-sensitive way.
-    pub pair_links: FxHashMap<(SwitchId, SwitchId), Vec<LinkId>>,
+    pair_links: PairLinks,
     /// Per switch (indexed by [`SwitchId::index`]): its next-tier-up
     /// neighbors, in connection order.
     pub up_adj: Vec<Vec<SwitchId>>,
@@ -84,9 +85,9 @@ pub struct Topology {
     /// Per switch (indexed by [`SwitchId::index`]): its position within
     /// its tier.
     pub tier_pos: Vec<usize>,
-    /// `down_closure[a][b]`: switch `b` is strictly below switch `a`
-    /// (reachable by only descending links).
-    down_closure: Vec<Vec<bool>>,
+    /// Switch `b` is strictly below switch `a` (reachable by only
+    /// descending links).
+    down_closure: DownClosure,
 }
 
 impl Topology {
@@ -135,13 +136,13 @@ impl Topology {
 
     /// The parallel-link group from `a` to `b` (empty if not adjacent).
     pub fn links_between(&self, a: SwitchId, b: SwitchId) -> &[LinkId] {
-        self.pair_links.get(&(a, b)).map_or(&[], |v| v.as_slice())
+        self.pair_links.get(a, b)
     }
 
     /// True if switch `desc` sits strictly below switch `anc` (reachable
     /// from `anc` by only descending links).
     pub fn switch_below(&self, anc: SwitchId, desc: SwitchId) -> bool {
-        self.down_closure[anc.index()][desc.index()]
+        self.down_closure.get(anc, desc)
     }
 
     /// True if host `h` attaches at or below switch `sw`.
@@ -162,7 +163,7 @@ impl Topology {
             .copied()
             .find(|&d| d == attach || self.switch_below(d, attach))
             .unwrap_or_else(|| panic!("{attach:?} is not below {sw:?}"));
-        &self.pair_links[&(sw, d)]
+        self.pair_links.get(sw, d)
     }
 
     /// The hosts `active` selects (`None` means every host), grouped by
@@ -202,7 +203,7 @@ impl Topology {
                 let mut sw = target;
                 while sw != from {
                     let below = prev[&sw];
-                    hops.push((below, self.pair_links[&(below, sw)][0]));
+                    hops.push((below, self.pair_links.get(below, sw)[0]));
                     sw = below;
                 }
                 hops.reverse();
@@ -309,9 +310,7 @@ impl Topology {
             queue_bytes,
         ));
         self.fabric.attach_host(host, up);
-        self.fabric
-            .switch_mut(switch)
-            .install_l2(Mac::host(host), down);
+        self.fabric.install_l2(switch, Mac::host(host), down);
         self.hosts.push(host);
         self.host_leaf.push(switch);
         self.host_up.push(up);
@@ -344,22 +343,26 @@ impl Topology {
     /// tens of millions of ECMP groups it will never look up.
     ///
     /// The install is switch-major: each switch's uplink group is built
-    /// once, and its down-group once per attachment switch below it.
+    /// once, and its down-group once per attachment switch below it. The
+    /// active hosts get their host slots first, so every switch's per-host
+    /// tables are sized once, to exactly those hosts.
     pub fn install_basic_routing_for(&mut self, active: Option<&[bool]>) {
         let groups = self.hosts_by_attachment(active);
+        self.fabric
+            .assign_host_slots(groups.iter().flat_map(|(_, hosts)| hosts.iter().copied()));
         let mut downs = Vec::new();
         for i in 0..self.switch_tier.len() {
             let sw = SwitchId(i as u32);
             let ups: Vec<LinkId> = self.up_adj[i]
                 .iter()
-                .flat_map(|&u| self.pair_links[&(sw, u)].iter().copied())
+                .flat_map(|&u| self.pair_links.get(sw, u).iter().copied())
                 .collect();
             for (attach, hosts) in &groups {
                 if *attach == sw {
                     // Local hosts: exact match to the downlink.
                     for &h in hosts {
                         let down = self.host_down[h.index()];
-                        self.fabric.switch_mut(sw).install_l2(Mac::host(h), down);
+                        self.fabric.install_l2(sw, Mac::host(h), down);
                     }
                     continue;
                 }
@@ -368,7 +371,7 @@ impl Topology {
                     downs.clear();
                     for &d in &self.down_adj[i] {
                         if d == *attach || self.switch_below(d, *attach) {
-                            downs.extend_from_slice(&self.pair_links[&(sw, d)]);
+                            downs.extend_from_slice(self.pair_links.get(sw, d));
                         }
                     }
                     &downs
@@ -377,9 +380,8 @@ impl Topology {
                     // every uplink.
                     &ups
                 };
-                let switch = self.fabric.switch_mut(sw);
                 for &h in hosts {
-                    switch.install_ecmp(h, group);
+                    self.fabric.install_ecmp(sw, h, group);
                 }
             }
         }

@@ -379,7 +379,7 @@ impl Scenario {
                 let leaves = topo.leaves.clone();
                 for leaf in leaves {
                     for (sw, up) in topo.up_route(leaf, attach) {
-                        topo.fabric.switch_mut(sw).install_l2(Mac::host(wan), up);
+                        topo.fabric.install_l2(sw, Mac::host(wan), up);
                     }
                 }
             }
@@ -626,26 +626,26 @@ fn resolve_fault(topo: &Topology, ev: &FaultEvent) -> ResolvedFault {
     let pair = |leaf: usize, spine: usize, link: usize| {
         let lf = topo.leaves[leaf];
         let up_nbr = topo.up_neighbors(lf)[spine];
-        let up = topo.pair_links[&(lf, up_nbr)][link];
-        let down = topo.pair_links[&(up_nbr, lf)][link];
+        let up = topo.links_between(lf, up_nbr)[link];
+        let down = topo.links_between(up_nbr, lf)[link];
         (up, down, lf)
     };
     let switch_wide = |tier: usize, index: usize, mk: fn(presto_netsim::LinkId) -> FaultAction| {
         let sw = topo.tiers[tier][index];
         let mut acts = Vec::new();
         for &below in topo.down_neighbors(sw) {
-            for &l in &topo.pair_links[&(below, sw)] {
+            for &l in topo.links_between(below, sw) {
                 acts.push(mk(l));
             }
-            for &l in &topo.pair_links[&(sw, below)] {
+            for &l in topo.links_between(sw, below) {
                 acts.push(mk(l));
             }
         }
         for &above in topo.up_neighbors(sw) {
-            for &l in &topo.pair_links[&(sw, above)] {
+            for &l in topo.links_between(sw, above) {
                 acts.push(mk(l));
             }
-            for &l in &topo.pair_links[&(above, sw)] {
+            for &l in topo.links_between(above, sw) {
                 acts.push(mk(l));
             }
         }

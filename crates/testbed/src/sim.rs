@@ -2115,7 +2115,7 @@ impl Simulation {
             }
         }
         // Switch counters, ascending switch id.
-        for (i, sw) in self.topo.fabric.switches().iter().enumerate() {
+        for (i, sw) in self.topo.fabric.switches().enumerate() {
             rep.counters.push(CounterEntry {
                 component: format!("switch{i}"),
                 name: "no_route_drops".to_string(),

@@ -104,7 +104,6 @@ fn assert_scoped_matches_full(build: impl Fn() -> Topology, mask_bits: u64) {
     for (i, (s, f)) in scoped
         .fabric
         .switches()
-        .iter()
         .zip(full.fabric.switches())
         .enumerate()
     {
@@ -145,7 +144,7 @@ fn assert_scoped_matches_full(build: impl Fn() -> Topology, mask_bits: u64) {
 fn switches_store_one_label_row_per_egress_pattern() {
     let mut topo = Topology::three_tier(&ThreeTierSpec::default());
     let ctl = Controller::install(&mut topo);
-    for (i, switch) in topo.fabric.switches().iter().enumerate() {
+    for (i, switch) in topo.fabric.switches().enumerate() {
         let sw = switch.id;
         let local = topo.host_leaf.iter().filter(|&&leaf| leaf == sw).count();
         let bound = local + topo.down_neighbors(sw).len() + 1;

@@ -77,7 +77,7 @@ fn weighted_stage_avoids_the_dead_tree() {
         // Drops attributable to the dead downlink's unusable route.
         let spine0 = sim.topo.spines[0];
         let dead_down = sim.topo.links_between(spine0, sim.topo.leaves[0])[0];
-        let drops: u64 = sim.topo.fabric.switches()[spine0.index()].no_route_drops
+        let drops: u64 = sim.topo.fabric.switch(spine0).no_route_drops
             + sim.topo.fabric.link(dead_down).counters.dropped_packets;
         drops
     };

@@ -8,7 +8,8 @@
 //! 3. An aggregation-switch failure (tier 1) resolves, degrades the
 //!    fast-failover stage only, and recovers after reweighting.
 //! 4. The 8192-host fabric (k=32-scale, 16 spanning trees) reproduces
-//!    its pinned digest.
+//!    its pinned digest, and its switches size their per-host tables to
+//!    the hosts that talk.
 
 use presto_faults::{FaultPlan, Notify};
 use presto_netsim::ThreeTierSpec;
@@ -168,15 +169,11 @@ fn oversubscribed_fabric_still_runs() {
     assert!(report.mean_elephant_tput() > 0.5);
 }
 
-/// 64 stride elephants on the 8192-host three-tier fabric. The digest is
-/// the one `perfbench/pins.json` pins for the `threetier_8192` workload;
-/// building this fabric is dominated by the controller's forwarding-state
-/// install, so a change there that moves any written entry moves it.
-#[test]
-fn eight_thousand_host_fabric_keeps_its_digest() {
+/// 64 stride elephants on the 8192-host three-tier fabric: 128 hosts talk.
+fn eight_thousand_hosts() -> Scenario {
     let mut flows = stride_elephants(8192, 256);
     flows.truncate(64);
-    let report = Scenario::builder(SchemeSpec::presto(), 1)
+    Scenario::builder(SchemeSpec::presto(), 1)
         .three_tier(ThreeTierSpec {
             pods: 32,
             tors_per_pod: 16,
@@ -188,6 +185,27 @@ fn eight_thousand_host_fabric_keeps_its_digest() {
         .warmup(SimDuration::from_millis(2))
         .elephants(flows)
         .build()
-        .run();
+}
+
+/// The digest is the one `perfbench/pins.json` pins for the
+/// `threetier_8192` workload; building this fabric is dominated by the
+/// controller's forwarding-state install, so a change there that moves
+/// any written entry moves it.
+#[test]
+fn eight_thousand_host_fabric_keeps_its_digest() {
+    let report = eight_thousand_hosts().run();
     assert_eq!(report.digest(), 0xa541e7e93c48f261);
+}
+
+/// Every switch's per-host tables hold exactly the 128 hosts that talk:
+/// tables keyed by host id would hold 8192, and hashed ones more buckets
+/// than entries.
+#[test]
+fn eight_thousand_host_switches_hold_one_slot_per_talking_host() {
+    let sim = eight_thousand_hosts().build();
+    assert_eq!(sim.topo.fabric.switches().len(), 1056);
+    for sw in sim.topo.fabric.switches() {
+        assert_eq!(sw.label_slots(), 128, "{:?} label table", sw.id);
+        assert_eq!(sw.ecmp_slots(), 128, "{:?} ECMP table", sw.id);
+    }
 }
