@@ -12,14 +12,17 @@
 #      baselines/<c>.json: default tolerances, and a report digest that
 #      drifted at an unchanged fingerprint fails instead of printing a note.
 #      Then the campaign's own gate (the `case` below) reads the fresh run.
-#   4. Render the report and trace viewer (`lab report --baseline --viewer`).
-#   5. Require every figure artifact (canonical .txt AND rendered .svg)
+#   4. Every `[[trace]]` point's artifact under the fresh store's traces/
+#      must hold at least one `"type":"event"` record, so the viewer
+#      always has an event stream to draw.
+#   5. Render the report and trace viewer (`lab report --baseline --viewer`).
+#   6. Require every figure artifact (canonical .txt AND rendered .svg)
 #      byte-identical to the goldens under baselines/figures/<c>/.
 #      Re-bless intentional changes with:
 #        lab run campaigns/<c>.toml --store S && \
 #        lab report <c> --store S --out R --baseline baselines/<c>.json && \
 #        cp R/figures/* baselines/figures/<c>/
-#   6. The report and viewer must be single self-contained files (no
+#   7. The report and viewer must be single self-contained files (no
 #      external fetches), so they can be passed around as CI artifacts.
 #
 # The rendered report is left in $REPORT_OUT (default: a scratch dir)
@@ -112,6 +115,23 @@ skew)
     echo "    probe fields only on prequal rows"
     ;;
 esac
+
+echo "==> every [[trace]] artifact records trace events"
+traces=$(grep -c '^\[\[trace\]\]' "$CAMPAIGN" || true)
+artifacts=("$STORE/run/$C/traces"/*.jsonl)
+if [ "$traces" -gt 0 ] && [ ! -e "${artifacts[0]}" ]; then
+    echo "FAIL: $CAMPAIGN flags $traces [[trace]] point(s) but wrote no trace artifact" >&2
+    exit 1
+fi
+for t in "${artifacts[@]}"; do
+    [ -e "$t" ] || continue
+    if ! grep -q '"type":"event"' "$t"; then
+        echo "FAIL: $t holds no \"type\":\"event\" record — the trace" \
+             "viewer would have nothing to draw" >&2
+        exit 1
+    fi
+done
+echo "    $traces [[trace]] point(s), every artifact holds events"
 
 echo "==> render the report (diff vs committed baseline must pass)"
 "$LAB" report "$C" --store "$STORE/run" --out "$REPORT_OUT" \

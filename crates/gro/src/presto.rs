@@ -213,7 +213,7 @@ impl PrestoGro {
     /// Appends pushed segments to `out`; `masked`/`fired` count boundary
     /// holds resolved by gap fill vs by timeout; every push is attributed
     /// to a [`FlushReason`] row of `reasons` (and traced when a sink is
-    /// compiled in and installed).
+    /// installed).
     #[allow(clippy::too_many_arguments)]
     fn flush_flow(
         cfg: &PrestoGroConfig,

@@ -8,33 +8,27 @@
 //! * [`Cdf`] — empirical CDFs matching the paper's figures,
 //! * [`fairness::jain_index`] — Jain, Chiu & Hawe's fairness measure,
 //! * [`TimeSeries`] — timestamped samples (e.g. the CPU usage of Fig 6),
-//! * [`LogHistogram`] — compact log₂-bucketed histograms for huge sample
-//!   populations,
 //! * [`MetricSummary`] — six-number percentile summaries, the row format
 //!   of campaign results tables (`presto-lab`),
 //! * [`DeadlineTracker`] — per-request deadline accounting for
 //!   partition-aggregate (incast) workloads,
 //! * [`reorder`] — RFC 4737-style packet reordering metrics (§5 reports
 //!   reordered-packet fractions for the flowlet comparison),
-//! * [`table`] — plain-text table rendering for the benchmark harnesses,
-//! * [`units`] — Gbps/size conversions shared by every experiment.
+//! * [`table`] — plain-text table rendering for the benchmark harnesses.
 
 #![warn(missing_docs)]
 
 pub mod cdf;
 pub mod deadline;
 pub mod fairness;
-pub mod histogram;
 pub mod reorder;
 pub mod samples;
 pub mod summary;
 pub mod table;
 pub mod timeseries;
-pub mod units;
 
 pub use cdf::Cdf;
 pub use deadline::DeadlineTracker;
-pub use histogram::LogHistogram;
 pub use reorder::{reorder_stats, ReorderStats};
 pub use samples::Samples;
 pub use summary::MetricSummary;

@@ -78,8 +78,8 @@ pub struct Fabric {
     /// past the end, for none). A link leaves one switch, so one table
     /// serves every switch.
     failover: Vec<LinkId>,
-    /// Optional trace sink for enqueue/drop events. Recording is compiled
-    /// out entirely unless the `telemetry` feature is on.
+    /// Optional trace sink for enqueue/drop events; without one a site
+    /// costs one `Option` check.
     sink: Option<SharedSink>,
 }
 
@@ -264,8 +264,7 @@ impl Fabric {
         }
     }
 
-    /// Install a trace sink; subsequent enqueues and drops are recorded
-    /// (when the `telemetry` feature is compiled in).
+    /// Install a trace sink; subsequent enqueues and drops are recorded.
     pub fn set_trace_sink(&mut self, sink: SharedSink) {
         self.sink = Some(sink);
     }

@@ -101,12 +101,6 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw with probability `p` (clamped to `[0,1]`).
-    #[inline]
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p
-    }
-
     /// Exponentially distributed sample with the given mean.
     #[inline]
     pub fn exp(&mut self, mean: f64) -> f64 {

@@ -127,12 +127,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// The span as fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// The span as fractional milliseconds.
     #[inline]
     pub fn as_millis_f64(self) -> f64 {

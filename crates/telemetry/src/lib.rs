@@ -13,11 +13,9 @@
 //! * [`TraceSink`] — a bounded ring buffer of sim-timestamped records,
 //!   shared across components via [`SharedSink`] (`Rc<RefCell<..>>`: each
 //!   simulation is strictly single-threaded);
-//! * [`trace_event!`] — the only way components record events. When the
-//!   `telemetry` cargo feature is off, [`ENABLED`] is `false` and the
-//!   macro body — *including the event-construction expression* —
-//!   constant-folds away, so the hot path pays nothing. With the feature
-//!   on, the cost when no sink is installed is one `Option` check;
+//! * [`trace_event!`] — the only way components record events. Every
+//!   build records; a site with no sink attached costs one `Option`
+//!   check and never evaluates its event-construction expression;
 //! * [`FlushReason`] — the shared flush-cause taxonomy for both GRO
 //!   engines, always counted (plain `u64` increments) so Fig 5
 //!   comparisons can attribute segment pushes per cause even in default
@@ -46,10 +44,6 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use presto_simcore::SimDuration;
-
-/// Whether ring-buffer event recording is compiled in. `false` builds
-/// reduce every [`trace_event!`] call site to nothing.
-pub const ENABLED: bool = cfg!(feature = "telemetry");
 
 /// Why a packet was dropped before reaching its destination NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -387,24 +381,20 @@ pub fn shared_sink(cap: usize) -> SharedSink {
 
 /// Record a trace event through an `Option<SharedSink>` field.
 ///
-/// The timestamp and event expressions are only evaluated when recording
-/// actually happens: with the `telemetry` feature off the whole statement
-/// constant-folds away; with it on but no sink installed, the cost is one
-/// `Option` check.
+/// The timestamp and event expressions are only evaluated when a sink is
+/// installed; without one, the cost is one `Option` check.
 ///
 /// ```
 /// use presto_telemetry::{shared_sink, SharedSink, TraceEvent};
 /// let sink: Option<SharedSink> = Some(shared_sink(16));
 /// presto_telemetry::trace_event!(sink, 42, TraceEvent::Retransmit { host: 0, seq: 1460 });
-/// assert_eq!(sink.unwrap().borrow().len(), presto_telemetry::ENABLED as usize);
+/// assert_eq!(sink.unwrap().borrow().len(), 1);
 /// ```
 #[macro_export]
 macro_rules! trace_event {
     ($sink:expr, $t_ns:expr, $ev:expr) => {
-        if $crate::ENABLED {
-            if let Some(__sink) = ($sink).as_ref() {
-                __sink.borrow_mut().record($t_ns, $ev);
-            }
+        if let Some(__sink) = ($sink).as_ref() {
+            __sink.borrow_mut().record($t_ns, $ev);
         }
     };
 }
@@ -447,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn macro_respects_none_and_enabled() {
+    fn macro_records_only_into_an_attached_sink() {
         let none: Option<SharedSink> = None;
         // Event expression must not be evaluated when there is no sink.
         let mut evaluated = false;
@@ -469,7 +459,7 @@ mod tests {
                 high_water: 2
             }
         );
-        assert_eq!(ring.borrow().len(), ENABLED as usize);
+        assert_eq!(ring.borrow().len(), 1);
     }
 
     #[test]

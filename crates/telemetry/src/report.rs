@@ -133,7 +133,7 @@ pub struct TelemetryReport {
     /// Failure-recovery timeline (empty for fault-free runs), in stage
     /// order.
     pub failover_stages: Vec<FailoverStage>,
-    /// Drained trace ring (empty unless the `telemetry` feature is on).
+    /// Drained trace ring: the newest `ring_capacity` events of the run.
     pub events: Vec<TraceRecord>,
     /// Records evicted from the ring because it was full.
     pub events_dropped: u64,

@@ -267,12 +267,6 @@ impl SchemeSpec {
         self
     }
 
-    /// Replace the flowcell threshold for Algorithm 1-style policies.
-    pub fn with_flowcell_bytes(mut self, bytes: u64) -> Self {
-        self.flowcell_bytes = bytes;
-        self
-    }
-
     /// Replace the congestion control for single-path TCP flows.
     pub fn with_cc(mut self, cc: presto_transport::CcKind) -> Self {
         self.cc = cc;

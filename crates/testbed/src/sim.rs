@@ -896,25 +896,21 @@ impl Simulation {
                 tel.last_tx_bytes[i] = tx;
                 let util = (delta as f64 * 8.0) / (window * link.rate_bps as f64);
                 tel.util_sum[i] += util.min(1.0);
-                if presto_telemetry::ENABLED {
-                    tel.sink.borrow_mut().record(
-                        t_ns,
-                        TraceEvent::LinkOccupancySample {
-                            link: i as u32,
-                            queue_bytes: occ,
-                        },
-                    );
-                }
-            }
-            if presto_telemetry::ENABLED {
                 tel.sink.borrow_mut().record(
                     t_ns,
-                    TraceEvent::EventQueueSample {
-                        len: self.queue.len() as u64,
-                        high_water: self.queue.high_water_mark() as u64,
+                    TraceEvent::LinkOccupancySample {
+                        link: i as u32,
+                        queue_bytes: occ,
                     },
                 );
             }
+            tel.sink.borrow_mut().record(
+                t_ns,
+                TraceEvent::EventQueueSample {
+                    len: self.queue.len() as u64,
+                    high_water: self.queue.high_water_mark() as u64,
+                },
+            );
             tel.next_sample = g + every;
         }
     }
@@ -1050,25 +1046,23 @@ impl Simulation {
         let tag = self.hosts[host.index()]
             .vswitch
             .process(self.now, flow, len, retx);
-        if presto_telemetry::ENABLED {
-            if let Some(tel) = self.telemetry.as_mut() {
-                let t_ns = self.now.as_nanos();
-                if retx {
-                    tel.sink
-                        .borrow_mut()
-                        .record(t_ns, TraceEvent::Retransmit { host: host.0, seq });
-                }
-                // One FlowcellEmitted per cell, not per segment.
-                if tel.last_cell.insert(flow, tag.flowcell) != Some(tag.flowcell) {
-                    tel.sink.borrow_mut().record(
-                        t_ns,
-                        TraceEvent::FlowcellEmitted {
-                            host: host.0,
-                            flowcell: tag.flowcell,
-                            path: tag.dst_mac.tree(),
-                        },
-                    );
-                }
+        if let Some(tel) = self.telemetry.as_mut() {
+            let t_ns = self.now.as_nanos();
+            if retx {
+                tel.sink
+                    .borrow_mut()
+                    .record(t_ns, TraceEvent::Retransmit { host: host.0, seq });
+            }
+            // One FlowcellEmitted per cell, not per segment.
+            if tel.last_cell.insert(flow, tag.flowcell) != Some(tag.flowcell) {
+                tel.sink.borrow_mut().record(
+                    t_ns,
+                    TraceEvent::FlowcellEmitted {
+                        host: host.0,
+                        flowcell: tag.flowcell,
+                        path: tag.dst_mac.tree(),
+                    },
+                );
             }
         }
         self.hosts[host.index()].egress.stage(TxSegment {
@@ -1516,16 +1510,14 @@ impl Simulation {
             RxAction::PollNow => self.queue.push(self.now, Event::NicPoll(h)),
             RxAction::Dropped => {
                 self.stats.ring_drops += 1;
-                if presto_telemetry::ENABLED {
-                    if let Some(tel) = self.telemetry.as_ref() {
-                        tel.sink.borrow_mut().record(
-                            self.now.as_nanos(),
-                            TraceEvent::PacketDropped {
-                                site: h.0,
-                                reason: DropReason::RingOverflow,
-                            },
-                        );
-                    }
+                if let Some(tel) = self.telemetry.as_ref() {
+                    tel.sink.borrow_mut().record(
+                        self.now.as_nanos(),
+                        TraceEvent::PacketDropped {
+                            site: h.0,
+                            reason: DropReason::RingOverflow,
+                        },
+                    );
                 }
             }
             RxAction::None => {}
@@ -1828,16 +1820,14 @@ impl Simulation {
                 FaultAction::Restore(l) => self.topo.fabric.restore_link_rate(l),
             }
         }
-        if presto_telemetry::ENABLED {
-            if let Some(tel) = self.telemetry.as_ref() {
-                tel.sink.borrow_mut().record(
-                    self.now.as_nanos(),
-                    TraceEvent::FaultApplied {
-                        index: i as u32,
-                        degrading,
-                    },
-                );
-            }
+        if let Some(tel) = self.telemetry.as_ref() {
+            tel.sink.borrow_mut().record(
+                self.now.as_nanos(),
+                TraceEvent::FaultApplied {
+                    index: i as u32,
+                    degrading,
+                },
+            );
         }
         self.stage_boundary(if degrading {
             "fast-failover"
@@ -1856,13 +1846,11 @@ impl Simulation {
             (f.leaf, f.degrading)
         };
         self.reweight_labels(leaf);
-        if presto_telemetry::ENABLED {
-            if let Some(tel) = self.telemetry.as_ref() {
-                tel.sink.borrow_mut().record(
-                    self.now.as_nanos(),
-                    TraceEvent::ControllerNotified { index: i as u32 },
-                );
-            }
+        if let Some(tel) = self.telemetry.as_ref() {
+            tel.sink.borrow_mut().record(
+                self.now.as_nanos(),
+                TraceEvent::ControllerNotified { index: i as u32 },
+            );
         }
         self.stage_boundary(if degrading {
             "post-reweight"

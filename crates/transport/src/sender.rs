@@ -214,11 +214,6 @@ impl<C: CongestionControl> TcpSender<C> {
         self.rtt.srtt()
     }
 
-    /// Current RTO timer generation (for stale-timer filtering).
-    pub fn rto_generation(&self) -> u64 {
-        self.rto_gen
-    }
-
     /// Whether all committed data has been acknowledged.
     pub fn is_idle(&self) -> bool {
         self.snd_una == self.snd_nxt

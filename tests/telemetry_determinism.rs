@@ -49,6 +49,12 @@ fn traces_identical_across_worker_counts() {
         .into_iter()
         .map(|(_, tel)| tel.to_jsonl())
         .collect();
+    for (i, jsonl) in baseline.iter().enumerate() {
+        assert!(
+            jsonl.contains(r#""type":"event""#),
+            "scenario {i}'s trace holds no event lines to compare"
+        );
+    }
     for workers in [2, 8] {
         let got: Vec<String> = ParallelRunner::new(workers)
             .run_traced(&scenarios)
@@ -70,8 +76,7 @@ fn jsonl_roundtrips_a_real_trace() {
 #[test]
 fn flush_reasons_populate_for_both_engines() {
     // The Fig 5 attribution: Presto GRO absorbs flowcell boundaries,
-    // stock GRO ejects at them. Counters are always-on, so this holds
-    // with or without the `telemetry` feature.
+    // stock GRO ejects at them.
     let (_, presto) = tiny(SchemeSpec::presto(), 5).build().run_traced();
     let (_, official) = tiny(SchemeSpec::from_token("presto-official-gro").unwrap(), 5)
         .build()
@@ -95,17 +100,22 @@ fn flush_reasons_populate_for_both_engines() {
 }
 
 #[test]
-fn trace_events_flow_when_feature_enabled() {
+fn traced_presto_run_records_every_datapath_event_kind() {
     let (_, tel) = tiny(SchemeSpec::presto(), 9).build().run_traced();
-    if presto::telemetry::ENABLED {
+    // Every build records: the exported ring holds the fabric,
+    // Algorithm 2, the flowcell spray and both samplers.
+    let jsonl = tel.to_jsonl();
+    for kind in [
+        "PacketEnqueued",
+        "GroFlush",
+        "GroHold",
+        "FlowcellEmitted",
+        "LinkOccupancySample",
+        "EventQueueSample",
+    ] {
         assert!(
-            !tel.events.is_empty(),
-            "telemetry feature on: the ring must capture events"
-        );
-    } else {
-        assert!(
-            tel.events.is_empty(),
-            "telemetry feature off: event recording must be compiled out"
+            jsonl.contains(&format!(r#""kind":"{kind}""#)),
+            "traced Presto run recorded no {kind} event"
         );
     }
     // Counters, samples, and the queue profile are always-on.
