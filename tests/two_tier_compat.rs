@@ -10,7 +10,7 @@
 use presto::prelude::*;
 use presto::workloads::FlowSpec;
 use presto_telemetry::TelemetryConfig;
-use presto_testbed::MiceSpec;
+use presto_testbed::{MiceSpec, ShuffleSpec};
 
 fn flows_l1_l4() -> Vec<FlowSpec> {
     (0..4)
@@ -18,18 +18,20 @@ fn flows_l1_l4() -> Vec<FlowSpec> {
         .collect()
 }
 
-fn assert_digest(name: &str, builder: ScenarioBuilder, expected: u64, telemetry: bool) {
+fn assert_digest(name: &str, builder: ScenarioBuilder, expected: u64, telemetry: bool) -> Report {
     let builder = if telemetry {
         builder.telemetry(TelemetryConfig::default())
     } else {
         builder
     };
-    let digest = builder.build().run().digest();
+    let report = builder.build().run();
+    let digest = report.digest();
     assert_eq!(
         digest, expected,
         "{name} @ telemetry={telemetry}: \
          digest {digest:#018x} != pre-refactor baseline {expected:#018x}"
     );
+    report
 }
 
 const SMOKE_PRESTO: u64 = 0xf3c2d3b083ddafe0;
@@ -188,4 +190,79 @@ fn presto_ecmp_digest_is_unchanged() {
 #[test]
 fn presto_ecmp_telemetry_digest_is_unchanged() {
     assert_digest("presto_ecmp", presto_ecmp(), PRESTO_ECMP, true);
+}
+
+// The pins below cover the transport paths the pins above leave out:
+// MPTCP connections (elephants, mice, and subflow RTOs under a failure)
+// and the shuffle workload's completion bookkeeping.
+
+const MPTCP_STRIDE: u64 = 0x2e089b29f3fae6b8;
+
+fn mptcp_stride() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::mptcp(), 13)
+        .duration(SimDuration::from_millis(30))
+        .warmup(SimDuration::from_millis(10))
+        .elephants(presto_testbed::stride_elephants(16, 8))
+        .mice(vec![MiceSpec {
+            src: 2,
+            dst: 10,
+            bytes: 50_000,
+            interval: SimDuration::from_millis(5),
+        }])
+}
+
+#[test]
+fn mptcp_stride_digest_is_unchanged() {
+    assert_digest("mptcp_stride", mptcp_stride(), MPTCP_STRIDE, false);
+}
+
+#[test]
+fn mptcp_stride_digest_is_unchanged_with_telemetry() {
+    assert_digest("mptcp_stride", mptcp_stride(), MPTCP_STRIDE, true);
+}
+
+const MPTCP_LINK_DOWN: u64 = 0x3ffabd427ecc66a0;
+
+fn mptcp_link_down() -> ScenarioBuilder {
+    failure_link_down().scheme(SchemeSpec::mptcp())
+}
+
+#[test]
+fn mptcp_link_down_digest_is_unchanged() {
+    let report = assert_digest("mptcp_link_down", mptcp_link_down(), MPTCP_LINK_DOWN, false);
+    // The pin must reach the subflow retransmission timer.
+    assert!(report.timeouts > 0, "no MPTCP subflow timed out");
+}
+
+#[test]
+fn mptcp_link_down_digest_is_unchanged_with_telemetry() {
+    let report = assert_digest("mptcp_link_down", mptcp_link_down(), MPTCP_LINK_DOWN, true);
+    assert!(report.timeouts > 0, "no MPTCP subflow timed out");
+}
+
+const TCP_SHUFFLE: u64 = 0x170e7cbbde369ed9;
+
+fn tcp_shuffle() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::presto(), 17)
+        .duration(SimDuration::from_millis(30))
+        .warmup(SimDuration::from_millis(5))
+        .shuffle(ShuffleSpec {
+            bytes: 500_000,
+            concurrency: 2,
+        })
+}
+
+#[test]
+fn tcp_shuffle_digest_is_unchanged() {
+    let report = assert_digest("tcp_shuffle", tcp_shuffle(), TCP_SHUFFLE, false);
+    // The pin must reach shuffle completions, not only their starts.
+    assert!(
+        !report.elephant_tputs.is_empty(),
+        "no shuffle transfer completed"
+    );
+}
+
+#[test]
+fn tcp_shuffle_digest_is_unchanged_with_telemetry() {
+    assert_digest("tcp_shuffle", tcp_shuffle(), TCP_SHUFFLE, true);
 }
