@@ -118,39 +118,46 @@ impl Segment {
 /// chain described in §2.2 of the paper:
 ///
 /// 1. [`ReceiveOffload::on_packet`] once per raw packet in the batch;
-/// 2. [`ReceiveOffload::flush`] at the end of the batch — the engine
-///    returns the segments it decides to push up the stack, in the order
+/// 2. [`ReceiveOffload::flush_into`] at the end of the batch — the engine
+///    appends the segments it decides to push up the stack, in the order
 ///    they must be delivered to TCP;
 /// 3. between polls, the host arms a timer for
 ///    [`ReceiveOffload::next_deadline`] and calls
-///    [`ReceiveOffload::flush_expired`] when it fires (only Presto's GRO
-///    holds segments across polls, so the stock engine returns no
+///    [`ReceiveOffload::flush_expired_into`] when it fires (only Presto's
+///    GRO holds segments across polls, so the stock engine returns no
 ///    deadlines).
+///
+/// The Vec-returning [`ReceiveOffload::flush`] and
+/// [`ReceiveOffload::flush_expired`] wrap the buffer-reusing methods.
 pub trait ReceiveOffload {
     /// Account one raw packet from the NIC into the engine's merge state.
     /// Engines must skip (not panic on) stray non-data packets — see
     /// [`OffloadError`].
     fn on_packet(&mut self, now: SimTime, pkt: &Packet);
 
-    /// End-of-poll flush: segments to push up, in delivery order.
-    fn flush(&mut self, now: SimTime) -> Vec<Segment>;
+    /// End-of-poll flush: append the segments to push up to `out`, in
+    /// delivery order. Reusing `out` keeps the poll path allocation-free.
+    fn flush_into(&mut self, now: SimTime, out: &mut Vec<Segment>);
 
-    /// Buffer-reusing variant of [`ReceiveOffload::flush`]: append the
-    /// flushed segments to `out` instead of allocating. Engines override
-    /// this to make the poll path allocation-free; the default delegates.
-    fn flush_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
-        out.extend(self.flush(now));
+    /// [`ReceiveOffload::flush_into`] into a fresh `Vec`.
+    fn flush(&mut self, now: SimTime) -> Vec<Segment> {
+        let mut out = Vec::new();
+        self.flush_into(now, &mut out);
+        out
     }
 
     /// Earliest pending hold timeout, if the engine is holding segments.
     fn next_deadline(&self) -> Option<SimTime>;
 
-    /// Fire expired hold timeouts; returns segments released by them.
-    fn flush_expired(&mut self, now: SimTime) -> Vec<Segment>;
+    /// Fire expired hold timeouts: append the segments they release to
+    /// `out`.
+    fn flush_expired_into(&mut self, now: SimTime, out: &mut Vec<Segment>);
 
-    /// Buffer-reusing variant of [`ReceiveOffload::flush_expired`].
-    fn flush_expired_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
-        out.extend(self.flush_expired(now));
+    /// [`ReceiveOffload::flush_expired_into`] into a fresh `Vec`.
+    fn flush_expired(&mut self, now: SimTime) -> Vec<Segment> {
+        let mut out = Vec::new();
+        self.flush_expired_into(now, &mut out);
+        out
     }
 
     /// `(reorders masked, hold timeouts fired)` — nonzero only for engines

@@ -107,12 +107,6 @@ impl ReceiveOffload for OfficialGro {
         }
     }
 
-    fn flush(&mut self, now: SimTime) -> Vec<Segment> {
-        let mut out = Vec::new();
-        self.flush_into(now, &mut out);
-        out
-    }
-
     fn flush_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
         let pushed = self.ready.len() + self.gro_list.len();
         // Mid-batch ejections were attributed at ejection time.
@@ -129,10 +123,6 @@ impl ReceiveOffload for OfficialGro {
     fn next_deadline(&self) -> Option<SimTime> {
         // Stateless across polls: never holds segments.
         None
-    }
-
-    fn flush_expired(&mut self, _now: SimTime) -> Vec<Segment> {
-        Vec::new()
     }
 
     fn flush_expired_into(&mut self, _now: SimTime, _out: &mut Vec<Segment>) {}

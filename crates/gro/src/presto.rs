@@ -364,41 +364,6 @@ impl PrestoGro {
         }
         f.segs = kept;
     }
-
-    fn flush_impl_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
-        let before = out.len();
-        let cfg = self.cfg.clone();
-        let sink = self.sink.clone();
-        let host = self.host;
-        let mut masked = 0u64;
-        let mut fired = 0u64;
-        let mut reasons = [0u64; FlushReason::COUNT];
-        for f in self.flows.values_mut() {
-            Self::flush_flow(
-                &cfg,
-                f,
-                now,
-                out,
-                &mut masked,
-                &mut fired,
-                &mut reasons,
-                &sink,
-                host,
-            );
-        }
-        self.reorders_masked += masked;
-        self.timeout_fires += fired;
-        for (total, new) in self.flush_reasons.iter_mut().zip(reasons) {
-            *total += new;
-        }
-        self.segments_pushed += (out.len() - before) as u64;
-    }
-
-    fn flush_impl(&mut self, now: SimTime) -> Vec<Segment> {
-        let mut out = Vec::new();
-        self.flush_impl_into(now, &mut out);
-        out
-    }
 }
 
 impl Default for PrestoGro {
@@ -445,12 +410,33 @@ impl ReceiveOffload for PrestoGro {
         });
     }
 
-    fn flush(&mut self, now: SimTime) -> Vec<Segment> {
-        self.flush_impl(now)
-    }
-
     fn flush_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
-        self.flush_impl_into(now, out);
+        let before = out.len();
+        let cfg = self.cfg.clone();
+        let sink = self.sink.clone();
+        let host = self.host;
+        let mut masked = 0u64;
+        let mut fired = 0u64;
+        let mut reasons = [0u64; FlushReason::COUNT];
+        for f in self.flows.values_mut() {
+            Self::flush_flow(
+                &cfg,
+                f,
+                now,
+                out,
+                &mut masked,
+                &mut fired,
+                &mut reasons,
+                &sink,
+                host,
+            );
+        }
+        self.reorders_masked += masked;
+        self.timeout_fires += fired;
+        for (total, new) in self.flush_reasons.iter_mut().zip(reasons) {
+            *total += new;
+        }
+        self.segments_pushed += (out.len() - before) as u64;
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -475,12 +461,10 @@ impl ReceiveOffload for PrestoGro {
         min
     }
 
-    fn flush_expired(&mut self, now: SimTime) -> Vec<Segment> {
-        self.flush_impl(now)
-    }
-
     fn flush_expired_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
-        self.flush_impl_into(now, out);
+        // Between polls only held segments remain, so a full flush
+        // releases exactly those whose hold timeouts expired.
+        self.flush_into(now, out);
     }
 
     fn reorder_stats(&self) -> (u64, u64) {

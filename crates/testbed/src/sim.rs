@@ -31,7 +31,7 @@ use presto_telemetry::{
     SharedSink, TelemetryConfig, TelemetryReport, TraceEvent,
 };
 use presto_transport::{
-    CongestionControl, Cubic, MptcpConnection, SenderOutput, TcpConfig, TcpReceiver, TcpSender,
+    CongestionControl, MptcpConnection, SenderOutput, TcpConfig, TcpReceiver, TcpSender,
 };
 
 use crate::report::{ooo_cell_counts, Report};
@@ -54,58 +54,34 @@ pub enum FlowTag {
     Allreduce,
 }
 
-/// Which sender state machine a flow belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SenderRef {
-    /// `tcp_conns[i]`.
-    Tcp(usize),
-    /// `mptcp_conns[conn].subflows[sub]`.
-    Mptcp {
-        /// Connection index.
-        conn: usize,
-        /// Subflow index.
-        sub: usize,
-    },
-}
-
-/// A [`SenderRef`] packed into 32 bits, so that [`Event::Rto`] fits a
-/// 16-byte event. Bit 31 clear is `Tcp(i)`, with `i` in the low 31 bits;
-/// bit 31 set is an MPTCP subflow, with the connection in bits 8..31 and
-/// the subflow in bits 0..8. [`Simulation::new`] rejects a subflow count
+/// One subflow of a connection, packed into 32 bits so that [`Event::Rto`]
+/// fits a 16-byte event: the connection's index in the simulation's
+/// connection table in bits 8..32, and the subflow in bits 0..8 (always 0
+/// for single-path TCP). [`Simulation::new`] rejects a subflow count
 /// beyond [`TransportKind::MAX_SUBFLOWS`], and [`Simulation::start_flow`]
-/// a connection beyond the field's reach.
+/// panics past 2^24 connections in one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtoOwner(u32);
+pub struct Subflow(u32);
 
-impl RtoOwner {
-    const MPTCP: u32 = 1 << 31;
+impl Subflow {
     const SUB_BITS: u32 = 8;
-    /// TCP connections an owner can name.
-    const TCP_CONNS: usize = 1 << 31;
-    /// MPTCP connections an owner can name.
-    const MPTCP_CONNS: usize = 1 << (31 - Self::SUB_BITS);
 
-    /// Pack `sender`; panics if an index does not fit its field.
-    fn new(sender: SenderRef) -> Self {
-        let packed = match sender {
-            SenderRef::Tcp(i) => u32::try_from(i).ok().filter(|&i| i < Self::MPTCP),
-            SenderRef::Mptcp { conn, sub } => u32::try_from(conn)
-                .ok()
-                .filter(|&c| c < Self::MPTCP >> Self::SUB_BITS && sub < 1 << Self::SUB_BITS)
-                .map(|c| Self::MPTCP | c << Self::SUB_BITS | sub as u32),
-        };
-        RtoOwner(packed.expect("sender index too large for an RTO timer"))
+    /// Pack subflow `sub` of connection `conn`; panics if an index does
+    /// not fit its field.
+    fn new(conn: usize, sub: usize) -> Self {
+        assert!(
+            conn < 1 << (32 - Self::SUB_BITS) && sub < 1 << Self::SUB_BITS,
+            "connection or subflow index too large for an RTO timer"
+        );
+        Subflow((conn as u32) << Self::SUB_BITS | sub as u32)
     }
 
-    fn sender(self) -> SenderRef {
-        if self.0 & Self::MPTCP == 0 {
-            SenderRef::Tcp(self.0 as usize)
-        } else {
-            SenderRef::Mptcp {
-                conn: ((self.0 & !Self::MPTCP) >> Self::SUB_BITS) as usize,
-                sub: (self.0 & ((1 << Self::SUB_BITS) - 1)) as usize,
-            }
-        }
+    fn conn(self) -> usize {
+        (self.0 >> Self::SUB_BITS) as usize
+    }
+
+    fn sub(self) -> usize {
+        (self.0 & ((1 << Self::SUB_BITS) - 1)) as usize
     }
 }
 
@@ -125,8 +101,8 @@ pub enum Event {
     /// host's CPU completion queue, so scheduling one by hand through
     /// [`Simulation::schedule`] is a logic error.
     CpuDone(HostId),
-    /// TCP retransmission timer of a sender, with the timer generation.
-    Rto(RtoOwner, u64),
+    /// TCP retransmission timer of a subflow, with the timer generation.
+    Rto(Subflow, u64),
     /// Start pending flow `i`.
     FlowStart(usize),
     /// Launch the next mouse of series `i`.
@@ -165,7 +141,7 @@ pub enum Event {
 // Events are stored inline in the event queue: a wider variant would
 // widen every pending event.
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
-const _: () = assert!(TransportKind::MAX_SUBFLOWS == 1 << RtoOwner::SUB_BITS);
+const _: () = assert!(TransportKind::MAX_SUBFLOWS == 1 << Subflow::SUB_BITS);
 
 /// Event-class names for the queue profiler, index-aligned with
 /// [`classify_event`].
@@ -311,48 +287,125 @@ impl HostEgress {
     }
 }
 
-/// A single-path TCP connection and its measurement state.
-pub struct TcpConnState {
-    /// Forward flow key.
-    pub flow: FlowKey,
-    /// The sender state machine.
-    pub sender: TcpSender<Box<dyn CongestionControl>>,
-    /// When the flow started.
-    pub start: SimTime,
+/// A connection, whatever its transport, and its measurement state.
+struct Conn {
+    /// Forward flow key of subflow 0; subflow `i` uses source port
+    /// `sport + i`.
+    flow: FlowKey,
+    /// When the connection started.
+    start: SimTime,
     /// Record FCT on completion.
-    pub measure_fct: bool,
+    measure_fct: bool,
     /// Completion time, if finished.
-    pub done_at: Option<SimTime>,
+    done_at: Option<SimTime>,
     /// Acked bytes at the warmup mark.
-    pub warm_acked: u64,
+    warm_acked: u64,
     /// Unbounded elephant?
-    pub unbounded: bool,
-    /// Total bytes for bounded flows.
-    pub bytes: u64,
+    unbounded: bool,
+    /// Total bytes for bounded connections.
+    bytes: u64,
     /// Owning application, for completion bookkeeping.
-    pub tag: FlowTag,
+    tag: FlowTag,
+    /// The sender state machines.
+    transport: Transport,
 }
 
-/// An MPTCP connection and its measurement state.
-pub struct MptcpConnState {
-    /// The bundle of subflows.
-    pub conn: MptcpConnection,
-    /// Subflow flow keys, index-aligned with `conn.subflows`.
-    pub flows: Vec<FlowKey>,
-    /// When the connection started.
-    pub start: SimTime,
-    /// Record FCT on completion.
-    pub measure_fct: bool,
-    /// Completion time, if finished.
-    pub done_at: Option<SimTime>,
-    /// Acked bytes at the warmup mark.
-    pub warm_acked: u64,
-    /// Unbounded elephant?
-    pub unbounded: bool,
-    /// Total bytes for bounded connections.
-    pub bytes: u64,
-    /// Owning application, for completion bookkeeping.
-    pub tag: FlowTag,
+impl Conn {
+    /// Forward flow key of subflow `sub`.
+    fn flow(&self, sub: usize) -> FlowKey {
+        FlowKey {
+            sport: self.flow.sport + sub as u16,
+            ..self.flow
+        }
+    }
+
+    /// Bytes a receiver-load probe counts in flight: the unacked rest of
+    /// a bounded single-path flow. MPTCP connections count none.
+    fn probe_bytes_in_flight(&self) -> u64 {
+        match &self.transport {
+            Transport::Tcp(sender) if !self.unbounded => {
+                self.bytes.saturating_sub(sender.acked_bytes())
+            }
+            _ => 0,
+        }
+    }
+}
+
+/// A connection's sender state machines.
+enum Transport {
+    /// Single-path TCP: one flow's sender.
+    Tcp(TcpSender<Box<dyn CongestionControl>>),
+    /// MPTCP: the subflow bundle.
+    Mptcp(MptcpConnection),
+}
+
+impl Transport {
+    /// Hand the application's bytes (`None`: an unbounded elephant) to
+    /// the senders; yields each subflow's first output, in subflow order.
+    fn start(&mut self, now: SimTime, bytes: Option<u64>) -> impl Iterator<Item = SenderOutput> {
+        let (tcp, mptcp) = match self {
+            Transport::Tcp(sender) => {
+                let out = match bytes {
+                    Some(b) => sender.app_write(now, b),
+                    None => sender.set_unlimited(now),
+                };
+                (Some(out), Vec::new())
+            }
+            Transport::Mptcp(conn) => (None, conn.start(now)),
+        };
+        // An empty `Vec` does not allocate: single-path TCP starts
+        // without a heap allocation of its own.
+        tcp.into_iter().chain(mptcp)
+    }
+
+    fn on_ack(
+        &mut self,
+        now: SimTime,
+        sub: usize,
+        ack: u64,
+        sack_hi: u64,
+        ece: bool,
+    ) -> SenderOutput {
+        match self {
+            Transport::Tcp(sender) => sender.on_ack_ecn(now, ack, sack_hi, ece),
+            // MPTCP subflows run the coupled Lia controller, which ignores
+            // ECE (its `on_ce_echo` is the default no-op).
+            Transport::Mptcp(conn) => conn.on_ack(now, sub, ack, sack_hi),
+        }
+    }
+
+    fn on_rto(&mut self, now: SimTime, sub: usize, gen: u64) -> SenderOutput {
+        match self {
+            Transport::Tcp(sender) => sender.on_rto(now, gen),
+            Transport::Mptcp(conn) => conn.on_rto(now, sub, gen),
+        }
+    }
+
+    fn acked_bytes(&self) -> u64 {
+        self.counters()[0].1
+    }
+
+    /// Sender counters, named as [`TcpSender::telemetry_counters`] names
+    /// them. MPTCP counts no fast retransmits: [`MptcpConnection`] keeps
+    /// no such total.
+    fn counters(&self) -> [(&'static str, u64); 4] {
+        match self {
+            Transport::Tcp(sender) => sender.telemetry_counters(),
+            Transport::Mptcp(conn) => [
+                ("acked_bytes", conn.acked_bytes()),
+                ("retransmissions", conn.retransmissions()),
+                ("timeouts", conn.timeouts()),
+                ("fast_retransmits", 0),
+            ],
+        }
+    }
+}
+
+/// A forward flow: the connection subflow that sends it, and its
+/// receiver.
+struct Flow {
+    subflow: Subflow,
+    receiver: TcpReceiver,
 }
 
 /// A sockperf-style RTT prober.
@@ -472,8 +525,6 @@ pub struct Stats {
     pub seq_sequences: HashMap<FlowKey, Vec<u64>>,
     /// CPU utilization series per host.
     pub cpu_util: HashMap<u32, TimeSeries>,
-    /// Rx ring overflow drops.
-    pub ring_drops: u64,
     /// Goodputs of completed bounded elephant transfers (Gbps).
     pub bulk_tputs: Vec<f64>,
 }
@@ -648,12 +699,11 @@ pub struct Simulation {
     pub topo: Topology,
     /// Per-host soft edges, indexed by host id.
     pub hosts: Vec<HostNode>,
-    /// Single-path connections.
-    pub tcp_conns: Vec<TcpConnState>,
-    /// MPTCP connections.
-    pub mptcp_conns: Vec<MptcpConnState>,
-    flow_senders: FxHashMap<FlowKey, SenderRef>,
-    receivers: FxHashMap<FlowKey, TcpReceiver>,
+    /// Every connection of the run in start order, whatever its
+    /// transport; a [`Subflow`] names one by its index here.
+    conns: Vec<Conn>,
+    /// Every subflow's forward flow, for arriving data and ACKs.
+    flows: FxHashMap<FlowKey, Flow>,
     /// RTT probers.
     pub pingers: Vec<Pinger>,
     probe_flows: FxHashMap<FlowKey, usize>,
@@ -733,12 +783,6 @@ impl NetScheduler for Sched<'_> {
     }
 }
 
-/// Build the default congestion controller (CUBIC, IW10 — the testbed's
-/// Linux default).
-pub fn default_cc() -> Box<dyn CongestionControl> {
-    Box::new(Cubic::new(10))
-}
-
 impl Simulation {
     /// A simulator over `topo` with per-host edges supplied by `mk_host`.
     pub fn new(
@@ -763,7 +807,7 @@ impl Simulation {
             feedback_every != Some(SimDuration::ZERO),
             "path-feedback interval (EdgePolicy::feedback_interval) must be non-zero"
         );
-        // RTO timers name an MPTCP subflow in a few bits (see `RtoOwner`).
+        // RTO timers name an MPTCP subflow in a few bits (see `Subflow`).
         if let TransportKind::Mptcp { subflows } = scheme.transport {
             assert!(
                 (1..=TransportKind::MAX_SUBFLOWS).contains(&subflows),
@@ -780,10 +824,8 @@ impl Simulation {
             queue: EventQueue::new(),
             topo,
             hosts,
-            tcp_conns: Vec::new(),
-            mptcp_conns: Vec::new(),
-            flow_senders: FxHashMap::default(),
-            receivers: FxHashMap::default(),
+            conns: Vec::new(),
+            flows: FxHashMap::default(),
             pingers: Vec::new(),
             probe_flows: FxHashMap::default(),
             pending_flows: Vec::new(),
@@ -933,80 +975,54 @@ impl Simulation {
         measure_fct: bool,
         tag: FlowTag,
     ) {
-        match self.scheme.transport {
-            TransportKind::Tcp => {
-                let sport = self.alloc_sport(src as u32, dst as u32, 1);
-                let flow = FlowKey::new(HostId(src as u32), HostId(dst as u32), sport, 80);
-                // Size hint before the first segment, so size-aware
-                // policies classify the flow from byte zero.
-                self.hosts[src].vswitch.policy_mut().flow_hint(flow, bytes);
-                // The scheme's registry-selected congestion control; the
-                // default (CUBIC, IW10) matches the testbed's pre-registry
-                // behaviour exactly.
-                let mut sender = TcpSender::new(self.tcp_cfg.clone(), self.scheme.cc.build(10));
-                let now = self.now;
-                let out = match bytes {
-                    Some(b) => sender.app_write(now, b),
-                    None => sender.set_unlimited(now),
-                };
-                let idx = self.tcp_conns.len();
-                assert!(
-                    idx < RtoOwner::TCP_CONNS,
-                    "more TCP connections than RTO timers can name"
-                );
-                self.tcp_conns.push(TcpConnState {
-                    flow,
-                    sender,
-                    start: now,
-                    measure_fct,
-                    done_at: None,
-                    warm_acked: 0,
-                    unbounded: bytes.is_none(),
-                    bytes: bytes.unwrap_or(0),
-                    tag,
-                });
-                self.flow_senders.insert(flow, SenderRef::Tcp(idx));
-                self.receivers.insert(flow, TcpReceiver::new());
-                self.emit(SenderRef::Tcp(idx), flow, out);
-            }
-            TransportKind::Mptcp { subflows } => {
-                let sport = self.alloc_sport(src as u32, dst as u32, subflows as u16);
-                let total = bytes.unwrap_or(u64::MAX);
-                let mut conn = MptcpConnection::new(self.tcp_cfg.clone(), subflows, total);
-                let flows: Vec<FlowKey> = (0..subflows)
-                    .map(|i| {
-                        FlowKey::new(HostId(src as u32), HostId(dst as u32), sport + i as u16, 80)
-                    })
-                    .collect();
-                for &f in &flows {
-                    self.hosts[src].vswitch.policy_mut().flow_hint(f, bytes);
-                }
-                let outs = conn.start(self.now);
-                let idx = self.mptcp_conns.len();
-                assert!(
-                    idx < RtoOwner::MPTCP_CONNS,
-                    "more MPTCP connections than RTO timers can name"
-                );
-                for (i, &f) in flows.iter().enumerate() {
-                    self.flow_senders
-                        .insert(f, SenderRef::Mptcp { conn: idx, sub: i });
-                    self.receivers.insert(f, TcpReceiver::new());
-                }
-                self.mptcp_conns.push(MptcpConnState {
-                    conn,
-                    flows: flows.clone(),
-                    start: self.now,
-                    measure_fct,
-                    done_at: None,
-                    warm_acked: 0,
-                    unbounded: bytes.is_none(),
-                    bytes: bytes.unwrap_or(0),
-                    tag,
-                });
-                for (i, out) in outs.into_iter().enumerate() {
-                    self.emit(SenderRef::Mptcp { conn: idx, sub: i }, flows[i], out);
-                }
-            }
+        let (transport, subflows) = match self.scheme.transport {
+            // The scheme's registry-selected congestion control; the
+            // default (CUBIC, IW10) matches the testbed's pre-registry
+            // behaviour exactly.
+            TransportKind::Tcp => (
+                Transport::Tcp(TcpSender::new(
+                    self.tcp_cfg.clone(),
+                    self.scheme.cc.build(10),
+                )),
+                1,
+            ),
+            TransportKind::Mptcp { subflows } => (
+                Transport::Mptcp(MptcpConnection::new(
+                    self.tcp_cfg.clone(),
+                    subflows,
+                    bytes.unwrap_or(u64::MAX),
+                )),
+                subflows,
+            ),
+        };
+        let sport = self.alloc_sport(src as u32, dst as u32, subflows as u16);
+        let idx = self.conns.len();
+        self.conns.push(Conn {
+            flow: FlowKey::new(HostId(src as u32), HostId(dst as u32), sport, 80),
+            start: self.now,
+            measure_fct,
+            done_at: None,
+            warm_acked: 0,
+            unbounded: bytes.is_none(),
+            bytes: bytes.unwrap_or(0),
+            tag,
+            transport,
+        });
+        for sub in 0..subflows {
+            let flow = self.conns[idx].flow(sub);
+            // Size hint before the first segment, so size-aware policies
+            // classify the flow from byte zero.
+            self.hosts[src].vswitch.policy_mut().flow_hint(flow, bytes);
+            self.flows.insert(
+                flow,
+                Flow {
+                    subflow: Subflow::new(idx, sub),
+                    receiver: TcpReceiver::new(),
+                },
+            );
+        }
+        for (sub, out) in self.conns[idx].transport.start(self.now, bytes).enumerate() {
+            self.emit(Subflow::new(idx, sub), out);
         }
     }
 
@@ -1026,16 +1042,16 @@ impl Simulation {
 
     /// Process a sender's output: transmit segments, arm timers, handle
     /// completion.
-    fn emit(&mut self, sref: SenderRef, flow: FlowKey, out: SenderOutput) {
+    fn emit(&mut self, sf: Subflow, out: SenderOutput) {
+        let flow = self.conns[sf.conn()].flow(sf.sub());
         for a in &out.to_send {
             self.send_segment(flow, a.seq, a.len, a.retx);
         }
         if let Some((deadline, gen)) = out.arm_rto {
-            self.queue
-                .push(deadline, Event::Rto(RtoOwner::new(sref), gen));
+            self.queue.push(deadline, Event::Rto(sf, gen));
         }
         if out.completed {
-            self.on_flow_complete(sref);
+            self.on_flow_complete(sf.conn());
         }
     }
 
@@ -1134,25 +1150,13 @@ impl Simulation {
         );
     }
 
-    fn on_flow_complete(&mut self, sref: SenderRef) {
-        let (start, measure, tag, bytes) = match sref {
-            SenderRef::Tcp(i) => {
-                let c = &mut self.tcp_conns[i];
-                if c.done_at.is_some() {
-                    return;
-                }
-                c.done_at = Some(self.now);
-                (c.start, c.measure_fct, c.tag, c.bytes)
-            }
-            SenderRef::Mptcp { conn, .. } => {
-                let c = &mut self.mptcp_conns[conn];
-                if c.done_at.is_some() {
-                    return;
-                }
-                c.done_at = Some(self.now);
-                (c.start, c.measure_fct, c.tag, c.bytes)
-            }
-        };
+    fn on_flow_complete(&mut self, conn: usize) {
+        let c = &mut self.conns[conn];
+        if c.done_at.is_some() {
+            return;
+        }
+        c.done_at = Some(self.now);
+        let (start, measure, tag, bytes) = (c.start, c.measure_fct, c.tag, c.bytes);
         if measure && start >= self.warmup {
             self.stats
                 .mice_fct_ms
@@ -1340,19 +1344,11 @@ impl Simulation {
                 debug_assert_eq!(done, self.now, "CPU completions fire in order");
                 self.on_segment_up(h, seg);
             }
-            Event::Rto(owner, gen) => {
-                let sref = owner.sender();
-                let (flow, out) = match sref {
-                    SenderRef::Tcp(i) => {
-                        let c = &mut self.tcp_conns[i];
-                        (c.flow, c.sender.on_rto(self.now, gen))
-                    }
-                    SenderRef::Mptcp { conn, sub } => {
-                        let c = &mut self.mptcp_conns[conn];
-                        (c.flows[sub], c.conn.on_rto(self.now, sub, gen))
-                    }
-                };
-                self.emit(sref, flow, out);
+            Event::Rto(sf, gen) => {
+                let out = self.conns[sf.conn()]
+                    .transport
+                    .on_rto(self.now, sf.sub(), gen);
+                self.emit(sf, out);
             }
             Event::FlowStart(i) => {
                 let p = &self.pending_flows[i];
@@ -1413,17 +1409,10 @@ impl Simulation {
             let h = self.topo.hosts[(start + off) % n];
             let mut rif = 0u64;
             let mut bytes_in_flight = 0u64;
-            for c in &self.tcp_conns {
+            for c in &self.conns {
                 if c.flow.src == h && c.done_at.is_none() {
                     rif += 1;
-                    if !c.unbounded {
-                        bytes_in_flight += c.bytes.saturating_sub(c.sender.acked_bytes());
-                    }
-                }
-            }
-            for c in &self.mptcp_conns {
-                if c.done_at.is_none() && c.flows.first().is_some_and(|f| f.src == h) {
-                    rif += 1;
+                    bytes_in_flight += c.probe_bytes_in_flight();
                 }
             }
             let link = self.topo.fabric.link(self.topo.fabric.host_uplink(h));
@@ -1509,7 +1498,6 @@ impl Simulation {
             RxAction::SchedulePoll(d) => self.queue.push(self.now + d, Event::NicPoll(h)),
             RxAction::PollNow => self.queue.push(self.now, Event::NicPoll(h)),
             RxAction::Dropped => {
-                self.stats.ring_drops += 1;
                 if let Some(tel) = self.telemetry.as_ref() {
                     tel.sink.borrow_mut().record(
                         self.now.as_nanos(),
@@ -1639,11 +1627,11 @@ impl Simulation {
                 .or_default()
                 .push(seg.seq);
         }
-        let out = match self.receivers.get_mut(&seg.flow) {
-            Some(r) => r.on_segment(seg.seq, seg.len),
-            // Data for an unknown flow (probe port etc.) — drop.
-            None => return,
+        // Data for an unknown flow (probe port etc.) — drop.
+        let Some(f) = self.flows.get_mut(&seg.flow) else {
+            return;
         };
+        let out = f.receiver.on_segment(seg.seq, seg.len);
         // One ACK per delivered segment, sent through the reverse-path
         // policy of the receiving host's vSwitch.
         let rflow = seg.flow.reverse();
@@ -1659,21 +1647,13 @@ impl Simulation {
     }
 
     fn on_ack(&mut self, ack_flow: FlowKey, ack: u64, sack_hi: u64, ece: bool) {
-        let fwd = ack_flow.reverse();
-        let Some(&sref) = self.flow_senders.get(&fwd) else {
+        let Some(sf) = self.flows.get(&ack_flow.reverse()).map(|f| f.subflow) else {
             return;
         };
-        let out = match sref {
-            SenderRef::Tcp(i) => self.tcp_conns[i]
-                .sender
-                .on_ack_ecn(self.now, ack, sack_hi, ece),
-            // MPTCP subflows run the coupled Lia controller, which ignores
-            // ECE (its `on_ce_echo` is the default no-op).
-            SenderRef::Mptcp { conn, sub } => self.mptcp_conns[conn]
-                .conn
-                .on_ack(self.now, sub, ack, sack_hi),
-        };
-        self.emit(sref, fwd, out);
+        let out = self.conns[sf.conn()]
+            .transport
+            .on_ack(self.now, sf.sub(), ack, sack_hi, ece);
+        self.emit(sf, out);
     }
 
     fn on_probe_send(&mut self, i: usize) {
@@ -1768,11 +1748,8 @@ impl Simulation {
             }
         }
         self.topo.fabric.reset_counters();
-        for c in &mut self.tcp_conns {
-            c.warm_acked = c.sender.acked_bytes();
-        }
-        for c in &mut self.mptcp_conns {
-            c.warm_acked = c.conn.acked_bytes();
+        for c in &mut self.conns {
+            c.warm_acked = c.transport.acked_bytes();
         }
     }
 
@@ -1787,9 +1764,7 @@ impl Simulation {
     /// Total acked bytes across every connection — monotonic, never reset,
     /// so stage goodput deltas are exact.
     fn total_acked(&self) -> u64 {
-        let tcp: u64 = self.tcp_conns.iter().map(|c| c.sender.acked_bytes()).sum();
-        let mptcp: u64 = self.mptcp_conns.iter().map(|c| c.conn.acked_bytes()).sum();
-        tcp + mptcp
+        self.conns.iter().map(|c| c.transport.acked_bytes()).sum()
     }
 
     /// Close the open failure-timeline stage at `self.now` and open `next`.
@@ -1954,26 +1929,17 @@ impl Simulation {
         };
         let window = self.end.saturating_since(self.warmup).as_secs_f64();
         // Elephant goodputs.
-        for c in &self.tcp_conns {
+        for c in &self.conns {
+            let [(_, acked), (_, retx), (_, timeouts), (_, fast_retx)] = c.transport.counters();
             if c.unbounded && window > 0.0 {
-                let bytes = c.sender.acked_bytes() - c.warm_acked;
+                let bytes = acked - c.warm_acked;
                 report
                     .elephant_tputs
                     .push(bytes as f64 * 8.0 / window / 1e9);
             }
-            report.retransmissions += c.sender.retransmissions;
-            report.timeouts += c.sender.timeouts;
-            report.fast_retransmits += c.sender.fast_retransmits;
-        }
-        for c in &self.mptcp_conns {
-            if c.unbounded && window > 0.0 {
-                let bytes = c.conn.acked_bytes() - c.warm_acked;
-                report
-                    .elephant_tputs
-                    .push(bytes as f64 * 8.0 / window / 1e9);
-            }
-            report.retransmissions += c.conn.retransmissions();
-            report.timeouts += c.conn.timeouts();
+            report.retransmissions += retx;
+            report.timeouts += timeouts;
+            report.fast_retransmits += fast_retx;
         }
         if let Some(sh) = &self.shuffle {
             report.elephant_tputs.extend(sh.tputs.iter().copied());
@@ -2015,8 +1981,8 @@ impl Simulation {
         }
         report.loss_rate = self.topo.fabric.loss_rate();
         report.cpu_util = std::mem::take(&mut self.stats.cpu_util);
-        for r in self.receivers.values() {
-            report.tcp_ooo_segments += r.ooo_segments;
+        for f in self.flows.values() {
+            report.tcp_ooo_segments += f.receiver.ooo_segments;
         }
         for (hi, host) in self.hosts.iter().enumerate() {
             report.flowcells += host.vswitch.policy().flowcells_created();
@@ -2152,16 +2118,11 @@ impl Simulation {
             ("timeouts", 0),
             ("fast_retransmits", 0),
         ];
-        for c in &self.tcp_conns {
-            for (slot, (name, value)) in tcp.iter_mut().zip(c.sender.telemetry_counters()) {
+        for c in &self.conns {
+            for (slot, (name, value)) in tcp.iter_mut().zip(c.transport.counters()) {
                 debug_assert_eq!(slot.0, name);
                 slot.1 += value;
             }
-        }
-        for c in &self.mptcp_conns {
-            tcp[0].1 += c.conn.acked_bytes();
-            tcp[1].1 += c.conn.retransmissions();
-            tcp[2].1 += c.conn.timeouts();
         }
         for (name, value) in tcp {
             rep.counters.push(CounterEntry {
@@ -2260,27 +2221,23 @@ mod tests {
     }
 
     #[test]
-    fn rto_owner_round_trips_every_sender() {
-        let senders = [
-            SenderRef::Tcp(0),
-            SenderRef::Tcp(12_345),
-            SenderRef::Tcp((1 << 31) - 1),
-            SenderRef::Mptcp { conn: 0, sub: 0 },
-            SenderRef::Mptcp { conn: 7, sub: 7 },
-            SenderRef::Mptcp {
-                conn: (1 << 23) - 1,
-                sub: 255,
-            },
-        ];
-        for s in senders {
-            assert_eq!(RtoOwner::new(s).sender(), s);
+    fn subflow_round_trips_at_its_field_limits() {
+        for (conn, sub) in [(0, 0), (7, 7), (12_345, 0), ((1 << 24) - 1, 255)] {
+            let sf = Subflow::new(conn, sub);
+            assert_eq!((sf.conn(), sf.sub()), (conn, sub));
         }
     }
 
     #[test]
     #[should_panic(expected = "too large for an RTO timer")]
-    fn rto_owner_rejects_a_subflow_beyond_its_field() {
-        RtoOwner::new(SenderRef::Mptcp { conn: 0, sub: 256 });
+    fn subflow_rejects_a_256th_subflow() {
+        Subflow::new(0, 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for an RTO timer")]
+    fn subflow_rejects_a_connection_beyond_its_field() {
+        Subflow::new(1 << 24, 0);
     }
 
     #[test]
@@ -2321,8 +2278,14 @@ mod tests {
 
     #[test]
     fn default_cc_is_cubic_iw10() {
-        let cc = default_cc();
-        assert_eq!(cc.name(), "cubic");
-        assert_eq!(cc.cwnd(), 10.0 * 1460.0);
+        let mut sim = crate::Scenario::builder(SchemeSpec::presto(), 1)
+            .build()
+            .build();
+        sim.start_flow(0, 1, Some(1_000_000), false, FlowTag::Plain);
+        let Transport::Tcp(sender) = &sim.conns[0].transport else {
+            panic!("the default scheme runs single-path TCP");
+        };
+        assert_eq!(sender.cc.name(), "cubic");
+        assert_eq!(sender.cc.cwnd(), 10.0 * 1460.0);
     }
 }
