@@ -266,3 +266,70 @@ fn tcp_shuffle_digest_is_unchanged() {
 fn tcp_shuffle_digest_is_unchanged_with_telemetry() {
     assert_digest("tcp_shuffle", tcp_shuffle(), TCP_SHUFFLE, true);
 }
+
+/// Half the testbed talks (leaf 3's hosts send to leaf 0's); the other
+/// eight hosts sit idle while the CPU sampler runs. Pins the per-host
+/// outputs an idle host still contributes: its all-zero CPU series in
+/// the digest and its counter block in the telemetry report.
+const IDLE_HOSTS: u64 = 0x35a44dd7812af703;
+
+fn idle_hosts() -> ScenarioBuilder {
+    Scenario::builder(SchemeSpec::presto(), 21)
+        .duration(SimDuration::from_millis(30))
+        .warmup(SimDuration::from_millis(10))
+        .elephants(
+            (0..4)
+                .map(|i| FlowSpec::elephant(12 + i, i, SimTime::ZERO))
+                .collect(),
+        )
+        .cpu_sample(SimDuration::from_millis(1))
+}
+
+/// FNV-1a over every counter's (component, name, value), in report order.
+fn counters_hash(tel: &presto_telemetry::TelemetryReport) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for c in &tel.counters {
+        feed(c.component.as_bytes());
+        feed(&[0]);
+        feed(c.name.as_bytes());
+        feed(&[0]);
+        feed(&c.value.to_le_bytes());
+    }
+    h
+}
+
+const IDLE_HOSTS_COUNTERS: u64 = 0x6e4db1c8150bfa16;
+
+#[test]
+fn idle_hosts_digest_is_unchanged() {
+    let report = assert_digest("idle_hosts", idle_hosts(), IDLE_HOSTS, false);
+    // Every topology host keeps a CPU series, the idle ones included.
+    let mut keys: Vec<u32> = report.cpu_util.keys().copied().collect();
+    keys.sort_unstable();
+    assert_eq!(keys, (0..16).collect::<Vec<u32>>());
+    let idle = report.cpu_util[&8].points();
+    assert!(!idle.is_empty() && idle.iter().all(|&(_, v)| v == 0.0));
+}
+
+#[test]
+fn idle_hosts_digest_is_unchanged_with_telemetry() {
+    let (report, tel) = idle_hosts().build().run_traced();
+    assert_eq!(report.digest(), IDLE_HOSTS, "idle_hosts @ telemetry=true");
+    let hash = counters_hash(&tel);
+    assert_eq!(
+        hash, IDLE_HOSTS_COUNTERS,
+        "idle_hosts counters hash {hash:#018x} != {IDLE_HOSTS_COUNTERS:#018x}"
+    );
+    for i in 0..16 {
+        let component = format!("host{i}");
+        assert!(
+            tel.counters.iter().any(|c| c.component == component),
+            "no counter block for {component}"
+        );
+    }
+}
