@@ -406,18 +406,19 @@ impl Scenario {
         // same-leaf pairs stay direct — no spine crossing needed). With
         // an active-host filter, labels are materialized only for
         // communicating pairs — both directions, since ACKs ride the
-        // reverse path — instead of all n² of them.
+        // reverse path — instead of all n² of them. One row per source
+        // that has any, ascending.
         let peers = active
             .as_ref()
             .and(pairs.as_deref())
             .map(|p| directed_pairs(topo.host_count(), p));
-        let label_sets: Vec<Vec<(HostId, Vec<Mac>)>> = topo
+        let label_sets: Vec<_> = topo
             .hosts
             .iter()
             .map(|&src| {
                 let mut v = Vec::new();
                 if self.scheme.single_switch {
-                    return v;
+                    return (src, v);
                 }
                 let push_dst = |dst: usize, v: &mut Vec<(HostId, Vec<Mac>)>| {
                     if dst >= n_servers {
@@ -447,21 +448,23 @@ impl Scenario {
                         }
                     }
                 }
-                v
+                (src, v)
             })
+            .filter(|(_, v)| !v.is_empty())
             .collect();
 
-        // 7. Hosts.
+        // 7. Hosts: edge state only for the servers that talk (and any
+        // WAN remotes).
         let scheme = self.scheme.clone();
         let seed = self.seed;
         let mk_host = |h: HostId| {
             // The registry is the single place policies are instantiated;
             // adding a scheme never touches this file.
             let mut policy = crate::registry::build_policy(&scheme, seed);
-            for (dst, labels) in &label_sets[h.index()] {
-                policy.set_labels(*dst, labels.clone());
-            }
-            if !label_sets[h.index()].is_empty() {
+            if let Ok(row) = label_sets.binary_search_by_key(&h, |&(src, _)| src) {
+                for (dst, labels) in &label_sets[row].1 {
+                    policy.set_labels(*dst, labels.clone());
+                }
                 policy.labels_updated(SimTime::ZERO);
             }
             let gro: Box<dyn ReceiveOffload> = match scheme.gro {
@@ -477,11 +480,18 @@ impl Scenario {
 
         let end = SimTime::ZERO + self.duration;
         let warm = SimTime::ZERO + self.warmup;
-        let mut sim = Simulation::new(topo, self.scheme.clone(), mk_host, end, warm);
+        let mut sim = Simulation::new(
+            topo,
+            self.scheme.clone(),
+            mk_host,
+            active.as_deref(),
+            end,
+            warm,
+        );
         sim.controller = controller;
         sim.label_pairs = label_sets
             .iter()
-            .map(|v| v.iter().map(|(dst, _)| *dst).collect())
+            .map(|(src, v)| (*src, v.iter().map(|(dst, _)| *dst).collect()))
             .collect();
         sim.collect_reorder = self.collect_reorder;
         sim.cpu_sample_every = self.cpu_sample;

@@ -697,8 +697,13 @@ pub struct Simulation {
     queue: EventQueue<Event>,
     /// The network.
     pub topo: Topology,
-    /// Per-host soft edges, indexed by host id.
+    /// The hosts' soft edges, in ascending host id: one per host that
+    /// talks (see [`Simulation::new`]). Look one up by id with
+    /// [`Simulation::host`].
     pub hosts: Vec<HostNode>,
+    /// Each topology host's position in `hosts`, [`NO_EDGE`] for a host
+    /// without edge state.
+    edge_index: Vec<u32>,
     /// Every connection of the run in start order, whatever its
     /// transport; a [`Subflow`] names one by its index here.
     conns: Vec<Conn>,
@@ -722,11 +727,10 @@ pub struct Simulation {
     pub scheme: SchemeSpec,
     /// Controller, for Presto-style schemes.
     pub controller: Option<Controller>,
-    /// Per-source destinations whose label sequences were installed
-    /// (ascending host id), set when scenario construction scopes label
-    /// state to communicating pairs. Empty means "every pair" — the
-    /// legacy behavior for simulations assembled by hand.
-    pub label_pairs: Vec<Vec<HostId>>,
+    /// The destinations whose label sequences were installed, one row
+    /// per source that has any, both in ascending host id. The
+    /// controller re-weights exactly these pairs after a fault.
+    pub label_pairs: Vec<(HostId, Vec<HostId>)>,
     /// TCP configuration applied to new connections.
     pub tcp_cfg: TcpConfig,
     /// End of simulated time.
@@ -783,20 +787,51 @@ impl NetScheduler for Sched<'_> {
     }
 }
 
+/// [`Simulation::edge_index`] entry of a host without edge state.
+const NO_EDGE: u32 = u32::MAX;
+
+/// A host without edge state was looked up: it was not in the talking set
+/// the simulation was built for.
+#[cold]
+#[inline(never)]
+fn no_edge(id: HostId) -> ! {
+    panic!(
+        "host {} has no edge state: it is not in the talking set",
+        id.0
+    )
+}
+
 impl Simulation {
     /// A simulator over `topo` with per-host edges supplied by `mk_host`.
+    ///
+    /// `talking` marks, by server index, the servers that ever send or
+    /// receive; `mk_host` runs only for those and for every host past
+    /// the mask (WAN remotes). `None` builds every host's edge. The
+    /// path-feedback and probe cadences are those of the scheme's
+    /// registry policy. A probing policy folds every probe round into
+    /// its pool, talking or not, so under one every host keeps its edge.
     pub fn new(
         topo: Topology,
         scheme: SchemeSpec,
         mut mk_host: impl FnMut(HostId) -> HostNode,
+        talking: Option<&[bool]>,
         end: SimTime,
         warmup: SimTime,
     ) -> Self {
-        let hosts: Vec<HostNode> = topo.hosts.iter().map(|&h| mk_host(h)).collect();
-        let feedback_every = hosts
-            .iter()
-            .find_map(|h| h.vswitch.policy().feedback_interval());
-        let probe_params = hosts.iter().find_map(|h| h.vswitch.policy().probe_params());
+        let (feedback_every, probe_params) = {
+            let policy = crate::registry::build_policy(&scheme, 0);
+            (policy.feedback_interval(), policy.probe_params())
+        };
+        let talking = talking.filter(|_| probe_params.is_none());
+        let mut edge_index = vec![NO_EDGE; topo.host_count()];
+        let mut hosts = Vec::new();
+        for &h in &topo.hosts {
+            if talking.is_some_and(|t| t.get(h.index()) == Some(&false)) {
+                continue;
+            }
+            edge_index[h.index()] = hosts.len() as u32;
+            hosts.push(mk_host(h));
+        }
         // Both rounds reschedule themselves one interval later; a zero
         // interval would spin at one instant forever.
         assert!(
@@ -824,6 +859,7 @@ impl Simulation {
             queue: EventQueue::new(),
             topo,
             hosts,
+            edge_index,
             conns: Vec::new(),
             flows: FxHashMap::default(),
             pingers: Vec::new(),
@@ -856,6 +892,30 @@ impl Simulation {
         };
         sim.queue.push(warmup, Event::WarmupMark);
         sim
+    }
+
+    /// Host `id`'s edge state.
+    ///
+    /// # Panics
+    /// If `id` has none: the host is outside the talking set.
+    #[inline]
+    pub fn host(&self, id: HostId) -> &HostNode {
+        match self.hosts.get(self.edge_index[id.index()] as usize) {
+            Some(host) => host,
+            None => no_edge(id),
+        }
+    }
+
+    /// Host `id`'s edge state, mutably.
+    ///
+    /// # Panics
+    /// If `id` has none: the host is outside the talking set.
+    #[inline]
+    pub fn host_mut(&mut self, id: HostId) -> &mut HostNode {
+        match self.hosts.get_mut(self.edge_index[id.index()] as usize) {
+            Some(host) => host,
+            None => no_edge(id),
+        }
     }
 
     /// Schedule an event at an absolute time.
@@ -895,8 +955,9 @@ impl Simulation {
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         let sink = shared_sink(cfg.ring_capacity);
         self.topo.fabric.set_trace_sink(std::rc::Rc::clone(&sink));
-        for (hi, host) in self.hosts.iter_mut().enumerate() {
-            host.gro.set_telemetry(hi as u32, std::rc::Rc::clone(&sink));
+        for host in &mut self.hosts {
+            host.gro
+                .set_telemetry(host.vswitch.host.0, std::rc::Rc::clone(&sink));
         }
         self.queue.enable_profiler(EVENT_NAMES, classify_event);
         let nlinks = self.topo.fabric.links().len();
@@ -1012,7 +1073,10 @@ impl Simulation {
             let flow = self.conns[idx].flow(sub);
             // Size hint before the first segment, so size-aware policies
             // classify the flow from byte zero.
-            self.hosts[src].vswitch.policy_mut().flow_hint(flow, bytes);
+            self.host_mut(HostId(src as u32))
+                .vswitch
+                .policy_mut()
+                .flow_hint(flow, bytes);
             self.flows.insert(
                 flow,
                 Flow {
@@ -1059,9 +1123,8 @@ impl Simulation {
     /// packets on the wire while the uplink queue is shallow.
     fn send_segment(&mut self, flow: FlowKey, seq: u64, len: u32, retx: bool) {
         let host = flow.src;
-        let tag = self.hosts[host.index()]
-            .vswitch
-            .process(self.now, flow, len, retx);
+        let now = self.now;
+        let tag = self.host_mut(host).vswitch.process(now, flow, len, retx);
         if let Some(tel) = self.telemetry.as_mut() {
             let t_ns = self.now.as_nanos();
             if retx {
@@ -1081,7 +1144,7 @@ impl Simulation {
                 );
             }
         }
-        self.hosts[host.index()].egress.stage(TxSegment {
+        self.host_mut(host).egress.stage(TxSegment {
             flow,
             seq,
             len,
@@ -1099,7 +1162,7 @@ impl Simulation {
             if self.topo.fabric.link(uplink).occupancy(self.now) >= EGRESS_TARGET_BYTES {
                 break;
             }
-            let Some(seg) = self.hosts[host.index()].egress.pop() else {
+            let Some(seg) = self.host_mut(host).egress.pop() else {
                 break;
             };
             let mut pkts = self.pkt_pool.take();
@@ -1121,16 +1184,18 @@ impl Simulation {
             );
         }
         // More staged data: wake up when the uplink has drained to target.
-        if !self.hosts[host.index()].egress.is_empty() {
+        if !self.host(host).egress.is_empty() {
+            let now = self.now;
             let link = self.topo.fabric.link(uplink);
-            let backlog = link.occupancy(self.now).saturating_sub(EGRESS_TARGET_BYTES) + 1538;
-            let at = self.now + SimDuration::transmission(backlog, link.rate_bps);
-            let need = match self.hosts[host.index()].egress.drain_at {
-                Some(cur) => at < cur || cur <= self.now,
+            let backlog = link.occupancy(now).saturating_sub(EGRESS_TARGET_BYTES) + 1538;
+            let at = now + SimDuration::transmission(backlog, link.rate_bps);
+            let egress = &mut self.host_mut(host).egress;
+            let need = match egress.drain_at {
+                Some(cur) => at < cur || cur <= now,
                 None => true,
             };
             if need {
-                self.hosts[host.index()].egress.drain_at = Some(at);
+                egress.drain_at = Some(at);
                 self.queue.push(at, Event::EgressDrain(host));
             }
         }
@@ -1247,7 +1312,8 @@ impl Simulation {
             )
         };
         let cand_ids: Vec<HostId> = candidates.iter().map(|&c| self.topo.hosts[c]).collect();
-        let chosen = self.hosts[self.topo.hosts[dst].index()]
+        let chosen = self
+            .host_mut(self.topo.hosts[dst])
             .vswitch
             .policy_mut()
             .select_replicas(now, &cand_ids, fanout)
@@ -1337,7 +1403,8 @@ impl Simulation {
             Event::NicPoll(h) => self.on_poll(h),
             Event::GroTimer(h) => self.on_gro_timer(h),
             Event::CpuDone(h) => {
-                let (done, seg) = self.hosts[h.index()]
+                let (done, seg) = self
+                    .host_mut(h)
                     .cpu_done
                     .pop_front()
                     .expect("CpuDone without a pending CPU completion");
@@ -1373,7 +1440,7 @@ impl Simulation {
             Event::ControllerNotify(i) => self.on_controller_notify(i),
             Event::ShuffleMore(src) => self.on_shuffle_more(src),
             Event::EgressDrain(h) => {
-                self.hosts[h.index()].egress.drain_at = None;
+                self.host_mut(h).egress.drain_at = None;
                 self.drain_egress(h);
             }
             Event::PathFeedback => self.on_path_feedback(),
@@ -1430,8 +1497,8 @@ impl Simulation {
                 latency_ns,
             });
         }
-        for i in 0..self.hosts.len() {
-            let policy = self.hosts[i].vswitch.policy_mut();
+        for host in &mut self.hosts {
+            let policy = host.vswitch.policy_mut();
             if policy.probe_params().is_some() {
                 policy.probe_feedback(now, &loads);
             }
@@ -1476,14 +1543,15 @@ impl Simulation {
                 },
             }));
         }
-        for &h in &topo.hosts {
-            let leaf = topo.host_leaf[h.index()];
+        // A host without edge state never assigns a path, so it has no
+        // use for the signals.
+        for host in &mut self.hosts {
+            let leaf = topo.host_leaf[host.vswitch.host.index()];
             if !topo.is_leaf(leaf) {
                 continue;
             }
             let at = topo.position_in_tier(leaf) * trees;
-            self.hosts[h.index()]
-                .vswitch
+            host.vswitch
                 .policy_mut()
                 .path_feedback(now, &signals[at..at + trees]);
         }
@@ -1494,7 +1562,7 @@ impl Simulation {
     }
 
     fn on_deliver(&mut self, h: HostId, pkt: Packet) {
-        match self.hosts[h.index()].ring.push(pkt) {
+        match self.host_mut(h).ring.push(pkt) {
             RxAction::SchedulePoll(d) => self.queue.push(self.now + d, Event::NicPoll(h)),
             RxAction::PollNow => self.queue.push(self.now, Event::NicPoll(h)),
             RxAction::Dropped => {
@@ -1514,7 +1582,7 @@ impl Simulation {
 
     fn on_poll(&mut self, h: HostId) {
         let mut batch = std::mem::take(&mut self.scratch.rx_batch);
-        self.hosts[h.index()].ring.drain_into(&mut batch);
+        self.host_mut(h).ring.drain_into(&mut batch);
         if batch.is_empty() {
             self.scratch.rx_batch = batch;
             return;
@@ -1523,10 +1591,11 @@ impl Simulation {
         let mut probes = std::mem::take(&mut self.scratch.probes);
         let mut misc_pkts = 0u64;
         {
-            let host = &mut self.hosts[h.index()];
+            let now = self.now;
+            let host = self.host_mut(h);
             for pkt in &batch {
                 match pkt.kind {
-                    PacketKind::Data { .. } => host.gro.on_packet(self.now, pkt),
+                    PacketKind::Data { .. } => host.gro.on_packet(now, pkt),
                     PacketKind::Ack { ack, sack_hi } => {
                         misc_pkts += 1;
                         // On an ACK the `ce` bit carries the receiver's
@@ -1543,7 +1612,7 @@ impl Simulation {
             // through their segments).
             if misc_pkts > 0 {
                 let cost = host.cpu.costs.per_packet.saturating_mul(misc_pkts);
-                host.cpu.charge(self.now, cost);
+                host.cpu.charge(now, cost);
             }
         }
         self.push_up_flushed(h, false);
@@ -1565,15 +1634,16 @@ impl Simulation {
     fn push_up_flushed(&mut self, h: HostId, expired_only: bool) {
         let mut segs = std::mem::take(&mut self.scratch.segs);
         let mut completions = std::mem::take(&mut self.scratch.completions);
-        let host = &mut self.hosts[h.index()];
+        let now = self.now;
+        let host = self.host_mut(h);
         if expired_only {
-            host.gro.flush_expired_into(self.now, &mut segs);
+            host.gro.flush_expired_into(now, &mut segs);
         } else {
-            host.gro.flush_into(self.now, &mut segs);
+            host.gro.flush_into(now, &mut segs);
         }
-        host.cpu.process_into(self.now, &segs, &mut completions);
-        for &(t, seg) in &completions {
-            host.cpu_done.push_back((t, seg));
+        host.cpu.process_into(now, &segs, &mut completions);
+        host.cpu_done.extend(completions.iter().copied());
+        for &(t, _) in &completions {
             self.queue.push(t, Event::CpuDone(h));
         }
         segs.clear();
@@ -1583,8 +1653,9 @@ impl Simulation {
     }
 
     fn on_gro_timer(&mut self, h: HostId) {
-        self.hosts[h.index()].gro_timer_at = None;
-        let due = match self.hosts[h.index()].gro.next_deadline() {
+        let host = self.host_mut(h);
+        host.gro_timer_at = None;
+        let due = match host.gro.next_deadline() {
             Some(d) if d <= self.now => true,
             Some(_) => false,
             None => return,
@@ -1596,9 +1667,10 @@ impl Simulation {
     }
 
     fn arm_gro_timer(&mut self, h: HostId) {
-        let host = &mut self.hosts[h.index()];
+        let now = self.now;
+        let host = self.host_mut(h);
         if let Some(d) = host.gro.next_deadline() {
-            let at = if d > self.now { d } else { self.now };
+            let at = if d > now { d } else { now };
             let need = match host.gro_timer_at {
                 Some(cur) => at < cur,
                 None => true,
@@ -1635,9 +1707,8 @@ impl Simulation {
         // One ACK per delivered segment, sent through the reverse-path
         // policy of the receiving host's vSwitch.
         let rflow = seg.flow.reverse();
-        let tag = self.hosts[h.index()]
-            .vswitch
-            .process(self.now, rflow, 0, false);
+        let now = self.now;
+        let tag = self.host_mut(h).vswitch.process(now, rflow, 0, false);
         // DCTCP-style ECE echo: the receiver reflects the delivered
         // segment's CE state on the ACK it answers with. The OR across a
         // GRO merge means one marked member packet marks the whole
@@ -1664,9 +1735,8 @@ impl Simulation {
             p.outstanding.insert(id, self.now);
             (p.flow, id)
         };
-        let tag = self.hosts[flow.src.index()]
-            .vswitch
-            .process(self.now, flow, 0, false);
+        let now = self.now;
+        let tag = self.host_mut(flow.src).vswitch.process(now, flow, 0, false);
         let pkt = Packet {
             flow,
             src_host: flow.src,
@@ -1690,9 +1760,8 @@ impl Simulation {
         if !echo {
             // Echo it back through this host's policy.
             let rflow = pkt.flow.reverse();
-            let tag = self.hosts[h.index()]
-                .vswitch
-                .process(self.now, rflow, 0, false);
+            let now = self.now;
+            let tag = self.host_mut(h).vswitch.process(now, rflow, 0, false);
             let back = Packet {
                 flow: rflow,
                 src_host: rflow.src,
@@ -1720,14 +1789,22 @@ impl Simulation {
 
     fn on_cpu_sample(&mut self) {
         let every = self.cpu_sample_every.expect("sampling enabled");
-        for (idx, host) in self.hosts.iter_mut().enumerate() {
-            let busy = host.cpu.busy_total();
-            let delta = busy - host.cpu_busy_snapshot;
-            host.cpu_busy_snapshot = busy;
-            let util = 100.0 * delta.as_secs_f64() / every.as_secs_f64();
+        // Every topology host gets a sample; one without edge state never
+        // ran its CPU.
+        let mut edges = self.hosts.iter_mut().peekable();
+        for &id in &self.topo.hosts {
+            let util = match edges.next_if(|host| host.vswitch.host == id) {
+                Some(host) => {
+                    let busy = host.cpu.busy_total();
+                    let delta = busy - host.cpu_busy_snapshot;
+                    host.cpu_busy_snapshot = busy;
+                    100.0 * delta.as_secs_f64() / every.as_secs_f64()
+                }
+                None => 0.0,
+            };
             self.stats
                 .cpu_util
-                .entry(idx as u32)
+                .entry(id.0)
                 .or_default()
                 .push(self.now.as_secs_f64(), util.min(100.0));
         }
@@ -1841,24 +1918,18 @@ impl Simulation {
     /// whose labels are real host MACs (ECMP reroutes in the fabric, the
     /// edge schedule has nothing to re-weight).
     pub fn reweight_labels(&mut self, affected: Option<SwitchId>) {
-        let Some(ctl) = &self.controller else { return };
         if self.scheme.policy == crate::scheme::PolicyKind::PrestoEcmp {
             return;
         }
-        let hosts: Vec<HostId> = self.topo.hosts.clone();
-        let pairs: Vec<(HostId, Vec<HostId>)> = if self.label_pairs.is_empty() {
-            hosts.iter().map(|&src| (src, hosts.clone())).collect()
-        } else {
-            self.label_pairs
-                .iter()
-                .enumerate()
-                .map(|(s, dsts)| (HostId(s as u32), dsts.clone()))
-                .collect()
+        // Both are put back below; taken so the hosts can be updated.
+        let Some(ctl) = self.controller.take() else {
+            return;
         };
+        let pairs = std::mem::take(&mut self.label_pairs);
         let mut updated: Vec<HostId> = Vec::new();
-        for (src, dsts) in pairs {
-            let mut touched = false;
-            for dst in dsts {
+        for (src, dsts) in &pairs {
+            let (src, mut touched) = (*src, false);
+            for &dst in dsts {
                 if src == dst || self.topo.same_leaf(src, dst) {
                     continue;
                 }
@@ -1878,7 +1949,7 @@ impl Simulation {
                     }
                 }
                 let labels = ctl.weighted_labels(&self.topo, src, dst);
-                self.hosts[src.index()]
+                self.host_mut(src)
                     .vswitch
                     .policy_mut()
                     .set_labels(dst, labels);
@@ -1890,12 +1961,11 @@ impl Simulation {
         }
         // One lifecycle notification per source whose table changed, after
         // its whole batch of sequences is installed.
+        self.controller = Some(ctl);
+        self.label_pairs = pairs;
         let now = self.now;
         for src in updated {
-            self.hosts[src.index()]
-                .vswitch
-                .policy_mut()
-                .labels_updated(now);
+            self.host_mut(src).vswitch.policy_mut().labels_updated(now);
         }
     }
 
@@ -1984,11 +2054,11 @@ impl Simulation {
         for f in self.flows.values() {
             report.tcp_ooo_segments += f.receiver.ooo_segments;
         }
-        for (hi, host) in self.hosts.iter().enumerate() {
+        for host in &self.hosts {
             report.flowcells += host.vswitch.policy().flowcells_created();
             let fl = host.vswitch.policy().flowlet_sizes();
             if !fl.is_empty() {
-                report.flowlet_sizes.insert(hi as u32, fl);
+                report.flowlet_sizes.insert(host.vswitch.host.0, fl);
             }
             let (masked, fired) = host.gro.reorder_stats();
             report.gro_reorders_masked += masked;
@@ -2076,13 +2146,21 @@ impl Simulation {
                 value: sw.no_route_drops,
             });
         }
-        // Host counters (NIC ring, egress, GRO), ascending host id.
-        for (i, host) in self.hosts.iter().enumerate() {
-            let component = format!("host{i}");
-            let fr = host.gro.flush_reason_counts();
+        // Host counters (NIC ring, egress, GRO), ascending host id. A
+        // host without edge state lists its block, all zero.
+        let mut edges = self.hosts.iter().peekable();
+        for &id in &self.topo.hosts {
+            let component = format!("host{}", id.0);
+            let host = edges.next_if(|host| host.vswitch.host == id);
+            let fr = host
+                .map(|h| h.gro.flush_reason_counts())
+                .unwrap_or_default();
             for (name, value) in [
-                ("ring_overflow_drops", host.ring.overflow_drops),
-                ("egress_staged", host.egress.staged_total),
+                (
+                    "ring_overflow_drops",
+                    host.map_or(0, |h| h.ring.overflow_drops),
+                ),
+                ("egress_staged", host.map_or(0, |h| h.egress.staged_total)),
                 ("gro_flushes", fr.iter().sum::<u64>()),
             ] {
                 rep.counters.push(CounterEntry {
@@ -2091,6 +2169,7 @@ impl Simulation {
                     value,
                 });
             }
+            let Some(host) = host else { continue };
             // CE-preserving merges; zero (and absent) without ECN.
             let ce_merges = host.gro.ce_merge_count();
             if ce_merges != 0 {
@@ -2174,7 +2253,9 @@ impl Simulation {
     }
 }
 
-/// Build a [`HostNode`] with the given policy and GRO engine.
+/// Build one host's [`HostNode`] with the given policy and GRO engine.
+/// A scenario builds one only for each host in its talking set (see
+/// [`Simulation::new`]).
 pub fn make_host(
     policy: Box<dyn EdgePolicy>,
     gro: Box<dyn ReceiveOffload>,
@@ -2279,6 +2360,11 @@ mod tests {
     #[test]
     fn default_cc_is_cubic_iw10() {
         let mut sim = crate::Scenario::builder(SchemeSpec::presto(), 1)
+            .elephants(vec![presto_workloads::FlowSpec::elephant(
+                0,
+                1,
+                SimTime::ZERO,
+            )])
             .build()
             .build();
         sim.start_flow(0, 1, Some(1_000_000), false, FlowTag::Plain);

@@ -13,18 +13,22 @@ fn l4_to_l1() -> Vec<FlowSpec> {
 }
 
 fn scenario(faults: FaultPlan) -> Scenario {
+    scenario_with(faults, l4_to_l1())
+}
+
+fn scenario_with(faults: FaultPlan, flows: Vec<FlowSpec>) -> Scenario {
     Scenario::builder(SchemeSpec::presto(), 61)
         .duration(SimDuration::from_millis(60))
         .warmup(SimDuration::from_millis(10))
-        .elephants(l4_to_l1())
+        .elephants(flows)
         .faults(faults)
         .build()
 }
 
 /// The label multiset a sender's vSwitch currently round-robins over for
-/// one destination.
+/// one destination. Only a host that talks has a vSwitch.
 fn labels(sim: &Simulation, src: usize, dst: usize) -> Vec<Mac> {
-    sim.hosts[src]
+    sim.host(HostId(src as u32))
         .vswitch
         .policy()
         .current_labels(HostId(dst as u32))
@@ -54,23 +58,31 @@ fn flap_restores_label_schedules() {
     );
 
     // Full flap: down at 20 ms, up at 35 ms, both transitions notified.
-    let mut sim = scenario(FaultPlan::new().flap_once(
+    // An extra L2 -> L3 elephant gives the run a pair the fault never
+    // touches.
+    let with_l2_l3 = || {
+        let mut flows = l4_to_l1();
+        flows.push(FlowSpec::elephant(4, 8, SimTime::ZERO));
+        flows
+    };
+    let flap = FaultPlan::new().flap_once(
         SimTime::from_millis(20),
         SimTime::from_millis(35),
         0,
         0,
         0,
         Notify::Immediate,
-    ))
-    .build();
+    );
+    let mut sim = scenario_with(flap, with_l2_l3()).build();
     sim.run();
     assert_eq!(
         labels(&sim, 12, 0),
         baseline,
         "recovery notification must restore the pre-failure schedule"
     );
-    // An unaffected pair (L2 -> L3) was never rescheduled.
-    let fresh = scenario(FaultPlan::new()).build();
+    // The unaffected pair (L2 -> L3) was never rescheduled.
+    let fresh = scenario_with(FaultPlan::new(), with_l2_l3()).build();
+    assert_eq!(labels(&fresh, 4, 8).len(), 4, "4 trees for L2 -> L3");
     assert_eq!(labels(&sim, 4, 8), labels(&fresh, 4, 8));
 }
 

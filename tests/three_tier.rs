@@ -9,10 +9,10 @@
 //!    fast-failover stage only, and recovers after reweighting.
 //! 4. The 8192-host fabric (k=32-scale, 16 spanning trees) reproduces
 //!    its pinned digest, and its switches size their per-host tables to
-//!    the hosts that talk.
+//!    the hosts that talk; so does the simulator's per-host edge state.
 
 use presto_faults::{FaultPlan, Notify};
-use presto_netsim::ThreeTierSpec;
+use presto_netsim::{HostId, ThreeTierSpec};
 use presto_simcore::{SimDuration, SimTime};
 use presto_telemetry::TelemetryConfig;
 use presto_testbed::{stride_elephants, ParallelRunner, Report, Scenario, SchemeSpec};
@@ -208,4 +208,44 @@ fn eight_thousand_host_switches_hold_one_slot_per_talking_host() {
         assert_eq!(sw.label_slots(), 128, "{:?} label table", sw.id);
         assert_eq!(sw.ecmp_slots(), 128, "{:?} ECMP table", sw.id);
     }
+}
+
+/// Only the 128 hosts that talk get a soft edge (vSwitch, GRO, NIC ring,
+/// CPU), in ascending host id; a workload in which every host talks
+/// keeps one per host.
+#[test]
+fn eight_thousand_host_sim_holds_one_host_node_per_talking_host() {
+    let sim = eight_thousand_hosts().build();
+    assert_eq!(sim.topo.hosts.len(), 8192);
+    assert_eq!(sim.hosts.len(), 128);
+    assert!(sim
+        .hosts
+        .windows(2)
+        .all(|w| w[0].vswitch.host < w[1].vswitch.host));
+    for host in &sim.hosts {
+        assert!(std::ptr::eq(sim.host(host.vswitch.host), host));
+    }
+
+    let stride = Scenario::builder(SchemeSpec::presto(), 1)
+        .elephants(stride_elephants(16, 8))
+        .build()
+        .build();
+    assert_eq!(stride.hosts.len(), 16);
+}
+
+/// Looking up a host outside the talking set is a bug, reported with
+/// the host's id: leaf 3 sends to leaf 0, so host 4 is idle.
+#[test]
+#[should_panic(expected = "host 4 has no edge state")]
+fn idle_host_lookup_panics_with_its_id() {
+    let sim = Scenario::builder(SchemeSpec::presto(), 1)
+        .elephants(
+            (0..4)
+                .map(|i| FlowSpec::elephant(12 + i, i, SimTime::ZERO))
+                .collect(),
+        )
+        .build()
+        .build();
+    assert_eq!(sim.hosts.len(), 8);
+    let _ = sim.host(HostId(4));
 }
