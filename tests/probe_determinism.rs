@@ -215,10 +215,12 @@ fn committed_baseline_fingerprints_are_unchanged() {
 /// Committed baseline digests, rebuilt through the lab exactly as
 /// `ci/campaign_smoke.sh` runs them: the skew campaign's prequal points
 /// (40 ms, 10 ms warm-up) and one bake-off point per arena scheme (web
-/// search with a link failure, where every scheme's decisions matter).
+/// search with a link failure, where every scheme's decisions matter),
+/// plus the incast campaign's collective points: ring allreduce under
+/// Presto and ECMP, and DCTCP incast with ECN under ECMP.
 /// The matrices above only compare a scheme with itself; these pins catch
-/// any change to what prequal and its probe pool, or an arena scheme,
-/// decides.
+/// any change to what prequal and its probe pool, an arena scheme or a
+/// collective workload decides.
 #[test]
 fn prequal_skew_campaign_digests_are_pinned() {
     for (campaign, label, pinned) in [
@@ -261,6 +263,21 @@ fn prequal_skew_campaign_digests_are_pinned() {
             "bakeoff",
             "caft/testbed16/websearch:1/linkdown:20/cell64k/s1",
             0xfc225bcacf903511,
+        ),
+        (
+            "incast",
+            "presto/testbed16/allreduce:8:256/none/cell64k/s1",
+            0x4613b88f38260d45,
+        ),
+        (
+            "incast",
+            "ecmp/testbed16/allreduce:8:256/none/cell64k/s1",
+            0xdb3d91c0656e066c,
+        ),
+        (
+            "incast",
+            "ecmp/testbed16/incast:8:32:1000:280/none/cell64k/s1/cc:dctcp/ecn:on",
+            0xc282ce74eff16e74,
         ),
     ] {
         let toml = std::fs::read_to_string(format!("campaigns/{campaign}.toml"))
