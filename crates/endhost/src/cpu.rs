@@ -53,15 +53,6 @@ impl CpuCosts {
         let bytes = SimDuration::from_nanos((seg.len as f64 * self.per_byte_ns).round() as u64);
         pkt + self.per_segment + bytes
     }
-
-    /// Line-rate ceiling (bytes/sec) for a given steady segment size: the
-    /// throughput at which this cost model pins one core at 100%.
-    pub fn saturation_bytes_per_sec(&self, segment_bytes: u32, mss: u32) -> f64 {
-        let per_byte = self.per_packet.as_nanos() as f64 / mss as f64
-            + self.per_segment.as_nanos() as f64 / segment_bytes as f64
-            + self.per_byte_ns;
-        1e9 / per_byte
-    }
 }
 
 /// A single receive core processing segments in FIFO order.
@@ -165,16 +156,6 @@ impl CpuModel {
     pub fn packets_processed(&self) -> u64 {
         self.packets_processed
     }
-
-    /// Mean segment size in packets — the health indicator for GRO
-    /// effectiveness (≈45 when 64 KB merges survive, ≈1 under flooding).
-    pub fn mean_merge_ratio(&self) -> f64 {
-        if self.segments_processed == 0 {
-            0.0
-        } else {
-            self.packets_processed as f64 / self.segments_processed as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,15 +199,19 @@ mod tests {
 
     #[test]
     fn saturation_matches_paper_shape() {
+        // The rate at which a steady stream of segments pins one core.
         let c = CpuCosts::default();
+        let gbps = |bytes: u32, packets: u32| {
+            bytes as f64 * 8.0 / c.segment_cost(&seg(bytes, packets)).as_nanos() as f64
+        };
         // MTU segments: core saturates near 5 Gbps (paper: 4.6-5.7 Gbps).
-        let mtu_gbps = c.saturation_bytes_per_sec(1460, 1460) * 8.0 / 1e9;
+        let mtu_gbps = gbps(1460, 1);
         assert!(
             (4.0..6.5).contains(&mtu_gbps),
             "MTU saturation {mtu_gbps} Gbps"
         );
         // 64 KB segments: ceiling far above 10 Gbps line rate.
-        let big_gbps = c.saturation_bytes_per_sec(65536, 1460) * 8.0 / 1e9;
+        let big_gbps = gbps(65536, 45);
         assert!(big_gbps > 15.0, "64KB saturation {big_gbps} Gbps");
     }
 
@@ -273,22 +258,6 @@ mod tests {
         presto.process(SimTime::ZERO, vec![seg(65536, 45)]);
         let delta = presto.busy_total() - base.busy_total();
         assert_eq!(delta.as_nanos(), 45 * 75);
-    }
-
-    #[test]
-    fn merge_ratio_tracks_gro_health() {
-        let mut cpu = CpuModel::new(CpuCosts::default());
-        cpu.process(SimTime::ZERO, vec![seg(65536, 45), seg(1460, 1)]);
-        assert!((cpu.mean_merge_ratio() - 23.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn saturation_monotone_in_segment_size() {
-        let c = CpuCosts::default();
-        let small = c.saturation_bytes_per_sec(1460, 1460);
-        let mid = c.saturation_bytes_per_sec(16 * 1024, 1460);
-        let big = c.saturation_bytes_per_sec(64 * 1024, 1460);
-        assert!(small < mid && mid < big, "{small} {mid} {big}");
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub struct TxSegment {
 }
 
 /// Split an skb into MTU packets, replicating the path tag onto each —
-/// the NIC's TSO engine. Appends into `out`, so the hot path can reuse a
-/// pooled buffer instead of allocating per segment.
+/// the NIC's TSO engine. Appends into `out`, so the hot path can reuse
+/// one buffer instead of allocating per segment.
 pub fn tso_split_into(seg: TxSegment, out: &mut Vec<Packet>) {
     assert!(
         seg.len > 0 && seg.len <= TSO_MAX_BYTES,

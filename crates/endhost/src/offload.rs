@@ -84,18 +84,6 @@ impl Segment {
         }
     }
 
-    /// Build the initial segment for a single raw data packet.
-    ///
-    /// # Panics
-    /// Panics if the packet is not a data packet — call only after an
-    /// `is_data` check, or use [`Segment::try_from_packet`].
-    pub fn from_packet(pkt: &Packet) -> Segment {
-        match Segment::try_from_packet(pkt) {
-            Ok(seg) => seg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Try to append `pkt` to the tail of this segment: same flow, same
     /// flowcell, and exactly contiguous sequence. Returns true on merge.
     pub fn try_merge_tail(&mut self, pkt: &Packet) -> bool {
@@ -210,8 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn from_packet_copies_fields() {
-        let s = Segment::from_packet(&pkt(1000, 1460, 3));
+    fn try_from_packet_copies_fields() {
+        let s = Segment::try_from_packet(&pkt(1000, 1460, 3)).unwrap();
         assert_eq!(s.seq, 1000);
         assert_eq!(s.len, 1460);
         assert_eq!(s.end_seq(), 2460);
@@ -232,16 +220,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "data packets")]
-    fn from_packet_panics_on_acks() {
-        let mut p = pkt(0, 0, 0);
-        p.kind = PacketKind::Ack { ack: 0, sack_hi: 0 };
-        let _ = Segment::from_packet(&p);
-    }
-
-    #[test]
     fn merge_contiguous_same_flowcell() {
-        let mut s = Segment::from_packet(&pkt(0, 1460, 0));
+        let mut s = Segment::try_from_packet(&pkt(0, 1460, 0)).unwrap();
         assert!(s.try_merge_tail(&pkt(1460, 1460, 0)));
         assert_eq!(s.len, 2920);
         assert_eq!(s.packets, 2);
@@ -249,7 +229,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_gap() {
-        let mut s = Segment::from_packet(&pkt(0, 1460, 0));
+        let mut s = Segment::try_from_packet(&pkt(0, 1460, 0)).unwrap();
         assert!(!s.try_merge_tail(&pkt(2920, 1460, 0)));
         assert_eq!(s.packets, 1);
     }
@@ -258,13 +238,13 @@ mod tests {
     fn merge_rejects_flowcell_change() {
         // Packets of a new flowcell never merge into the old segment even
         // when contiguous — flowcell boundaries are path boundaries.
-        let mut s = Segment::from_packet(&pkt(0, 1460, 0));
+        let mut s = Segment::try_from_packet(&pkt(0, 1460, 0)).unwrap();
         assert!(!s.try_merge_tail(&pkt(1460, 1460, 1)));
     }
 
     #[test]
     fn merge_rejects_other_flow() {
-        let mut s = Segment::from_packet(&pkt(0, 1460, 0));
+        let mut s = Segment::try_from_packet(&pkt(0, 1460, 0)).unwrap();
         let mut other = pkt(1460, 1460, 0);
         other.flow = FlowKey::new(HostId(5), HostId(1), 1, 2);
         assert!(!s.try_merge_tail(&other));
@@ -272,7 +252,7 @@ mod tests {
 
     #[test]
     fn merge_propagates_retx_flag() {
-        let mut s = Segment::from_packet(&pkt(0, 1460, 0));
+        let mut s = Segment::try_from_packet(&pkt(0, 1460, 0)).unwrap();
         let mut r = pkt(1460, 1460, 0);
         r.kind = PacketKind::Data {
             seq: 1460,
@@ -288,13 +268,13 @@ mod tests {
         // CE from the seed packet sticks …
         let mut marked = pkt(0, 1460, 0);
         marked.ce = true;
-        let mut s = Segment::from_packet(&marked);
+        let mut s = Segment::try_from_packet(&marked).unwrap();
         assert!(s.ce);
         assert!(s.try_merge_tail(&pkt(1460, 1460, 0)));
         assert!(s.ce, "unmarked tail must not clear CE");
 
         // … and CE from a merged tail sets it.
-        let mut s = Segment::from_packet(&pkt(0, 1460, 0));
+        let mut s = Segment::try_from_packet(&pkt(0, 1460, 0)).unwrap();
         assert!(!s.ce);
         let mut m = pkt(1460, 1460, 0);
         m.ce = true;

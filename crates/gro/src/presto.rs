@@ -193,12 +193,6 @@ impl PrestoGro {
         }
     }
 
-    /// Current EWMA of boundary-reordering delay for a flow (test and
-    /// instrumentation hook).
-    pub fn reorder_ewma_ns(&self, flow: &FlowKey) -> Option<f64> {
-        self.flows.get(flow).map(|f| f.reorder_ewma.get())
-    }
-
     fn flow_state(&mut self, flow: FlowKey) -> &mut FlowState {
         let cfg = &self.cfg;
         self.flows.entry(flow).or_insert_with(|| FlowState {
@@ -497,6 +491,11 @@ mod tests {
     }
 
     /// Packet `i` (global index); flowcell derived as i / CELL.
+    /// The test flow's EWMA of boundary-reordering delay, if it has state.
+    fn reorder_ewma_ns(g: &PrestoGro) -> Option<f64> {
+        g.flows.get(&flow()).map(|f| f.reorder_ewma.get())
+    }
+
     fn pkt(i: u64) -> Packet {
         pkt_retx(i, false)
     }
@@ -684,7 +683,7 @@ mod tests {
     #[test]
     fn ewma_adapts_to_observed_reordering() {
         let mut g = PrestoGro::new();
-        let init = g.reorder_ewma_ns(&flow());
+        let init = reorder_ewma_ns(&g);
         assert_eq!(init, None, "no state before packets");
         // Create a boundary gap, fill it 50 us later, repeatedly.
         let mut t = SimTime::ZERO;
@@ -704,7 +703,7 @@ mod tests {
             g.flush(t);
             t += SimDuration::from_micros(5);
         }
-        let ewma = g.reorder_ewma_ns(&flow()).unwrap();
+        let ewma = reorder_ewma_ns(&g).unwrap();
         assert!(
             (20_000.0..80_000.0).contains(&ewma),
             "EWMA should move toward the observed ~50us gaps: {ewma}"
@@ -832,7 +831,7 @@ mod tests {
             g.flush(t);
             t += SimDuration::from_micros(5);
         }
-        let ewma = g.reorder_ewma_ns(&flow()).unwrap();
+        let ewma = reorder_ewma_ns(&g).unwrap();
         assert_eq!(ewma, 10_000_000.0, "fixed timeout drifted: {ewma}");
     }
 

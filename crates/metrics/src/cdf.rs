@@ -1,9 +1,8 @@
 //! Empirical cumulative distribution functions.
 //!
 //! The paper presents most latency results as CDFs (Figs 5, 8, 11, 13, 14,
-//! 16, 18). [`Cdf`] is an immutable snapshot of a sample set supporting
-//! both directions of query: `F(x)` (fraction ≤ x) and the quantile
-//! function `F⁻¹(q)`.
+//! 16, 18). [`Cdf`] is an immutable snapshot of a sample set: its
+//! quantile function `F⁻¹(q)` and the points a figure plots.
 
 use crate::samples::Samples;
 
@@ -21,13 +20,6 @@ impl Cdf {
         Cdf { sorted }
     }
 
-    /// Build from a raw slice.
-    pub fn from_values(values: &[f64]) -> Self {
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        Cdf { sorted }
-    }
-
     /// Number of underlying samples.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -36,15 +28,6 @@ impl Cdf {
     /// True when the CDF holds no samples.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
-    }
-
-    /// `F(x)`: fraction of samples ≤ `x`. Zero for an empty CDF.
-    pub fn fraction_le(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
     }
 
     /// `F⁻¹(q)`: smallest sample at or above the `q` quantile,
@@ -99,26 +82,15 @@ mod tests {
     use super::*;
 
     fn cdf(vals: &[f64]) -> Cdf {
-        Cdf::from_values(vals)
+        Cdf::from_samples(&vals.iter().copied().collect())
     }
 
     #[test]
     fn empty_cdf() {
         let c = cdf(&[]);
         assert!(c.is_empty());
-        assert_eq!(c.fraction_le(10.0), 0.0);
         assert_eq!(c.quantile(0.5), None);
         assert!(c.points().is_empty());
-    }
-
-    #[test]
-    fn fraction_le_basics() {
-        let c = cdf(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(c.fraction_le(0.5), 0.0);
-        assert_eq!(c.fraction_le(1.0), 0.25);
-        assert_eq!(c.fraction_le(2.5), 0.5);
-        assert_eq!(c.fraction_le(4.0), 1.0);
-        assert_eq!(c.fraction_le(100.0), 1.0);
     }
 
     #[test]
@@ -150,13 +122,5 @@ mod tests {
             assert!(w[1].0 > w[0].0);
         }
         assert_eq!(s.last().unwrap().1, 999.0);
-    }
-
-    #[test]
-    fn from_samples_matches_from_values() {
-        let s: Samples = [3.0, 1.0, 2.0].into_iter().collect();
-        let a = Cdf::from_samples(&s);
-        let b = Cdf::from_values(&[1.0, 2.0, 3.0]);
-        assert_eq!(a.points(), b.points());
     }
 }

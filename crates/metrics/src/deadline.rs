@@ -38,15 +38,6 @@ impl DeadlineTracker {
         self.misses
     }
 
-    /// Fraction of requests that missed (0.0 when none were recorded).
-    pub fn miss_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.total as f64
-        }
-    }
-
     /// Completion times in recording order, milliseconds.
     pub fn elapsed_ms(&self) -> &[f64] {
         &self.elapsed_ms
@@ -65,15 +56,6 @@ mod tests {
         t.record(10.001, 10.0);
         assert_eq!(t.total(), 3);
         assert_eq!(t.misses(), 1);
-        assert!((t.miss_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(t.elapsed_ms(), &[5.0, 10.0, 10.001]);
-    }
-
-    #[test]
-    fn empty_tracker_has_zero_miss_fraction() {
-        let t = DeadlineTracker::new();
-        assert_eq!(t.total(), 0);
-        assert_eq!(t.miss_fraction(), 0.0);
-        assert!(t.elapsed_ms().is_empty());
     }
 }

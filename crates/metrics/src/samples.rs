@@ -38,12 +38,6 @@ impl Samples {
         self.sorted = false;
     }
 
-    /// Absorb all samples from `other`.
-    pub fn extend_from(&mut self, other: &Samples) {
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
-    }
-
     /// Number of samples.
     #[inline]
     pub fn len(&self) -> usize {
@@ -104,29 +98,10 @@ impl Samples {
         self.percentile(50.0)
     }
 
-    /// Standard deviation (population), or `None` when empty.
-    pub fn stddev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .values
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.values.len() as f64;
-        Some(var.sqrt())
-    }
-
     /// Borrow the raw samples (unsorted insertion order is not preserved
     /// once a percentile query has sorted them).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// The `k` largest samples, descending — Fig 1 reports the top-10
-    /// flowlet sizes.
-    pub fn top_k(&mut self, k: usize) -> Vec<f64> {
-        self.ensure_sorted();
-        self.values.iter().rev().take(k).copied().collect()
     }
 
     fn ensure_sorted(&mut self) {
@@ -160,7 +135,6 @@ mod tests {
         assert_eq!(s.percentile(50.0), None);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.stddev(), None);
     }
 
     #[test]
@@ -209,27 +183,5 @@ mod tests {
         assert_eq!(s.median(), Some(3.0));
         s.add(0.0);
         assert_eq!(s.median(), Some(1.0));
-    }
-
-    #[test]
-    fn top_k_descending() {
-        let mut s: Samples = [3.0, 9.0, 1.0, 7.0].into_iter().collect();
-        assert_eq!(s.top_k(2), vec![9.0, 7.0]);
-        assert_eq!(s.top_k(10), vec![9.0, 7.0, 3.0, 1.0]);
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        let s: Samples = [4.0; 10].into_iter().collect();
-        assert_eq!(s.stddev(), Some(0.0));
-    }
-
-    #[test]
-    fn extend_from_merges() {
-        let mut a: Samples = [1.0, 2.0].into_iter().collect();
-        let b: Samples = [3.0].into_iter().collect();
-        a.extend_from(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.max(), Some(3.0));
     }
 }

@@ -52,11 +52,6 @@ impl MetricSummary {
         }
     }
 
-    /// Summarize a plain slice of values.
-    pub fn of_slice(values: &[f64]) -> Self {
-        Self::of(&values.iter().copied().collect())
-    }
-
     /// The summary as `(quantile, value)` points — the staircase a CDF
     /// figure can plot when only the compact summary survives (campaign
     /// result rows persist summaries, not raw samples). Empty when the
@@ -105,8 +100,7 @@ mod tests {
 
     #[test]
     fn summary_matches_exact_percentiles() {
-        let values: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        let s = MetricSummary::of_slice(&values);
+        let s = MetricSummary::of(&(1..=100).map(|v| v as f64).collect());
         assert_eq!(s.count, 100);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
@@ -117,8 +111,7 @@ mod tests {
 
     #[test]
     fn quantile_points_follow_the_summary() {
-        let values: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        let s = MetricSummary::of_slice(&values);
+        let s = MetricSummary::of(&(1..=100).map(|v| v as f64).collect());
         let pts = s.quantile_points();
         assert_eq!(pts.len(), 5);
         assert_eq!(pts[0], (0.0, s.min));

@@ -21,7 +21,6 @@ pub mod fabric;
 pub mod ids;
 pub mod link;
 pub mod packet;
-pub mod pool;
 pub mod switch;
 pub mod topology;
 
@@ -32,6 +31,5 @@ pub use link::{Link, LinkCounters};
 pub use packet::{
     FlowKey, Packet, PacketKind, ACK_WIRE_BYTES, MSS, PROBE_WIRE_BYTES, WIRE_OVERHEAD,
 };
-pub use pool::{BufferPool, PacketPool};
 pub use switch::{EcmpMode, Switch};
 pub use topology::{ClosSpec, ThreeTierSpec, Topology, TopologyBuilder};

@@ -277,21 +277,6 @@ impl Link {
         self.queue.len() - self.committed as usize
     }
 
-    /// Whether the transmitter is mid-packet.
-    pub fn is_busy(&self) -> bool {
-        self.on_wire.is_some()
-    }
-
-    /// Queueing delay a packet enqueued at `now` would experience.
-    pub fn queue_delay(&self, now: SimTime) -> SimDuration {
-        SimDuration::transmission(self.occupancy(now), self.rate_bps)
-    }
-
-    /// One-way latency floor for a packet of `wire` bytes on an idle link.
-    pub fn min_latency(&self, wire: u64) -> SimDuration {
-        SimDuration::transmission(wire, self.rate_bps) + self.propagation
-    }
-
     /// Record a drop decided by switch-level admission (shared-buffer DT),
     /// which happens before the per-port queue is consulted.
     pub fn count_admission_drop(&mut self, pkt: &Packet) {
@@ -400,7 +385,7 @@ mod tests {
             d,
             SimDuration::transmission((MSS + WIRE_OVERHEAD) as u64, 10_000_000_000)
         );
-        assert!(l.is_busy());
+        assert!(l.on_wire.is_some());
         assert_eq!(l.queue_len(), 0);
     }
 
@@ -424,9 +409,9 @@ mod tests {
         }
         assert_eq!(l.queue_len(), 0);
         assert_eq!(l.settle(), (300 + WIRE_OVERHEAD) as u64);
-        assert!(!l.is_busy());
+        assert!(l.on_wire.is_none());
         assert!(commit(&mut l).is_none(), "an empty queue stays idle");
-        assert!(!l.is_busy());
+        assert!(l.on_wire.is_none());
         assert_eq!(l.counters.tx_packets, 3);
     }
 
@@ -474,7 +459,7 @@ mod tests {
             assert_eq!(l.queued_bytes(), bytes);
             assert_eq!(l.occupancy(SimTime::ZERO), bytes);
         }
-        assert!(!l.is_busy());
+        assert!(l.on_wire.is_none());
         assert!(l.queue.is_empty());
         assert_eq!(l.counters.tx_packets, 4);
     }
@@ -532,15 +517,14 @@ mod tests {
     }
 
     #[test]
-    fn queue_delay_tracks_occupancy() {
+    fn occupancy_counts_committed_bytes() {
         let mut l = link(1_000_000);
-        assert_eq!(l.queue_delay(SimTime::ZERO), SimDuration::ZERO);
+        assert_eq!(l.occupancy(SimTime::ZERO), 0);
         l.enqueue(SimTime::ZERO, pkt(MSS));
         commit(&mut l);
         l.enqueue(SimTime::ZERO, pkt(MSS));
         // Committed-but-unsettled bytes still count toward occupancy.
-        let expect = SimDuration::transmission(2 * (MSS + WIRE_OVERHEAD) as u64, 10_000_000_000);
-        assert_eq!(l.queue_delay(SimTime::ZERO), expect);
+        assert_eq!(l.occupancy(SimTime::ZERO), 2 * (MSS + WIRE_OVERHEAD) as u64);
     }
 
     #[test]
@@ -553,7 +537,7 @@ mod tests {
         }
         let expect = 5 * (MSS + WIRE_OVERHEAD) as u64;
         assert_eq!(l.counters.max_queue_bytes, expect);
-        while l.is_busy() {
+        while l.on_wire.is_some() {
             l.settle();
             commit(&mut l);
         }
@@ -658,13 +642,5 @@ mod tests {
         check(&mut l);
         l.restore_rate();
         check(&mut l);
-    }
-
-    #[test]
-    fn min_latency_includes_propagation() {
-        let l = link(1000);
-        let d = l.min_latency(1538);
-        // 1538B at 10G = 1230.4ns -> 1231ns (ceil), +500ns propagation.
-        assert_eq!(d.as_nanos(), 1231 + 500);
     }
 }

@@ -109,18 +109,6 @@ impl DetRng {
         -mean * (1.0 - self.gen_f64()).ln()
     }
 
-    /// Bounded Pareto sample on `[lo, hi]` with shape `alpha` — the
-    /// heavy-tailed flow-size distribution used by the trace-driven
-    /// workload generator.
-    pub fn bounded_pareto(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
-        debug_assert!(lo > 0.0 && hi > lo && alpha > 0.0);
-        let u = self.gen_f64();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        // Inverse CDF of the bounded Pareto.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -203,31 +191,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exp(mean)).sum();
         let m = sum / n as f64;
         assert!((m - mean).abs() / mean < 0.05, "sample mean {m}");
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_range() {
-        let mut r = DetRng::new(17);
-        for _ in 0..10_000 {
-            let x = r.bounded_pareto(1_000.0, 1_000_000.0, 1.05);
-            assert!((1_000.0..=1_000_000.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_is_heavy_tailed() {
-        let mut r = DetRng::new(19);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.bounded_pareto(1e3, 1e7, 0.9)).collect();
-        let below_10k = samples.iter().filter(|&&x| x < 1e4).count() as f64 / n as f64;
-        // Most flows are mice...
-        assert!(below_10k > 0.5, "only {below_10k} below 10k");
-        // ...but the tail carries a disproportionate share of bytes.
-        let total: f64 = samples.iter().sum();
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let top1pct: f64 = sorted[..n / 100].iter().sum();
-        assert!(top1pct / total > 0.2, "top 1% carries {}", top1pct / total);
     }
 
     #[test]

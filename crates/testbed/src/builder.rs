@@ -31,7 +31,7 @@ use presto_simcore::SimDuration;
 use presto_telemetry::TelemetryConfig;
 use presto_workloads::FlowSpec;
 
-use crate::scenario::{AllreduceSpec, FailureSpec, IncastSpec, MiceSpec, Scenario, ShuffleSpec};
+use crate::scenario::{AllreduceSpec, IncastSpec, MiceSpec, Scenario, ShuffleSpec};
 use crate::scheme::SchemeSpec;
 
 /// Fluent builder for [`Scenario`] — see the module docs for an example.
@@ -182,12 +182,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Shorthand for the classic single-failure experiment:
-    /// `.faults(spec.into())`.
-    pub fn failure(self, spec: FailureSpec) -> Self {
-        self.faults(spec.into())
-    }
-
     /// Attach WAN "remote user" hosts to the spines.
     pub fn wan_remotes(mut self, n: usize) -> Self {
         self.inner.wan_remotes = n;
@@ -306,20 +300,5 @@ mod tests {
             .name("renamed")
             .build();
         assert_eq!(s.name(), "renamed");
-    }
-
-    #[test]
-    fn failure_shorthand_converts() {
-        let s = Scenario::builder(SchemeSpec::presto(), 1)
-            .failure(FailureSpec {
-                at: SimTime::from_millis(3),
-                leaf: 0,
-                spine: 1,
-                link: 0,
-                controller_at: None,
-            })
-            .build();
-        assert_eq!(s.faults().events.len(), 1);
-        assert_eq!(s.faults().events[0].notify, Notify::Never);
     }
 }

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+mod apps;
 pub mod builder;
 pub mod canon;
 pub mod registry;
@@ -51,8 +52,8 @@ pub use registry::{build_policy, SchemeEntry, SCHEMES};
 pub use report::Report;
 pub use runner::ParallelRunner;
 pub use scenario::{
-    bijection_elephants, random_elephants, stride_elephants, AllreduceSpec, FailureSpec,
-    IncastSpec, MiceSpec, Scenario, ShuffleSpec,
+    bijection_elephants, random_elephants, stride_elephants, AllreduceSpec, IncastSpec, MiceSpec,
+    Scenario, ShuffleSpec,
 };
 pub use scheme::{GroKind, PolicyKind, SchemeSpec, TransportKind, DEFAULT_ECN_THRESHOLD};
-pub use sim::{FaultAction, FlowTag, ResolvedFault, Simulation};
+pub use sim::{FaultAction, ResolvedFault, Simulation};

@@ -147,21 +147,6 @@ impl ParallelRunner {
     pub fn run_traced(&self, scenarios: &[Scenario]) -> Vec<(Report, TelemetryReport)> {
         self.run_with(scenarios, Scenario::run_traced)
     }
-
-    /// Run scenarios and fold each report through `f` — convenience for
-    /// harnesses that tabulate `(scenario, report)` rows in sweep order.
-    pub fn run_map<T>(
-        &self,
-        scenarios: &[Scenario],
-        mut f: impl FnMut(&Scenario, Report) -> T,
-    ) -> Vec<T> {
-        let reports = self.run(scenarios);
-        scenarios
-            .iter()
-            .zip(reports)
-            .map(|(s, r)| f(s, r))
-            .collect()
-    }
 }
 
 /// Best-effort rendering of a panic payload (`&str` and `String` payloads
@@ -214,16 +199,6 @@ mod tests {
             .map(Report::digest)
             .collect();
         assert_eq!(one, three);
-    }
-
-    #[test]
-    fn run_map_pairs_rows_with_scenarios() {
-        let scenarios: Vec<Scenario> = (0..2).map(tiny).collect();
-        let names =
-            ParallelRunner::new(2).run_map(&scenarios, |sc, r| (sc.seed(), r.scheme.clone()));
-        assert_eq!(names.len(), 2);
-        assert_eq!(names[0].0, 0);
-        assert_eq!(names[1].0, 1);
     }
 
     /// Satellite regression test: one panicking scenario must not poison

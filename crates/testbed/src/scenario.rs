@@ -13,7 +13,7 @@
 
 use presto_core::Controller;
 use presto_endhost::ReceiveOffload;
-use presto_faults::{FaultEvent, FaultKind, FaultPlan, Notify};
+use presto_faults::{FaultEvent, FaultKind, FaultPlan};
 use presto_gro::{OfficialGro, PrestoGro, PrestoGroConfig};
 use presto_netsim::{ClosSpec, HostId, Mac, ThreeTierSpec, Topology};
 use presto_simcore::rng::DetRng;
@@ -22,12 +22,10 @@ use presto_telemetry::{TelemetryConfig, TelemetryReport};
 use presto_workloads::patterns;
 use presto_workloads::FlowSpec;
 
+use crate::apps::Apps;
 use crate::report::Report;
 use crate::scheme::{GroKind, PolicyKind, SchemeSpec};
-use crate::sim::{
-    make_host, AllreduceState, Event, FaultAction, FlowTag, IncastState, MiceSeries, PendingFlow,
-    ResolvedFault, ShuffleState, Simulation,
-};
+use crate::sim::{make_host, FaultAction, ResolvedFault, Simulation};
 
 /// XOR-folded into the scenario seed to derive the fault-plan expansion
 /// stream, so flap draws never correlate with workload randomness.
@@ -84,37 +82,6 @@ pub struct AllreduceSpec {
     pub participants: usize,
     /// Bytes per member per round.
     pub bytes: u64,
-}
-
-/// A single bidirectional link failure between a leaf and a spine — the
-/// "at most one permanent failure" model this testbed started with.
-///
-/// Kept as a convenience shorthand: it converts losslessly into a
-/// [`FaultPlan`] (`FaultPlan::from(spec)`), which is what scenarios carry
-/// now that fault timelines are first-class.
-#[derive(Debug, Clone, Copy)]
-pub struct FailureSpec {
-    /// When the link dies.
-    pub at: SimTime,
-    /// Leaf index.
-    pub leaf: usize,
-    /// Spine index.
-    pub spine: usize,
-    /// Parallel-link index (0 for γ = 1).
-    pub link: usize,
-    /// When the controller learns and redistributes weighted labels
-    /// (`None` = never; the pure fast-failover stage of Fig 17).
-    pub controller_at: Option<SimTime>,
-}
-
-impl From<FailureSpec> for FaultPlan {
-    fn from(f: FailureSpec) -> FaultPlan {
-        let notify = match f.controller_at {
-            Some(t) => Notify::After(t.saturating_since(f.at)),
-            None => Notify::Never,
-        };
-        FaultPlan::new().link_down(f.at, f.leaf, f.spine, f.link, notify)
-    }
 }
 
 /// A complete experiment description.
@@ -282,48 +249,14 @@ impl Scenario {
         (report, telemetry)
     }
 
-    /// Host pairs that exchange traffic in this scenario, in either
-    /// direction (WAN-remote indices follow the servers'), or `None` when
-    /// every server talks to every other (shuffles are all-to-all). Drives
-    /// the scoped forwarding-state installs: on an 8192-host fabric with a
-    /// sparse workload, routing and label state is only materialized for
-    /// the hosts and pairs that will ever see a packet.
-    fn talking_pairs(&self) -> Option<Vec<(usize, usize)>> {
-        if self.shuffle.is_some() {
-            return None;
-        }
-        let mut pairs: Vec<(usize, usize)> = self
-            .flows
-            .iter()
-            .map(|f| (f.src, f.dst))
-            .chain(self.mice.iter().map(|m| (m.src, m.dst)))
-            .chain(self.probes.iter().copied())
-            .collect();
-        if let Some(inc) = &self.incast {
-            // The aggregator is active even with no workers (a self-pair
-            // marks it without giving it a peer). A probing (load-aware)
-            // aggregator may pick replicas from the whole server pool, so
-            // every server may answer it.
-            pairs.push((inc.aggregator, inc.aggregator));
-            let n_servers = self.n_servers();
-            let workers = if matches!(self.scheme.policy, PolicyKind::Prequal(_)) {
-                (0..n_servers).collect()
-            } else {
-                patterns::incast_senders(n_servers, inc.aggregator, inc.fanout)
-            };
-            pairs.extend(workers.into_iter().map(|w| (w, inc.aggregator)));
-        }
-        if let Some(ar) = &self.allreduce {
-            pairs.extend(patterns::ring(ar.participants));
-        }
-        Some(pairs)
-    }
-
     /// Assemble the simulator without running it — useful for inspection
     /// and custom drivers.
     pub fn build(&self) -> Simulation {
         let n_servers = self.n_servers();
-        let pairs = self.talking_pairs();
+        // Routing and label state is only materialized for the hosts and
+        // pairs that will ever see a packet.
+        let apps = Apps::new(self);
+        let pairs = apps.talking_pairs();
         let active = pairs.as_deref().and_then(|p| active_servers(n_servers, p));
         // 1. Topology.
         let mut topo = if self.scheme.single_switch {
@@ -485,6 +418,7 @@ impl Scenario {
             self.scheme.clone(),
             mk_host,
             active.as_deref(),
+            apps,
             end,
             warm,
         );
@@ -500,80 +434,7 @@ impl Scenario {
         }
 
         // 8. Applications.
-        for spec in &self.flows {
-            let idx = sim.pending_flows.len();
-            sim.pending_flows.push(PendingFlow {
-                src: spec.src,
-                dst: spec.dst,
-                bytes: spec.bytes,
-                measure_fct: spec.measure_fct,
-                tag: FlowTag::Plain,
-            });
-            sim.schedule(spec.start, Event::FlowStart(idx));
-        }
-        for (i, m) in self.mice.iter().enumerate() {
-            sim.mice_series.push(MiceSeries {
-                src: m.src,
-                dst: m.dst,
-                bytes: m.bytes,
-                interval: m.interval,
-            });
-            // Stagger series starts across one interval.
-            let offset = m.interval.mul_f64((i % 16) as f64 / 16.0);
-            sim.schedule(SimTime::ZERO + m.interval + offset, Event::MiceNext(i));
-        }
-        for (i, &(src, dst)) in self.probes.iter().enumerate() {
-            let offset = self.probe_interval.mul_f64((i % 16) as f64 / 16.0);
-            sim.add_pinger(src, dst, self.probe_interval, SimTime::ZERO + offset);
-        }
-        if let Some(sh) = &self.shuffle {
-            let mut rng = DetRng::new(self.seed ^ 0x5F);
-            let orders = patterns::shuffle_orders(n_servers, &mut rng);
-            sim.shuffle = Some(ShuffleState {
-                orders,
-                pos: vec![0; n_servers],
-                active: vec![0; n_servers],
-                concurrency: sh.concurrency,
-                bytes: sh.bytes,
-                tputs: Vec::new(),
-            });
-            for src in 0..n_servers {
-                sim.schedule(SimTime::ZERO, Event::ShuffleMore(src));
-            }
-        }
-        if let Some(inc) = &self.incast {
-            let senders = patterns::incast_senders(n_servers, inc.aggregator, inc.fanout);
-            // Load-oblivious schemes always use the static sender set; a
-            // probing aggregator chooses `fanout` replicas per request
-            // from the whole server pool.
-            let candidates = if matches!(self.scheme.policy, PolicyKind::Prequal(_)) {
-                (0..n_servers).filter(|&w| w != inc.aggregator).collect()
-            } else {
-                senders.clone()
-            };
-            sim.incast = Some(IncastState {
-                aggregator: inc.aggregator,
-                senders,
-                candidates,
-                bytes_per_worker: inc.bytes_per_worker,
-                interval: inc.interval,
-                deadline: inc.deadline,
-                requests: Vec::new(),
-                tracker: Default::default(),
-            });
-            sim.schedule(SimTime::ZERO, Event::IncastNext);
-        }
-        if let Some(ar) = &self.allreduce {
-            sim.allreduce = Some(AllreduceState {
-                ring: patterns::ring(ar.participants),
-                bytes: ar.bytes,
-                outstanding: 0,
-                round_start: SimTime::ZERO,
-                rounds_completed: 0,
-                round_ms: Vec::new(),
-            });
-            sim.schedule(SimTime::ZERO, Event::AllreduceRound);
-        }
+        sim.schedule_apps();
 
         // 9. Fault timeline: expand flap processes from the scenario seed,
         // resolve (leaf, spine, link) coordinates against the built
@@ -735,6 +596,7 @@ pub fn bijection_elephants(n_hosts: usize, hosts_per_pod: usize, seed: u64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use presto_faults::Notify;
 
     #[test]
     fn helpers_build_flow_lists() {
@@ -745,39 +607,6 @@ mod tests {
         assert_eq!(b.len(), 16);
         let r = random_elephants(16, 4, 1);
         assert_eq!(r.len(), 16);
-    }
-
-    #[test]
-    fn failure_spec_converts_to_fault_plan() {
-        let spec = FailureSpec {
-            at: SimTime::from_millis(10),
-            leaf: 1,
-            spine: 2,
-            link: 0,
-            controller_at: Some(SimTime::from_millis(14)),
-        };
-        let plan = FaultPlan::from(spec);
-        let sched = plan.schedule(0);
-        assert_eq!(sched.len(), 1);
-        assert_eq!(sched[0].at, SimTime::from_millis(10));
-        assert_eq!(
-            sched[0].kind,
-            FaultKind::LinkDown {
-                leaf: 1,
-                spine: 2,
-                link: 0
-            }
-        );
-        assert_eq!(
-            sched[0].notify.at(sched[0].at),
-            Some(SimTime::from_millis(14))
-        );
-        // A dropped notification survives the conversion.
-        let plan = FaultPlan::from(FailureSpec {
-            controller_at: None,
-            ..spec
-        });
-        assert_eq!(plan.schedule(0)[0].notify, Notify::Never);
     }
 
     #[test]

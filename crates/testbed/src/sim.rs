@@ -2,8 +2,11 @@
 //!
 //! One [`Simulation`] owns the fabric, every host's soft edge (vSwitch →
 //! NIC TSO on transmit; rx ring → GRO → CPU → TCP on receive), all
-//! transport state, the applications (elephants, mice, probes, shuffle),
-//! and the experiment timeline (warmup, failures, controller updates).
+//! transport state and the experiment timeline (warmup, failures,
+//! controller updates). The workloads that drive it (elephants, mice,
+//! probes, shuffle, incast, allreduce) live in the private `apps` module:
+//! their handlers name the connections to start, and the simulation
+//! starts them.
 //!
 //! The receive chain mirrors §2.2 of the paper exactly:
 //!
@@ -22,8 +25,7 @@ use presto_endhost::{
 };
 use presto_metrics::TimeSeries;
 use presto_netsim::{
-    FlowKey, HostId, LinkId, NetEvent, NetScheduler, Packet, PacketKind, PacketPool, SwitchId,
-    Topology,
+    FlowKey, HostId, LinkId, NetEvent, NetScheduler, Packet, PacketKind, SwitchId, Topology,
 };
 use presto_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
 use presto_telemetry::{
@@ -34,6 +36,7 @@ use presto_transport::{
     CongestionControl, MptcpConnection, SenderOutput, TcpConfig, TcpReceiver, TcpSender,
 };
 
+use crate::apps::{Apps, FlowTag, Start};
 use crate::report::{ooo_cell_counts, Report};
 use crate::scheme::{SchemeSpec, TransportKind};
 
@@ -41,24 +44,11 @@ use crate::scheme::{SchemeSpec, TransportKind};
 /// so the overall overhead lands near the paper's +6% (Fig 6).
 pub const PRESTO_GRO_EXTRA: SimDuration = SimDuration::from_nanos(75);
 
-/// Which application a flow belongs to, for completion bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowTag {
-    /// A standalone flow (elephant, mouse, trace replay).
-    Plain,
-    /// A shuffle transfer from source host `src`.
-    Shuffle(usize),
-    /// A worker response belonging to incast request `req`.
-    Incast(usize),
-    /// One neighbor transfer of the current allreduce round.
-    Allreduce,
-}
-
 /// One subflow of a connection, packed into 32 bits so that [`Event::Rto`]
 /// fits a 16-byte event: the connection's index in the simulation's
 /// connection table in bits 8..32, and the subflow in bits 0..8 (always 0
-/// for single-path TCP). [`Simulation::new`] rejects a subflow count
-/// beyond [`TransportKind::MAX_SUBFLOWS`], and [`Simulation::start_flow`]
+/// for single-path TCP). Building a simulation rejects a subflow count
+/// beyond [`TransportKind::MAX_SUBFLOWS`], and starting a connection
 /// panics past 2^24 connections in one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Subflow(u32);
@@ -103,7 +93,7 @@ pub enum Event {
     CpuDone(HostId),
     /// TCP retransmission timer of a subflow, with the timer generation.
     Rto(Subflow, u64),
-    /// Start pending flow `i`.
+    /// Start one-shot flow `i` of the workloads.
     FlowStart(usize),
     /// Launch the next mouse of series `i`.
     MiceNext(usize),
@@ -294,8 +284,6 @@ struct Conn {
     flow: FlowKey,
     /// When the connection started.
     start: SimTime,
-    /// Record FCT on completion.
-    measure_fct: bool,
     /// Completion time, if finished.
     done_at: Option<SimTime>,
     /// Acked bytes at the warmup mark.
@@ -408,113 +396,9 @@ struct Flow {
     receiver: TcpReceiver,
 }
 
-/// A sockperf-style RTT prober.
-pub struct Pinger {
-    /// Probe flow (dport 7).
-    pub flow: FlowKey,
-    interval: SimDuration,
-    outstanding: FxHashMap<u64, SimTime>,
-    next_id: u64,
-}
-
-/// A "mice every 100 ms" series (§4).
-pub struct MiceSeries {
-    /// Sender host index.
-    pub src: usize,
-    /// Receiver host index.
-    pub dst: usize,
-    /// Bytes per mouse.
-    pub bytes: u64,
-    /// Launch interval.
-    pub interval: SimDuration,
-}
-
-/// A flow awaiting its start event.
-pub struct PendingFlow {
-    /// Sender host index.
-    pub src: usize,
-    /// Receiver host index.
-    pub dst: usize,
-    /// `None` = unbounded elephant.
-    pub bytes: Option<u64>,
-    /// Record FCT on completion.
-    pub measure_fct: bool,
-    /// Owning application, for completion bookkeeping.
-    pub tag: FlowTag,
-}
-
-/// Shuffle workload state: per-source destination queues.
-pub struct ShuffleState {
-    /// Destination order per source; consumed via [`ShuffleState::pos`]
-    /// rather than `remove(0)` so starting a transfer is O(1).
-    pub orders: Vec<Vec<usize>>,
-    /// Next unstarted index into `orders[src]`, per source.
-    pub pos: Vec<usize>,
-    /// Transfers in flight per source.
-    pub active: Vec<usize>,
-    /// Max concurrent transfers per source (paper: 2).
-    pub concurrency: usize,
-    /// Bytes per transfer.
-    pub bytes: u64,
-    /// Completed transfer throughputs (Gbps).
-    pub tputs: Vec<f64>,
-}
-
-/// Partition-aggregate incast state: every [`Event::IncastNext`] issues a
-/// request — all `senders` simultaneously answer the aggregator with
-/// `bytes_per_worker` — and the request completes when its last response
-/// lands, holding the elapsed time against `deadline`.
-pub struct IncastState {
-    /// Receiving (aggregator) host.
-    pub aggregator: usize,
-    /// Responding worker hosts.
-    pub senders: Vec<usize>,
-    /// Eligible responder hosts offered to the aggregator policy's
-    /// [`EdgePolicy::select_replicas`] hook each wave. For load-oblivious
-    /// policies this equals `senders`, and because the hook then returns
-    /// `None` the wave falls back to `senders` verbatim — the pre-probe
-    /// behaviour. Load-aware schemes get every server except the
-    /// aggregator to choose cold responders from.
-    pub candidates: Vec<usize>,
-    /// Response size per worker, bytes.
-    pub bytes_per_worker: u64,
-    /// Request issue interval.
-    pub interval: SimDuration,
-    /// Per-request completion deadline.
-    pub deadline: SimDuration,
-    /// Per-request `(issued_at, responses outstanding)`, indexed by the
-    /// request id carried in [`FlowTag::Incast`].
-    pub requests: Vec<(SimTime, usize)>,
-    /// Deadline accounting for requests issued after warmup.
-    pub tracker: presto_metrics::DeadlineTracker,
-}
-
-/// Ring-allreduce state: each round, every ring member streams `bytes` to
-/// its clockwise neighbor; the round ends when the last transfer
-/// completes, immediately starting the next (synchronized elephant
-/// rounds).
-pub struct AllreduceState {
-    /// `(src, dst)` transfer pairs of one round.
-    pub ring: Vec<(usize, usize)>,
-    /// Bytes per member per round.
-    pub bytes: u64,
-    /// Transfers outstanding in the current round.
-    pub outstanding: usize,
-    /// When the current round started.
-    pub round_start: SimTime,
-    /// Rounds completed over the whole run (including warmup).
-    pub rounds_completed: u64,
-    /// Post-warmup round durations, milliseconds.
-    pub round_ms: Vec<f64>,
-}
-
 /// Live statistics accumulated during a run.
 #[derive(Default)]
 pub struct Stats {
-    /// RTT samples (ms), post-warmup.
-    pub rtt_ms: Vec<f64>,
-    /// Mice FCTs (ms), for mice started post-warmup.
-    pub mice_fct_ms: Vec<f64>,
     /// Segment sizes pushed up receive stacks (bytes), post-warmup.
     pub segment_bytes: Vec<f64>,
     /// Per-flow flowcell-ID sequences in push-up order (Fig 5a), only when
@@ -525,8 +409,6 @@ pub struct Stats {
     pub seq_sequences: HashMap<FlowKey, Vec<u64>>,
     /// CPU utilization series per host.
     pub cpu_util: HashMap<u32, TimeSeries>,
-    /// Goodputs of completed bounded elephant transfers (Gbps).
-    pub bulk_tputs: Vec<f64>,
 }
 
 /// One concrete link-level action a resolved fault applies to the fabric.
@@ -670,10 +552,11 @@ impl StageTracker {
 /// these instead of a fresh `Vec`. Each buffer is `mem::take`n for the
 /// duration of the handler that uses it and restored (cleared) on the way
 /// out, so re-entrant handlers (ACK processing can re-enter the egress
-/// path, for example) can never observe a buffer that is still in use —
-/// the same "quiescent before reuse" invariant as [`PacketPool`].
+/// path, for example) can never observe a buffer that is still in use.
 #[derive(Default)]
 struct Scratch {
+    /// One staged segment's TSO packets, on their way to the uplink.
+    tso: Vec<Packet>,
     /// Fabric deliveries drained after each `fabric.handle` call.
     delivered: Vec<(HostId, Packet)>,
     /// One NIC poll's worth of raw packets.
@@ -698,8 +581,8 @@ pub struct Simulation {
     /// The network.
     pub topo: Topology,
     /// The hosts' soft edges, in ascending host id: one per host that
-    /// talks (see [`Simulation::new`]). Look one up by id with
-    /// [`Simulation::host`].
+    /// sends or receives in the scenario's workloads, plus any WAN
+    /// remotes. Look one up by id with [`Simulation::host`].
     pub hosts: Vec<HostNode>,
     /// Each topology host's position in `hosts`, [`NO_EDGE`] for a host
     /// without edge state.
@@ -709,19 +592,8 @@ pub struct Simulation {
     conns: Vec<Conn>,
     /// Every subflow's forward flow, for arriving data and ACKs.
     flows: FxHashMap<FlowKey, Flow>,
-    /// RTT probers.
-    pub pingers: Vec<Pinger>,
-    probe_flows: FxHashMap<FlowKey, usize>,
-    /// Flows awaiting their start event.
-    pub pending_flows: Vec<PendingFlow>,
-    /// Mice series.
-    pub mice_series: Vec<MiceSeries>,
-    /// Shuffle state, if the workload is a shuffle.
-    pub shuffle: Option<ShuffleState>,
-    /// Incast state, if the workload is a partition-aggregate incast.
-    pub incast: Option<IncastState>,
-    /// Allreduce state, if the workload is a ring allreduce.
-    pub allreduce: Option<AllreduceState>,
+    /// The run's workloads.
+    apps: Apps,
     sports: FxHashMap<(u32, u32), u16>,
     /// Scheme in force.
     pub scheme: SchemeSpec,
@@ -753,8 +625,6 @@ pub struct Simulation {
     probe_rounds: u64,
     /// Live statistics.
     pub stats: Stats,
-    /// Pool of packet buffers reused by TSO splits on the egress path.
-    pkt_pool: PacketPool,
     scratch: Scratch,
     events_processed: u64,
     /// Resolved fault timeline, indexed by [`Event::Fault`] /
@@ -802,19 +672,21 @@ fn no_edge(id: HostId) -> ! {
 }
 
 impl Simulation {
-    /// A simulator over `topo` with per-host edges supplied by `mk_host`.
+    /// A simulator over `topo` with per-host edges supplied by `mk_host`,
+    /// running the workloads `apps`.
     ///
     /// `talking` marks, by server index, the servers that ever send or
     /// receive; `mk_host` runs only for those and for every host past
     /// the mask (WAN remotes). `None` builds every host's edge. The
     /// path-feedback and probe cadences are those of the scheme's
-    /// registry policy. A probing policy folds every probe round into
-    /// its pool, talking or not, so under one every host keeps its edge.
-    pub fn new(
+    /// registry policy. No workload starts before
+    /// [`Simulation::schedule_apps`].
+    pub(crate) fn new(
         topo: Topology,
         scheme: SchemeSpec,
         mut mk_host: impl FnMut(HostId) -> HostNode,
         talking: Option<&[bool]>,
+        apps: Apps,
         end: SimTime,
         warmup: SimTime,
     ) -> Self {
@@ -822,7 +694,6 @@ impl Simulation {
             let policy = crate::registry::build_policy(&scheme, 0);
             (policy.feedback_interval(), policy.probe_params())
         };
-        let talking = talking.filter(|_| probe_params.is_none());
         let mut edge_index = vec![NO_EDGE; topo.host_count()];
         let mut hosts = Vec::new();
         for &h in &topo.hosts {
@@ -862,13 +733,7 @@ impl Simulation {
             edge_index,
             conns: Vec::new(),
             flows: FxHashMap::default(),
-            pingers: Vec::new(),
-            probe_flows: FxHashMap::default(),
-            pending_flows: Vec::new(),
-            mice_series: Vec::new(),
-            shuffle: None,
-            incast: None,
-            allreduce: None,
+            apps,
             sports: FxHashMap::default(),
             scheme,
             controller: None,
@@ -882,7 +747,6 @@ impl Simulation {
             probe_params,
             probe_rounds: 0,
             stats: Stats::default(),
-            pkt_pool: PacketPool::new(),
             scratch: Scratch::default(),
             events_processed: 0,
             faults: Vec::new(),
@@ -892,6 +756,14 @@ impl Simulation {
         };
         sim.queue.push(warmup, Event::WarmupMark);
         sim
+    }
+
+    /// Schedule each workload's first event. Called once, after any
+    /// telemetry is attached, so the queue profiler counts them.
+    pub(crate) fn schedule_apps(&mut self) {
+        for (at, ev) in self.apps.first_events() {
+            self.queue.push(at, ev);
+        }
     }
 
     /// Host `id`'s edge state.
@@ -1028,14 +900,8 @@ impl Simulation {
     }
 
     /// Create (and start) a connection per the scheme's transport.
-    pub fn start_flow(
-        &mut self,
-        src: usize,
-        dst: usize,
-        bytes: Option<u64>,
-        measure_fct: bool,
-        tag: FlowTag,
-    ) {
+    fn start_flow(&mut self, start: Start) {
+        let (src, dst, bytes) = (start.src, start.dst, start.bytes);
         let (transport, subflows) = match self.scheme.transport {
             // The scheme's registry-selected congestion control; the
             // default (CUBIC, IW10) matches the testbed's pre-registry
@@ -1056,24 +922,23 @@ impl Simulation {
                 subflows,
             ),
         };
-        let sport = self.alloc_sport(src as u32, dst as u32, subflows as u16);
+        let sport = self.alloc_sport(src.0, dst.0, subflows as u16);
         let idx = self.conns.len();
         self.conns.push(Conn {
-            flow: FlowKey::new(HostId(src as u32), HostId(dst as u32), sport, 80),
+            flow: FlowKey::new(src, dst, sport, 80),
             start: self.now,
-            measure_fct,
             done_at: None,
             warm_acked: 0,
             unbounded: bytes.is_none(),
             bytes: bytes.unwrap_or(0),
-            tag,
+            tag: start.tag,
             transport,
         });
         for sub in 0..subflows {
             let flow = self.conns[idx].flow(sub);
             // Size hint before the first segment, so size-aware policies
             // classify the flow from byte zero.
-            self.host_mut(HostId(src as u32))
+            self.host_mut(src)
                 .vswitch
                 .policy_mut()
                 .flow_hint(flow, bytes);
@@ -1088,20 +953,6 @@ impl Simulation {
         for (sub, out) in self.conns[idx].transport.start(self.now, bytes).enumerate() {
             self.emit(Subflow::new(idx, sub), out);
         }
-    }
-
-    /// Register an RTT prober between two hosts.
-    pub fn add_pinger(&mut self, src: usize, dst: usize, interval: SimDuration, start: SimTime) {
-        let flow = FlowKey::new(HostId(src as u32), HostId(dst as u32), 7, 7);
-        let idx = self.pingers.len();
-        self.pingers.push(Pinger {
-            flow,
-            interval,
-            outstanding: FxHashMap::default(),
-            next_id: 0,
-        });
-        self.probe_flows.insert(flow, idx);
-        self.queue.push(start, Event::ProbeSend(idx));
     }
 
     /// Process a sender's output: transmit segments, arm timers, handle
@@ -1165,23 +1016,12 @@ impl Simulation {
             let Some(seg) = self.host_mut(host).egress.pop() else {
                 break;
             };
-            let mut pkts = self.pkt_pool.take();
+            let mut pkts = std::mem::take(&mut self.scratch.tso);
             tso_split_into(seg, &mut pkts);
-            {
-                let mut sched = Sched {
-                    now: self.now,
-                    queue: &mut self.queue,
-                    delivered: &mut self.scratch.delivered,
-                };
-                for p in pkts.drain(..) {
-                    let _ = self.topo.fabric.inject(host, p, &mut sched);
-                }
+            for p in pkts.drain(..) {
+                self.inject(host, p);
             }
-            self.pkt_pool.put(pkts);
-            debug_assert!(
-                self.scratch.delivered.is_empty(),
-                "inject cannot deliver directly"
-            );
+            self.scratch.tso = pkts;
         }
         // More staged data: wake up when the uplink has drained to target.
         if !self.host(host).egress.is_empty() {
@@ -1201,7 +1041,7 @@ impl Simulation {
         }
     }
 
-    /// Inject one already-built packet (ACKs, probes) at `host`.
+    /// Inject one already-built packet at `host`.
     fn inject(&mut self, host: HostId, pkt: Packet) {
         let mut sched = Sched {
             now: self.now,
@@ -1221,133 +1061,41 @@ impl Simulation {
             return;
         }
         c.done_at = Some(self.now);
-        let (start, measure, tag, bytes) = (c.start, c.measure_fct, c.tag, c.bytes);
-        if measure && start >= self.warmup {
-            self.stats
-                .mice_fct_ms
-                .push(self.now.saturating_since(start).as_millis_f64());
-        }
-        match tag {
-            FlowTag::Shuffle(src) => {
-                let dur = self.now.saturating_since(start).as_secs_f64();
-                if let Some(sh) = &mut self.shuffle {
-                    if dur > 0.0 {
-                        sh.tputs.push(bytes as f64 * 8.0 / dur / 1e9);
-                    }
-                    sh.active[src] -= 1;
-                }
-                self.queue.push(self.now, Event::ShuffleMore(src));
-            }
-            FlowTag::Incast(req) => self.on_incast_response_done(req),
-            FlowTag::Allreduce => self.on_allreduce_transfer_done(),
-            FlowTag::Plain => {
-                if !measure && bytes >= 1_000_000 && start >= self.warmup {
-                    // A bounded elephant (trace-driven workload): record
-                    // its goodput.
-                    let dur = self.now.saturating_since(start).as_secs_f64();
-                    if dur > 0.0 {
-                        self.stats.bulk_tputs.push(bytes as f64 * 8.0 / dur / 1e9);
-                    }
-                }
-            }
+        let (tag, start, bytes) = (c.tag, c.start, c.bytes);
+        let (now, warmup, end) = (self.now, self.warmup, self.end);
+        if let Some(ev) = self.apps.on_flow_done(tag, start, bytes, now, warmup, end) {
+            self.queue.push(now, ev);
         }
     }
 
-    /// One incast response landed: close its request when it was the last,
-    /// holding the elapsed time against the deadline (post-warmup issues
-    /// only).
-    fn on_incast_response_done(&mut self, req: usize) {
-        let now = self.now;
-        let warm = self.warmup;
-        let Some(inc) = &mut self.incast else { return };
-        let (issued, remaining) = &mut inc.requests[req];
-        *remaining -= 1;
-        if *remaining == 0 {
-            let issued = *issued;
-            if issued >= warm {
-                let elapsed = now.saturating_since(issued).as_millis_f64();
-                inc.tracker.record(elapsed, inc.deadline.as_millis_f64());
-            }
+    /// Schedule `ev` one `every` from now, unless that is past the end of
+    /// the run.
+    fn repeat(&mut self, every: SimDuration, ev: Event) {
+        let next = self.now + every;
+        if next < self.end {
+            self.queue.push(next, ev);
         }
     }
 
-    /// One allreduce neighbor transfer finished: when it was the round's
-    /// last, record the round time (post-warmup rounds) and kick off the
-    /// next synchronized round.
-    fn on_allreduce_transfer_done(&mut self) {
-        let now = self.now;
-        let warm = self.warmup;
-        let mut next_round = false;
-        if let Some(ar) = &mut self.allreduce {
-            ar.outstanding -= 1;
-            if ar.outstanding == 0 {
-                ar.rounds_completed += 1;
-                if ar.round_start >= warm {
-                    ar.round_ms
-                        .push(now.saturating_since(ar.round_start).as_millis_f64());
-                }
-                next_round = now < self.end;
-            }
-        }
-        if next_round {
-            self.queue.push(now, Event::AllreduceRound);
-        }
-    }
-
-    /// Issue one incast request: every chosen worker simultaneously
-    /// answers the aggregator with `bytes_per_worker`. The aggregator's
-    /// edge policy gets first refusal on the responder set via
-    /// [`EdgePolicy::select_replicas`]; the default `None` keeps the
-    /// static `senders` list, so load-oblivious schemes issue exactly the
-    /// waves they always did.
+    /// Issue one incast request. The aggregator's edge policy gets first
+    /// refusal on the responder set via [`EdgePolicy::select_replicas`];
+    /// the default `None` keeps the static senders, so load-oblivious
+    /// schemes issue the same waves every time.
     fn on_incast_next(&mut self) {
-        let now = self.now;
-        let (dst, fanout, candidates, interval) = {
-            let Some(inc) = &self.incast else { return };
-            (
-                inc.aggregator,
-                inc.senders.len(),
-                inc.candidates.clone(),
-                inc.interval,
-            )
+        let Some((aggregator, candidates, fanout)) = self.apps.incast_offer() else {
+            return;
         };
-        let cand_ids: Vec<HostId> = candidates.iter().map(|&c| self.topo.hosts[c]).collect();
-        let chosen = self
-            .host_mut(self.topo.hosts[dst])
+        let now = self.now;
+        let chose = self
+            .host_mut(aggregator)
             .vswitch
             .policy_mut()
-            .select_replicas(now, &cand_ids, fanout)
-            .map(|hs| hs.into_iter().map(|h| h.index()).collect::<Vec<_>>());
-        let (req, senders, bytes) = {
-            let Some(inc) = &mut self.incast else { return };
-            let senders = chosen.unwrap_or_else(|| inc.senders.clone());
-            let req = inc.requests.len();
-            inc.requests.push((now, senders.len()));
-            (req, senders, inc.bytes_per_worker)
-        };
-        for src in senders {
-            self.start_flow(src, dst, Some(bytes), true, FlowTag::Incast(req));
+            .select_replicas(now, &candidates, fanout);
+        let (wave, every) = self.apps.incast_wave(now, chose);
+        for start in wave {
+            self.start_flow(start);
         }
-        let next = now + interval;
-        if next < self.end {
-            self.queue.push(next, Event::IncastNext);
-        }
-    }
-
-    /// Start one allreduce round: every ring member streams its chunk to
-    /// its clockwise neighbor.
-    fn on_allreduce_round(&mut self) {
-        let (ring, bytes) = {
-            let Some(ar) = &mut self.allreduce else {
-                return;
-            };
-            ar.round_start = self.now;
-            ar.outstanding = ar.ring.len();
-            (ar.ring.clone(), ar.bytes)
-        };
-        for (src, dst) in ring {
-            self.start_flow(src, dst, Some(bytes), false, FlowTag::Allreduce);
-        }
+        self.repeat(every, Event::IncastNext);
     }
 
     /// Run until the simulated end time; returns the report.
@@ -1417,35 +1165,33 @@ impl Simulation {
                     .on_rto(self.now, sf.sub(), gen);
                 self.emit(sf, out);
             }
-            Event::FlowStart(i) => {
-                let p = &self.pending_flows[i];
-                let (src, dst, bytes, mfct, tag) = (p.src, p.dst, p.bytes, p.measure_fct, p.tag);
-                self.start_flow(src, dst, bytes, mfct, tag);
-            }
+            Event::FlowStart(i) => self.start_flow(self.apps.flow(i)),
             Event::MiceNext(i) => {
-                let (src, dst, bytes, interval) = {
-                    let m = &self.mice_series[i];
-                    (m.src, m.dst, m.bytes, m.interval)
-                };
-                self.start_flow(src, dst, Some(bytes), true, FlowTag::Plain);
-                let next = self.now + interval;
-                if next < self.end {
-                    self.queue.push(next, Event::MiceNext(i));
-                }
+                let (mouse, every) = self.apps.mouse(i);
+                self.start_flow(mouse);
+                self.repeat(every, Event::MiceNext(i));
             }
             Event::ProbeSend(i) => self.on_probe_send(i),
             Event::CpuSample => self.on_cpu_sample(),
             Event::WarmupMark => self.on_warmup(),
             Event::Fault(i) => self.on_fault(i),
             Event::ControllerNotify(i) => self.on_controller_notify(i),
-            Event::ShuffleMore(src) => self.on_shuffle_more(src),
+            Event::ShuffleMore(src) => {
+                while let Some(transfer) = self.apps.shuffle_next(src) {
+                    self.start_flow(transfer);
+                }
+            }
             Event::EgressDrain(h) => {
                 self.host_mut(h).egress.drain_at = None;
                 self.drain_egress(h);
             }
             Event::PathFeedback => self.on_path_feedback(),
             Event::IncastNext => self.on_incast_next(),
-            Event::AllreduceRound => self.on_allreduce_round(),
+            Event::AllreduceRound => {
+                for transfer in self.apps.allreduce_round(self.now) {
+                    self.start_flow(transfer);
+                }
+            }
             Event::ProbeRound => self.on_probe_round(),
         }
     }
@@ -1621,7 +1367,7 @@ impl Simulation {
             self.on_ack(flow, ack, sack, ece);
         }
         for p in probes.drain(..) {
-            self.on_probe(h, p);
+            self.on_probe(p);
         }
         batch.clear();
         self.scratch.rx_batch = batch;
@@ -1728,13 +1474,14 @@ impl Simulation {
     }
 
     fn on_probe_send(&mut self, i: usize) {
-        let (flow, id) = {
-            let p = &mut self.pingers[i];
-            let id = p.next_id;
-            p.next_id += 1;
-            p.outstanding.insert(id, self.now);
-            (p.flow, id)
-        };
+        let (flow, id, every) = self.apps.probe(i, self.now);
+        self.send_probe(flow, id, false);
+        self.repeat(every, Event::ProbeSend(i));
+    }
+
+    /// Send probe `id` (or its echo) on `flow` through the policy of the
+    /// flow's source host.
+    fn send_probe(&mut self, flow: FlowKey, id: u64, echo: bool) {
         let now = self.now;
         let tag = self.host_mut(flow.src).vswitch.process(now, flow, 0, false);
         let pkt = Packet {
@@ -1744,46 +1491,22 @@ impl Simulation {
             dst_mac: tag.dst_mac,
             flowcell: tag.flowcell,
             ce: false,
-            kind: PacketKind::Probe { id, echo: false },
+            kind: PacketKind::Probe { id, echo },
         };
         self.inject(flow.src, pkt);
-        let next = self.now + self.pingers[i].interval;
-        if next < self.end {
-            self.queue.push(next, Event::ProbeSend(i));
-        }
     }
 
-    fn on_probe(&mut self, h: HostId, pkt: Packet) {
+    /// A probe reached its destination, or an echo came back to its
+    /// sender; either way the answer travels the reverse flow.
+    fn on_probe(&mut self, pkt: Packet) {
         let PacketKind::Probe { id, echo } = pkt.kind else {
             return;
         };
-        if !echo {
-            // Echo it back through this host's policy.
-            let rflow = pkt.flow.reverse();
-            let now = self.now;
-            let tag = self.host_mut(h).vswitch.process(now, rflow, 0, false);
-            let back = Packet {
-                flow: rflow,
-                src_host: rflow.src,
-                dst_host: rflow.dst,
-                dst_mac: tag.dst_mac,
-                flowcell: tag.flowcell,
-                ce: false,
-                kind: PacketKind::Probe { id, echo: true },
-            };
-            self.inject(h, back);
+        let back = pkt.flow.reverse();
+        if echo {
+            self.apps.on_probe_echo(back, id, self.now, self.warmup);
         } else {
-            // This is the reply: the original probe flow is the reverse.
-            let orig = pkt.flow.reverse();
-            if let Some(&pi) = self.probe_flows.get(&orig) {
-                if let Some(sent) = self.pingers[pi].outstanding.remove(&id) {
-                    if self.now >= self.warmup {
-                        self.stats
-                            .rtt_ms
-                            .push(self.now.saturating_since(sent).as_millis_f64());
-                    }
-                }
-            }
+            self.send_probe(back, id, true);
         }
     }
 
@@ -1808,10 +1531,7 @@ impl Simulation {
                 .or_default()
                 .push(self.now.as_secs_f64(), util.min(100.0));
         }
-        let next = self.now + every;
-        if next < self.end {
-            self.queue.push(next, Event::CpuSample);
-        }
+        self.repeat(every, Event::CpuSample);
     }
 
     fn on_warmup(&mut self) {
@@ -1969,22 +1689,6 @@ impl Simulation {
         }
     }
 
-    fn on_shuffle_more(&mut self, src: usize) {
-        loop {
-            let (dst, bytes) = {
-                let Some(sh) = &mut self.shuffle else { return };
-                if sh.active[src] >= sh.concurrency || sh.pos[src] >= sh.orders[src].len() {
-                    return;
-                }
-                sh.active[src] += 1;
-                let dst = sh.orders[src][sh.pos[src]];
-                sh.pos[src] += 1;
-                (dst, sh.bytes)
-            };
-            self.start_flow(src, dst, Some(bytes), false, FlowTag::Shuffle(src));
-        }
-    }
-
     /// Finalize: gather statistics into a [`Report`].
     fn finish(&mut self) -> Report {
         if let Some(st) = self.stage.take() {
@@ -2011,18 +1715,7 @@ impl Simulation {
             report.timeouts += timeouts;
             report.fast_retransmits += fast_retx;
         }
-        if let Some(sh) = &self.shuffle {
-            report.elephant_tputs.extend(sh.tputs.iter().copied());
-        }
-        report
-            .elephant_tputs
-            .extend(self.stats.bulk_tputs.iter().copied());
-        for v in &self.stats.rtt_ms {
-            report.rtt_ms.add(*v);
-        }
-        for v in &self.stats.mice_fct_ms {
-            report.mice_fct_ms.add(*v);
-        }
+        self.apps.report(&mut report);
         for v in &self.stats.segment_bytes {
             report.segment_bytes.add(*v);
         }
@@ -2067,19 +1760,6 @@ impl Simulation {
         }
         for link in self.topo.fabric.links() {
             report.ce_marked_packets += link.counters.ce_marked_packets;
-        }
-        if let Some(inc) = &self.incast {
-            report.incast_requests = inc.tracker.total();
-            report.incast_deadline_misses = inc.tracker.misses();
-            for &v in inc.tracker.elapsed_ms() {
-                report.incast_request_ms.add(v);
-            }
-        }
-        if let Some(ar) = &self.allreduce {
-            report.allreduce_rounds = ar.rounds_completed;
-            for &v in &ar.round_ms {
-                report.allreduce_round_ms.add(v);
-            }
         }
         report.probe_rounds = self.probe_rounds;
         if self.probe_rounds != 0 {
@@ -2254,8 +1934,8 @@ impl Simulation {
 }
 
 /// Build one host's [`HostNode`] with the given policy and GRO engine.
-/// A scenario builds one only for each host in its talking set (see
-/// [`Simulation::new`]).
+/// [`Scenario::build`](crate::Scenario::build) builds one only for each
+/// host that talks.
 pub fn make_host(
     policy: Box<dyn EdgePolicy>,
     gro: Box<dyn ReceiveOffload>,
@@ -2367,7 +2047,12 @@ mod tests {
             )])
             .build()
             .build();
-        sim.start_flow(0, 1, Some(1_000_000), false, FlowTag::Plain);
+        sim.start_flow(Start {
+            src: HostId(0),
+            dst: HostId(1),
+            bytes: Some(1_000_000),
+            tag: FlowTag::Plain { measure_fct: false },
+        });
         let Transport::Tcp(sender) = &sim.conns[0].transport else {
             panic!("the default scheme runs single-path TCP");
         };

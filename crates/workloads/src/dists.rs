@@ -66,23 +66,6 @@ impl EmpiricalCdf {
         }
         self.knots.last().unwrap().0
     }
-
-    /// The distribution's mean, estimated by numeric integration over the
-    /// knots (log-linear segments).
-    pub fn approx_mean(&self) -> f64 {
-        // Sample-free estimate: midpoint value of each segment weighted by
-        // its probability mass.
-        let mut mean = 0.0;
-        let mut prev = (self.knots[0].0, 0.0);
-        for &(v, p) in &self.knots {
-            let (v0, p0) = prev;
-            let mass = p - p0;
-            let mid = (v0.ln() + v.ln()) / 2.0;
-            mean += mass * mid.exp();
-            prev = (v, p);
-        }
-        mean
-    }
 }
 
 /// The "web search" workload CDF (Alizadeh et al., DCTCP): mostly small
@@ -213,18 +196,6 @@ mod tests {
         // 80th percentile knot is 133KB.
         let p80 = v[(v.len() as f64 * 0.8) as usize];
         assert!((90_000.0..200_000.0).contains(&p80), "p80 {p80}");
-    }
-
-    #[test]
-    fn approx_mean_is_sane() {
-        let cdf = web_search();
-        let v = samples(&cdf, 100_000, 5);
-        let emp = v.iter().sum::<f64>() / v.len() as f64;
-        let est = cdf.approx_mean();
-        assert!(
-            (est / emp - 1.0).abs() < 0.35,
-            "estimate {est} vs empirical {emp}"
-        );
     }
 
     #[test]

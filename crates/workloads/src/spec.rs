@@ -11,9 +11,6 @@ pub const MICE_INTERVAL_MS: u64 = 100;
 /// Flows below this are "mice" in the trace-driven analysis (§6).
 pub const MICE_THRESHOLD_BYTES: u64 = 100 * 1000;
 
-/// Flows above this are "elephants" in the trace-driven analysis (§6).
-pub const ELEPHANT_THRESHOLD_BYTES: u64 = 1000 * 1000;
-
 /// One flow the testbed should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
@@ -63,19 +60,6 @@ impl FlowSpec {
             measure_fct: false,
         }
     }
-
-    /// Whether the trace analysis classifies this flow as a mouse.
-    pub fn is_mouse(&self) -> bool {
-        matches!(self.bytes, Some(b) if b < MICE_THRESHOLD_BYTES)
-    }
-
-    /// Whether the trace analysis classifies this flow as an elephant.
-    pub fn is_elephant(&self) -> bool {
-        match self.bytes {
-            None => true,
-            Some(b) => b > ELEPHANT_THRESHOLD_BYTES,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -85,25 +69,12 @@ mod tests {
     #[test]
     fn constructors_set_flags() {
         let e = FlowSpec::elephant(0, 1, SimTime::ZERO);
-        assert!(e.is_elephant());
-        assert!(!e.is_mouse());
         assert!(!e.measure_fct);
 
         let m = FlowSpec::mouse(0, 1, SimTime::ZERO, MICE_FLOW_BYTES);
-        assert!(m.is_mouse());
-        assert!(!m.is_elephant());
         assert!(m.measure_fct);
 
         let b = FlowSpec::bulk(0, 1, SimTime::ZERO, 16 * 1024 * 1024);
-        assert!(b.is_elephant());
         assert!(!b.measure_fct);
-    }
-
-    #[test]
-    fn classification_boundaries() {
-        assert!(FlowSpec::mouse(0, 1, SimTime::ZERO, 99_999).is_mouse());
-        assert!(!FlowSpec::mouse(0, 1, SimTime::ZERO, 100_000).is_mouse());
-        assert!(!FlowSpec::bulk(0, 1, SimTime::ZERO, 1_000_000).is_elephant());
-        assert!(FlowSpec::bulk(0, 1, SimTime::ZERO, 1_000_001).is_elephant());
     }
 }

@@ -72,9 +72,9 @@ pub mod prelude {
     pub use presto_simcore::{SimDuration, SimTime};
     pub use presto_telemetry::{FailoverStage, TelemetryConfig, TelemetryReport, TraceEvent};
     pub use presto_testbed::{
-        bijection_elephants, random_elephants, stride_elephants, AllreduceSpec, FailureSpec,
-        GroKind, IncastSpec, MiceSpec, ParallelRunner, PolicyKind, Report, Scenario,
-        ScenarioBuilder, SchemeSpec, ShuffleSpec, Simulation, TransportKind, DEFAULT_ECN_THRESHOLD,
+        bijection_elephants, random_elephants, stride_elephants, AllreduceSpec, GroKind,
+        IncastSpec, MiceSpec, ParallelRunner, PolicyKind, Report, Scenario, ScenarioBuilder,
+        SchemeSpec, ShuffleSpec, Simulation, TransportKind, DEFAULT_ECN_THRESHOLD,
     };
     pub use presto_transport::CcKind;
 }

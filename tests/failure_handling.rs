@@ -107,21 +107,12 @@ fn mid_run_failure_recovers() {
     );
 }
 
-/// The classic `FailureSpec` shorthand still drives the same machinery
-/// through its `From` conversion into a fault plan.
+/// An immediate notification at the instant of the fault leaves one
+/// failover stage covering the whole run: post-reweight.
 #[test]
-fn failure_spec_compatibility_path() {
-    let spec = FailureSpec {
-        at: SimTime::ZERO,
-        leaf: 0,
-        spine: 0,
-        link: 0,
-        controller_at: Some(SimTime::ZERO),
-    };
-    let r = scenario(spec.into(), l4_to_l1()).run();
+fn immediate_notification_runs_post_reweight_throughout() {
+    let r = scenario(fail(Notify::Immediate), l4_to_l1()).run();
     assert!(r.mean_elephant_tput() > 6.0);
-    // The report carries the failover timeline: the fault fires at t=0
-    // with an immediate notification, so the whole run is post-reweight.
     assert_eq!(r.failover_stages.len(), 1);
     assert_eq!(r.failover_stages[0].name, "post-reweight");
 }

@@ -274,7 +274,11 @@ fn tcp_shuffle_digest_is_unchanged_with_telemetry() {
 const IDLE_HOSTS: u64 = 0x35a44dd7812af703;
 
 fn idle_hosts() -> ScenarioBuilder {
-    Scenario::builder(SchemeSpec::presto(), 21)
+    idle_hosts_under(SchemeSpec::presto())
+}
+
+fn idle_hosts_under(scheme: SchemeSpec) -> ScenarioBuilder {
+    Scenario::builder(scheme, 21)
         .duration(SimDuration::from_millis(30))
         .warmup(SimDuration::from_millis(10))
         .elephants(
@@ -332,4 +336,24 @@ fn idle_hosts_digest_is_unchanged_with_telemetry() {
             "no counter block for {component}"
         );
     }
+}
+
+/// The half-idle run under Prequal, whose probe rounds reach every host
+/// with edge state. Only the eight talking hosts have one, so only their
+/// probe pools count toward `probe_pool_samples/hot/cold`: 45,600 samples
+/// over 300 rounds, where building every host's edge counted 84,000.
+const IDLE_HOSTS_PREQUAL: u64 = 0x40ed6a587c2563d5;
+
+#[test]
+fn idle_hosts_prequal_probes_only_talking_hosts() {
+    let sc = idle_hosts_under(SchemeSpec::prequal()).build();
+    assert_eq!(sc.build().hosts.len(), 8, "one HostNode per talking host");
+    let report = sc.run();
+    assert_eq!(report.probe_rounds, 300);
+    assert_eq!(report.probe_pool_samples, 45_600);
+    let digest = report.digest();
+    assert_eq!(
+        digest, IDLE_HOSTS_PREQUAL,
+        "idle_hosts under prequal: digest {digest:#018x} != {IDLE_HOSTS_PREQUAL:#018x}"
+    );
 }
