@@ -13,7 +13,8 @@ use presto_core::FlowcellScheduler;
 use presto_endhost::{tso_split, tso_split_into, EdgePolicy, PathTag, ReceiveOffload, TxSegment};
 use presto_gro::{OfficialGro, PrestoGro};
 use presto_netsim::{
-    Fabric, FlowKey, HostId, Link, LinkId, Mac, Node, Packet, PacketKind, SwitchId, MSS,
+    Fabric, FlowKey, HostId, LinkConfig, LinkCounters, LinkId, LinkQueue, Mac, Node, Packet,
+    PacketKind, MSS,
 };
 use presto_probe::{HclPool, ProbeParams};
 use presto_simcore::{EventQueue, HeapEventQueue, SimDuration, SimTime};
@@ -222,25 +223,22 @@ fn bench_queue_head_to_head(c: &mut Criterion) {
 /// pile up in the link.
 fn bench_link_departure(c: &mut Criterion) {
     c.bench_function("link_departure", |b| {
-        let mut link = Link::new(
-            Node::Host(HostId(0)),
-            Node::Switch(SwitchId(0)),
-            10_000_000_000,
-            SimDuration::from_micros(1),
-            1 << 30,
-        );
+        let cfg = LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1 << 30);
+        let rate = cfg.rate_bps();
+        let mut link = LinkQueue::default();
+        let mut counters = LinkCounters::default();
         let mut now = SimTime::ZERO;
         for i in 0..16 {
-            link.enqueue(now, data_packet(i));
+            link.enqueue(now, data_packet(i), &cfg, &mut counters);
         }
-        let mut done = now + link.commit(now).expect("backlog");
+        let mut done = now + link.commit(now, rate).expect("backlog");
         b.iter(|| {
             let mut bytes = 0u64;
             for i in 0..1000 {
                 now = done;
-                bytes += link.settle();
-                link.enqueue(now, data_packet(i));
-                done = now + link.commit(now).expect("backlog");
+                bytes += link.settle(&mut counters);
+                link.enqueue(now, data_packet(i), &cfg, &mut counters);
+                done = now + link.commit(now, rate).expect("backlog");
                 black_box(link.arrive());
             }
             black_box(bytes)
@@ -265,13 +263,11 @@ fn bench_switch_forward_shadow(c: &mut Criterion) {
         let sw = fabric.add_switch();
         // 16 uplinks and 4 down-groups of 4 links.
         for _ in 0..2 * TREES {
-            fabric.add_link(Link::new(
+            fabric.add_link(
                 Node::Switch(sw),
                 Node::Switch(sw),
-                10_000_000_000,
-                SimDuration::from_micros(1),
-                1 << 20,
-            ));
+                LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1 << 20),
+            );
         }
         let ups: Vec<LinkId> = (0..TREES).map(LinkId).collect();
         for h in 0..HOSTS {

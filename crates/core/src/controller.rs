@@ -408,7 +408,7 @@ impl Controller {
             if !link.up {
                 return 0;
             }
-            frac = frac.min(link.rate_fraction());
+            frac = frac.min(link.config().rate_fraction());
         }
         ((frac * WEIGHT_SCALE as f64).round() as u32).clamp(1, WEIGHT_SCALE)
     }

@@ -153,6 +153,10 @@ struct FlowState {
 pub struct PrestoGro {
     cfg: PrestoGroConfig,
     flows: BTreeMap<FlowKey, FlowState>,
+    /// Buffers of flows whose flush left nothing held, for the next flow
+    /// that holds a segment: an idle flow keeps no buffer, and a steady
+    /// workload allocates none.
+    spare: Vec<Vec<Held>>,
     /// Segments pushed up, total (instrumentation).
     pub segments_pushed: u64,
     /// Boundary holds that ended by timeout rather than gap fill.
@@ -183,6 +187,7 @@ impl PrestoGro {
         PrestoGro {
             cfg,
             flows: BTreeMap::new(),
+            spare: Vec::new(),
             segments_pushed: 0,
             timeout_fires: 0,
             reorders_masked: 0,
@@ -191,16 +196,6 @@ impl PrestoGro {
             host: 0,
             sink: None,
         }
-    }
-
-    fn flow_state(&mut self, flow: FlowKey) -> &mut FlowState {
-        let cfg = &self.cfg;
-        self.flows.entry(flow).or_insert_with(|| FlowState {
-            exp_seq: None,
-            last_flowcell: 0,
-            segs: Vec::new(),
-            reorder_ewma: Ewma::new(cfg.ewma_weight, cfg.ewma_init.as_nanos() as f64),
-        })
     }
 
     /// The flush function of Algorithm 2, applied to one flow.
@@ -212,6 +207,7 @@ impl PrestoGro {
     fn flush_flow(
         cfg: &PrestoGroConfig,
         f: &mut FlowState,
+        spare: &mut Vec<Vec<Held>>,
         now: SimTime,
         out: &mut Vec<Segment>,
         masked: &mut u64,
@@ -227,7 +223,6 @@ impl PrestoGro {
         // are mostly ordered already, so this is cheap in practice.
         insertion_sort(&mut f.segs);
 
-        let mut kept: Vec<Held> = Vec::new();
         let ewma = SimDuration::from_nanos(f.reorder_ewma.get().max(0.0) as u64);
         let timeout = cfg.hold_timeout(ewma);
         let merge_grace = cfg.merge_grace(ewma);
@@ -248,7 +243,10 @@ impl PrestoGro {
             out.push(s);
         };
 
-        for mut h in f.segs.drain(..) {
+        // Filter the held segments in place; an emptied buffer goes to
+        // the spares.
+        let mut segs = std::mem::take(&mut f.segs);
+        segs.retain_mut(|h| {
             let s = h.seg;
             // Initialize expSeq from the very first segment of the flow.
             let exp = *f.exp_seq.get_or_insert(s.seq);
@@ -262,7 +260,7 @@ impl PrestoGro {
                     }
                 }
                 push(s, FlushReason::Retransmit);
-                continue;
+                return false;
             }
 
             if f.last_flowcell == s.flowcell {
@@ -347,7 +345,7 @@ impl PrestoGro {
                         f.exp_seq = Some(s.end_seq());
                         push(s, FlushReason::BoundaryTimeout);
                     } else {
-                        kept.push(h);
+                        return true;
                     }
                 }
             } else {
@@ -355,8 +353,13 @@ impl PrestoGro {
                 // late retransmission or straggler; push immediately.
                 push(s, FlushReason::StaleFlowcell);
             }
+            false
+        });
+        if segs.is_empty() {
+            spare.push(segs);
+        } else {
+            f.segs = segs;
         }
-        f.segs = kept;
     }
 }
 
@@ -385,7 +388,13 @@ impl ReceiveOffload for PrestoGro {
         let Ok(seg) = Segment::try_from_packet(pkt) else {
             return;
         };
-        let f = self.flow_state(pkt.flow);
+        let cfg = &self.cfg;
+        let f = self.flows.entry(pkt.flow).or_insert_with(|| FlowState {
+            exp_seq: None,
+            last_flowcell: 0,
+            segs: Vec::new(),
+            reorder_ewma: Ewma::new(cfg.ewma_weight, cfg.ewma_init.as_nanos() as f64),
+        });
         // Try to merge into an existing segment; new segments go to the
         // head so recent (likely-mergeable) segments are found first.
         for h in f.segs.iter_mut().rev() {
@@ -396,6 +405,9 @@ impl ReceiveOffload for PrestoGro {
                 }
                 return;
             }
+        }
+        if f.segs.capacity() == 0 {
+            f.segs = self.spare.pop().unwrap_or_default();
         }
         f.segs.push(Held {
             seg,
@@ -416,6 +428,7 @@ impl ReceiveOffload for PrestoGro {
             Self::flush_flow(
                 &cfg,
                 f,
+                &mut self.spare,
                 now,
                 out,
                 &mut masked,

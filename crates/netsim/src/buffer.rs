@@ -58,7 +58,7 @@ impl SharedBuffer {
     /// [`SharedBuffer::admits`] with `credit` bytes virtually released:
     /// packets that finished serializing at the current instant but whose
     /// `TxDone` has not yet popped to settle the pool (see
-    /// `Link::finished_unsettled`). Keeps DT admission independent of
+    /// `LinkQueue::finished_unsettled`). Keeps DT admission independent of
     /// that same-instant tie's order.
     pub fn admits_with_credit(&self, credit: u64, queue_bytes: u64, wire: u64) -> bool {
         let used = self.used.saturating_sub(credit);

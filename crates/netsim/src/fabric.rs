@@ -14,6 +14,11 @@
 //! the fast-failover backup of each link. Forwarding state is installed
 //! and read through the fabric ([`Fabric::install_label_row`],
 //! [`Fabric::switch`]), which resolves hosts to slots.
+//!
+//! Links are stored the same way: each [`Link`] keeps its counters inline
+//! and handles into two fabric tables, the interned [`LinkConfig`]s and
+//! the [`LinkQueue`]s built on a link's first packet. [`Fabric::link`]
+//! resolves both into a [`LinkView`].
 
 use std::ops::Deref;
 
@@ -22,7 +27,7 @@ use presto_telemetry::{trace_event, DropReason, SharedSink, TraceEvent};
 
 use crate::buffer::SharedBuffer;
 use crate::ids::{HostId, LinkId, Mac, Node, SwitchId};
-use crate::link::{Enqueue, Link};
+use crate::link::{Enqueue, Link, LinkConfig, LinkQueue};
 use crate::packet::Packet;
 use crate::switch::{HostSlots, Switch};
 
@@ -62,6 +67,16 @@ pub trait NetScheduler {
 pub struct Fabric {
     switches: Vec<Switch>,
     links: Vec<Link>,
+    /// Every distinct link config, indexed by [`Link`]'s config handle.
+    /// Configs are never removed: a degraded link's old config stays for
+    /// its restore.
+    link_configs: Vec<LinkConfig>,
+    /// The config handle last interned, checked first: links are built
+    /// and reconfigured in runs that share one config.
+    last_config: u32,
+    /// Queue state of every link that has seen a packet, indexed by
+    /// [`Link`]'s queue handle.
+    queues: Vec<LinkQueue>,
     /// Optional shared-memory buffer per switch (dynamic-threshold
     /// admission); `None` = static per-port drop-tail.
     shared: Vec<Option<SharedBuffer>>,
@@ -111,19 +126,51 @@ impl Fabric {
         self.shared[switch.index()].as_ref()
     }
 
-    /// Add a unidirectional link, returning its id.
-    pub fn add_link(&mut self, link: Link) -> LinkId {
+    /// Make room for exactly `additional` more links, so a builder that
+    /// knows its link count leaves no doubled table behind.
+    pub(crate) fn reserve_links(&mut self, additional: usize) {
+        self.links.reserve_exact(additional);
+    }
+
+    /// Add an idle, up, unidirectional link `src → dst` configured as
+    /// `config`, returning its id.
+    pub fn add_link(&mut self, src: Node, dst: Node, config: LinkConfig) -> LinkId {
         // Link ids stop short of the switches' "no link" sentinel.
         assert!(
             self.links.len() < Switch::NO_LINK.index(),
             "link ids exhausted"
         );
         let id = LinkId(self.links.len() as u32);
-        if let Node::Switch(sw) = link.src {
+        if let Node::Switch(sw) = src {
             self.egress[sw.index()].push(id);
         }
-        self.links.push(link);
+        let config = self.intern_config(config);
+        self.links.push(Link::new(src, dst, config));
         id
+    }
+
+    /// The handle of `cfg` in the config table, adding it if new.
+    fn intern_config(&mut self, cfg: LinkConfig) -> u32 {
+        let last = self.last_config as usize;
+        if self.link_configs.get(last) == Some(&cfg) {
+            return self.last_config;
+        }
+        let id = match self.link_configs.iter().position(|c| *c == cfg) {
+            Some(i) => i,
+            None => {
+                self.link_configs.push(cfg);
+                self.link_configs.len() - 1
+            }
+        };
+        self.last_config = id as u32;
+        self.last_config
+    }
+
+    /// Point `link` at the interned `change` of its config.
+    fn reconfigure(&mut self, link: LinkId, change: impl FnOnce(LinkConfig) -> LinkConfig) {
+        let l = link.index();
+        let cfg = change(self.link_configs[self.links[l].config as usize]);
+        self.links[l].config = self.intern_config(cfg);
     }
 
     /// Register a host's uplink. Hosts must be registered in id order
@@ -199,12 +246,15 @@ impl Fabric {
         self.failover[primary.index()] = backup;
     }
 
-    /// Immutable access to a link.
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.index()]
+    /// A link with its config and queue resolved.
+    pub fn link(&self, id: LinkId) -> LinkView<'_> {
+        LinkView {
+            link: &self.links[id.index()],
+            fabric: self,
+        }
     }
 
-    /// Mutable access to a link.
+    /// Mutable access to a link's state and counters.
     pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
         &mut self.links[id.index()]
     }
@@ -217,14 +267,29 @@ impl Fabric {
         })
     }
 
-    /// All links.
+    /// All links, in id (construction) order.
     pub fn links(&self) -> &[Link] {
         &self.links
     }
 
-    /// Iterate mutably over all links (counter resets between phases).
-    pub fn links_mut(&mut self) -> impl Iterator<Item = &mut Link> {
-        self.links.iter_mut()
+    /// The queue handle of `link`, building its queue on first use.
+    #[inline]
+    fn queue_of(&mut self, link: LinkId) -> usize {
+        match self.links[link.index()].queue {
+            Link::NO_QUEUE => self.add_queue(link),
+            q => q as usize,
+        }
+    }
+
+    /// Build the queue of a link on its first packet; out of line, so
+    /// the per-packet path stays small.
+    #[cold]
+    #[inline(never)]
+    fn add_queue(&mut self, link: LinkId) -> usize {
+        let q = self.queues.len();
+        self.links[link.index()].queue = q as u32;
+        self.queues.push(LinkQueue::default());
+        q
     }
 
     /// A host's uplink.
@@ -244,18 +309,19 @@ impl Fabric {
         match ev {
             NetEvent::TxDone { link } => {
                 let l = &mut self.links[link.index()];
-                let bytes = l.settle();
+                let q = &mut self.queues[l.queue as usize];
+                let bytes = q.settle(&mut l.counters);
                 // Release shared-buffer occupancy at the egress switch.
                 if let Node::Switch(sw) = l.src {
                     if let Some(buf) = &mut self.shared[sw.index()] {
                         buf.on_dequeue(bytes);
                     }
                 }
-                self.start_tx(link, s);
+                start_tx(link, q, &self.link_configs[l.config as usize], s);
             }
             NetEvent::Arrive { link } => {
-                let l = &mut self.links[link.index()];
-                let packet = l.arrive();
+                let l = &self.links[link.index()];
+                let packet = self.queues[l.queue as usize].arrive();
                 match l.dst {
                     Node::Host(h) => s.deliver(h, packet),
                     Node::Switch(sw) => self.forward_at(sw, packet, s),
@@ -309,10 +375,13 @@ impl Fabric {
                 // so admission does not depend on that tie's order.
                 let credit: u64 = self.egress[sw.index()]
                     .iter()
-                    .map(|l| self.links[l.index()].finished_unsettled(now))
+                    .filter_map(|&l| self.link(l).queue())
+                    .map(|q| q.finished_unsettled(now))
                     .sum();
-                if !buf.admits_with_credit(credit, self.links[link.index()].occupancy(now), wire) {
-                    self.links[link.index()].count_admission_drop(&packet);
+                if !buf.admits_with_credit(credit, self.link(link).occupancy(now), wire) {
+                    // A drop is a packet the link saw: it gets a queue.
+                    self.queue_of(link);
+                    self.links[link.index()].counters.count_drop(&packet);
                     trace_event!(
                         self.sink,
                         now.as_nanos(),
@@ -326,90 +395,78 @@ impl Fabric {
                 charge_pool = Some(sw.index());
             }
         }
-        match self.links[link.index()].enqueue(now, packet) {
-            Enqueue::StartTx => {
-                if let Some(i) = charge_pool {
-                    self.shared[i]
-                        .as_mut()
-                        .expect("pool exists")
-                        .on_enqueue(wire);
-                }
-                trace_event!(
-                    self.sink,
-                    now.as_nanos(),
-                    TraceEvent::PacketEnqueued {
-                        link: link.0,
-                        queue_bytes: self.links[link.index()].occupancy(now),
-                    }
-                );
-                self.start_tx(link, s);
-                true
-            }
-            Enqueue::Queued => {
-                if let Some(i) = charge_pool {
-                    self.shared[i]
-                        .as_mut()
-                        .expect("pool exists")
-                        .on_enqueue(wire);
-                }
-                trace_event!(
-                    self.sink,
-                    now.as_nanos(),
-                    TraceEvent::PacketEnqueued {
-                        link: link.0,
-                        queue_bytes: self.links[link.index()].occupancy(now),
-                    }
-                );
-                true
-            }
-            Enqueue::Dropped => {
-                trace_event!(
-                    self.sink,
-                    now.as_nanos(),
-                    TraceEvent::PacketDropped {
-                        site: link.0,
-                        reason: DropReason::QueueFull,
-                    }
-                );
-                false
-            }
-        }
-    }
-
-    /// Commit the next waiting packet of `link` to the wire: pre-schedule
-    /// its arrival at its completion + propagation instant, then its
-    /// `TxDone` at completion. Propagation loss on a link that fails
-    /// mid-flight is modeled at forwarding time, not here.
-    #[inline]
-    fn start_tx(&mut self, link: LinkId, s: &mut impl NetScheduler) {
+        let q = self.queue_of(link);
         let l = &mut self.links[link.index()];
-        if let Some(d) = l.commit(s.now()) {
-            s.schedule_net(d + l.propagation, NetEvent::Arrive { link });
-            s.schedule_net(d, NetEvent::TxDone { link });
+        let q = &mut self.queues[q];
+        let cfg = &self.link_configs[l.config as usize];
+        let verdict = q.enqueue(now, packet, cfg, &mut l.counters);
+        if verdict == Enqueue::Dropped {
+            trace_event!(
+                self.sink,
+                now.as_nanos(),
+                TraceEvent::PacketDropped {
+                    site: link.0,
+                    reason: DropReason::QueueFull,
+                }
+            );
+            return false;
         }
+        if let Some(i) = charge_pool {
+            self.shared[i]
+                .as_mut()
+                .expect("pool exists")
+                .on_enqueue(wire);
+        }
+        trace_event!(
+            self.sink,
+            now.as_nanos(),
+            TraceEvent::PacketEnqueued {
+                link: link.0,
+                queue_bytes: q.occupancy(now),
+            }
+        );
+        if verdict == Enqueue::StartTx {
+            start_tx(link, q, cfg, s);
+        }
+        true
     }
 
     /// Mark a link down (fast failover applies on the next forwarding
     /// decision that would have used it).
     pub fn set_link_down(&mut self, link: LinkId) {
-        self.links[link.index()].set_down();
+        self.links[link.index()].up = false;
     }
 
     /// Restore a link.
     pub fn set_link_up(&mut self, link: LinkId) {
-        self.links[link.index()].set_up();
+        self.links[link.index()].up = true;
     }
 
-    /// Degrade a link to `fraction` of its nominal rate (see
-    /// [`Link::degrade`]). The symmetric partner of [`Fabric::set_link_down`]
-    /// for partial faults: the link keeps forwarding, just slower.
+    /// Degrade a link to `fraction` of its nominal rate (clamped to
+    /// `(0, 1]`: a zero fraction still leaves a crawling link). The
+    /// symmetric partner of [`Fabric::set_link_down`] for partial
+    /// faults: the link stays up —
+    /// fast failover does not trigger — so only controller re-weighting
+    /// can steer traffic away. A packet already committed to the wire
+    /// keeps its departure time; the new rate applies from the next
+    /// committed packet.
     pub fn degrade_link(&mut self, link: LinkId, fraction: f64) {
-        self.links[link.index()].degrade(fraction);
+        self.reconfigure(link, |c| c.degraded(fraction));
     }
 
     /// Restore a degraded link to its nominal rate.
     pub fn restore_link_rate(&mut self, link: LinkId) {
-        self.links[link.index()].restore_rate();
+        self.reconfigure(link, LinkConfig::restored);
+    }
+
+    /// Set a link's drop-tail buffer to `bytes`.
+    pub fn set_link_queue_capacity(&mut self, link: LinkId, bytes: u64) {
+        self.reconfigure(link, |c| c.with_queue_capacity(bytes));
+    }
+
+    /// Set a link's ECN marking threshold (`None` disables marking).
+    pub fn set_link_ecn_threshold(&mut self, link: LinkId, k: Option<u64>) {
+        self.reconfigure(link, |c| c.with_ecn_threshold(k));
     }
 
     /// Total data packets tail-dropped or unroutable across the fabric —
@@ -454,6 +511,18 @@ impl Fabric {
     }
 }
 
+/// Commit the next waiting packet of `link` (queue `q`, config `cfg`)
+/// to the wire: pre-schedule its arrival at its completion + propagation
+/// instant, then its `TxDone` at completion. Propagation loss on a link
+/// that fails mid-flight is modeled at forwarding time, not here.
+#[inline]
+fn start_tx(link: LinkId, q: &mut LinkQueue, cfg: &LinkConfig, s: &mut impl NetScheduler) {
+    if let Some(d) = q.commit(s.now(), cfg.rate_bps()) {
+        s.schedule_net(d + cfg.propagation(), NetEvent::Arrive { link });
+        s.schedule_net(d, NetEvent::TxDone { link });
+    }
+}
+
 /// A switch as its fabric resolves it: its own tables, read through the
 /// fabric's host slots and failover table. Dereferences to the [`Switch`].
 #[derive(Debug, Clone, Copy)]
@@ -488,6 +557,44 @@ impl Deref for SwitchView<'_> {
 
     fn deref(&self) -> &Switch {
         self.switch
+    }
+}
+
+/// A link as its fabric resolves it: its interned config and, once it has
+/// seen a packet, its queue. Dereferences to the [`Link`].
+#[derive(Debug, Clone, Copy)]
+pub struct LinkView<'a> {
+    link: &'a Link,
+    fabric: &'a Fabric,
+}
+
+impl<'a> LinkView<'a> {
+    /// Rate, propagation, buffer size and ECN threshold.
+    #[inline]
+    pub fn config(&self) -> &'a LinkConfig {
+        &self.fabric.link_configs[self.link.config as usize]
+    }
+
+    /// The queue, or `None` for a link that has never seen a packet.
+    #[inline]
+    pub fn queue(&self) -> Option<&'a LinkQueue> {
+        // `Link::NO_QUEUE` is past the end of any queue table.
+        self.fabric.queues.get(self.link.queue as usize)
+    }
+
+    /// Exact queue occupancy at `now` (see [`LinkQueue::occupancy`]);
+    /// zero for a link that has never seen a packet.
+    #[inline]
+    pub fn occupancy(&self, now: SimTime) -> u64 {
+        self.queue().map_or(0, |q| q.occupancy(now))
+    }
+}
+
+impl Deref for LinkView<'_> {
+    type Target = Link;
+
+    fn deref(&self) -> &Link {
+        self.link
     }
 }
 
@@ -563,20 +670,16 @@ mod tests {
     fn two_host_fabric() -> (Fabric, LinkId, LinkId) {
         let mut f = Fabric::new();
         let sw = f.add_switch();
-        let up0 = f.add_link(Link::new(
+        let up0 = f.add_link(
             Node::Host(HostId(0)),
             Node::Switch(sw),
-            10_000_000_000,
-            SimDuration::from_micros(1),
-            1_000_000,
-        ));
-        let down1 = f.add_link(Link::new(
+            LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1_000_000),
+        );
+        let down1 = f.add_link(
             Node::Switch(sw),
             Node::Host(HostId(1)),
-            10_000_000_000,
-            SimDuration::from_micros(1),
-            1_000_000,
-        ));
+            LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1_000_000),
+        );
         f.attach_host(HostId(0), up0);
         f.install_l2(sw, Mac::host(HostId(1)), down1);
         (f, up0, down1)
@@ -705,8 +808,8 @@ mod tests {
         let (mut f, _, down1) = two_host_fabric();
         // Make the downlink a 10:1 bottleneck with a tiny buffer so the
         // burst overflows it.
-        f.link_mut(down1).rate_bps = 1_000_000_000;
-        f.link_mut(down1).queue_capacity_bytes = 3 * 1538;
+        f.degrade_link(down1, 0.1);
+        f.set_link_queue_capacity(down1, 3 * 1538);
         let mut h = Harness::new();
         for i in 0..20 {
             h.inject(&mut f, HostId(0), data_pkt(MSS, i * MSS as u64));
@@ -726,8 +829,8 @@ mod tests {
         // shared pool at sw0: the burst must be cut by DT admission, and
         // the pool must fully drain afterwards.
         let (mut f, _, down1) = two_host_fabric();
-        f.link_mut(down1).rate_bps = 1_000_000_000;
-        f.link_mut(down1).queue_capacity_bytes = u64::MAX >> 1;
+        f.degrade_link(down1, 0.1);
+        f.set_link_queue_capacity(down1, u64::MAX >> 1);
         f.set_shared_buffer(
             SwitchId(0),
             crate::buffer::SharedBuffer::new(10 * 1538, 1.0),
@@ -755,13 +858,11 @@ mod tests {
         let mut f = Fabric::new();
         let sw = f.add_switch();
         let port = |f: &mut Fabric, host: u32, rate_bps: u64| {
-            f.add_link(Link::new(
+            f.add_link(
                 Node::Switch(sw),
                 Node::Host(HostId(host)),
-                rate_bps,
-                SimDuration::from_micros(1),
-                u64::MAX >> 1,
-            ))
+                LinkConfig::new(rate_bps, SimDuration::from_micros(1), u64::MAX >> 1),
+            )
         };
         let fast = port(&mut f, 1, 10_000_000_000);
         let slow = port(&mut f, 2, 1_000_000_000);
@@ -784,7 +885,7 @@ mod tests {
         assert_eq!(f.shared_buffer(sw).unwrap().used(), 4 * wire);
         let done = SimTime::ZERO + SimDuration::transmission(wire, 10_000_000_000);
         let before = done - SimDuration::from_nanos(1);
-        assert_eq!(f.link(fast).finished_unsettled(done), wire);
+        assert_eq!(f.link(fast).queue().unwrap().finished_unsettled(done), wire);
         assert!(!enqueue_at(&mut f, before, slow), "no credit yet");
         assert!(enqueue_at(&mut f, done, slow), "credit at done");
         assert_eq!(f.link(slow).counters.dropped_packets, 1);
@@ -801,27 +902,21 @@ mod tests {
         // failover by installing primary+backup toward two distinct links.
         let mut f = Fabric::new();
         let sw = f.add_switch();
-        let up0 = f.add_link(Link::new(
+        let up0 = f.add_link(
             Node::Host(HostId(0)),
             Node::Switch(sw),
-            10_000_000_000,
-            SimDuration::from_micros(1),
-            1_000_000,
-        ));
-        let primary = f.add_link(Link::new(
+            LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1_000_000),
+        );
+        let primary = f.add_link(
             Node::Switch(sw),
             Node::Host(HostId(1)),
-            10_000_000_000,
-            SimDuration::from_micros(1),
-            1_000_000,
-        ));
-        let backup = f.add_link(Link::new(
+            LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1_000_000),
+        );
+        let backup = f.add_link(
             Node::Switch(sw),
             Node::Host(HostId(1)),
-            10_000_000_000,
-            SimDuration::from_micros(1),
-            1_000_000,
-        ));
+            LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1_000_000),
+        );
         f.attach_host(HostId(0), up0);
         f.install_l2(sw, Mac::host(HostId(1)), primary);
         f.install_failover(primary, backup);
@@ -833,5 +928,136 @@ mod tests {
         assert_eq!(h.delivered.len(), 1);
         assert_eq!(f.link(backup).counters.tx_packets, 1);
         assert_eq!(f.link(primary).counters.tx_packets, 0);
+    }
+
+    #[test]
+    fn idle_links_hold_no_queue_state() {
+        let (mut f, up0, down1) = two_host_fabric();
+        let idle = f.add_link(
+            Node::Switch(SwitchId(0)),
+            Node::Host(HostId(2)),
+            LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1_000_000),
+        );
+        assert!(f.links().iter().all(|l| l.queue == Link::NO_QUEUE));
+        assert_eq!(f.link(up0).occupancy(SimTime::ZERO), 0);
+        let mut h = Harness::new();
+        assert!(h.inject(&mut f, HostId(0), data_pkt(MSS, 0)));
+        h.run(&mut f);
+        assert!(f.link(up0).queue().is_some());
+        assert!(f.link(down1).queue().is_some());
+        assert!(f.link(idle).queue().is_none(), "no packet, no queue");
+        assert_eq!(f.queues.len(), 2);
+    }
+
+    #[test]
+    fn admission_drop_on_an_idle_link_counts_it() {
+        // A one-packet pool: `busy` fills it, so DT refuses `idle` its
+        // first packet before its queue is consulted.
+        let wire = (MSS + crate::packet::WIRE_OVERHEAD) as u64;
+        let mut f = Fabric::new();
+        let sw = f.add_switch();
+        let cfg = LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), u64::MAX >> 1);
+        let busy = f.add_link(Node::Switch(sw), Node::Host(HostId(1)), cfg);
+        let idle = f.add_link(Node::Switch(sw), Node::Host(HostId(2)), cfg);
+        f.set_shared_buffer(sw, crate::buffer::SharedBuffer::new(wire, 1.0));
+        let mut h = Harness::new();
+        let mut s = HarnessSched {
+            now: SimTime::ZERO,
+            queue: &mut h.queue,
+            delivered: &mut h.delivered,
+        };
+        assert!(f.enqueue_on(busy, data_pkt(MSS, 0), &mut s));
+        assert!(!f.enqueue_on(idle, data_pkt(MSS, 0), &mut s));
+        let c = f.link(idle).counters;
+        assert_eq!(
+            (c.dropped_packets, c.dropped_bytes, c.dropped_data_packets),
+            (1, wire, 1)
+        );
+        assert_eq!((c.tx_packets, c.max_queue_bytes), (0, 0));
+        let q = f.link(idle).queue().expect("a drop builds the queue");
+        assert_eq!((q.queue_len(), q.queued_bytes()), (0, 0));
+        assert_eq!(f.shared_buffer(sw).unwrap().used(), wire, "not charged");
+        assert_eq!(f.total_data_drops(), 1);
+    }
+
+    #[test]
+    fn reconfiguring_a_link_reinterns_its_config_exactly() {
+        let (mut f, up0, down1) = two_host_fabric();
+        let base = *f.link(up0).config();
+        assert_eq!(f.link_configs.len(), 1, "both links share one config");
+        // Give down1 a queue, so its serialization memo is live.
+        let mut h = Harness::new();
+        h.inject(&mut f, HostId(0), data_pkt(MSS, 0));
+        h.run(&mut f);
+
+        let wire = (MSS + crate::packet::WIRE_OVERHEAD) as u64;
+        let check = |f: &mut Fabric, fraction: f64, cap: u64, ecn: Option<u64>| {
+            let cfg = *f.link(down1).config();
+            assert_eq!(cfg.rate_fraction(), fraction);
+            assert_eq!(cfg.nominal_rate_bps(), base.rate_bps());
+            assert_eq!(cfg.propagation(), base.propagation());
+            assert_eq!(cfg.queue_capacity_bytes(), cap);
+            assert_eq!(cfg.ecn_threshold_bytes(), ecn);
+            let q = f.links[down1.index()].queue as usize;
+            for w in [wire, 84, wire] {
+                assert_eq!(
+                    f.queues[q].serialization(w, cfg.rate_bps()),
+                    SimDuration::transmission(w, cfg.rate_bps())
+                );
+            }
+            assert_eq!(*f.link(up0).config(), base, "up0 is untouched");
+        };
+        let cap = base.queue_capacity_bytes();
+        check(&mut f, 1.0, cap, None);
+        f.degrade_link(down1, 0.5);
+        check(&mut f, 0.5, cap, None);
+        assert_eq!(f.link_configs.len(), 2);
+        f.restore_link_rate(down1);
+        check(&mut f, 1.0, cap, None);
+        assert_eq!(f.links[down1.index()].config, f.links[up0.index()].config);
+        f.set_link_queue_capacity(down1, 3 * wire);
+        check(&mut f, 1.0, 3 * wire, None);
+        f.degrade_link(down1, 0.25);
+        f.set_link_ecn_threshold(down1, Some(wire));
+        check(&mut f, 0.25, 3 * wire, Some(wire));
+        f.restore_link_rate(down1);
+        f.set_link_queue_capacity(down1, cap);
+        f.set_link_ecn_threshold(down1, None);
+        check(&mut f, 1.0, cap, None);
+        assert_eq!(f.links[down1.index()].config, f.links[up0.index()].config);
+        // Seven distinct configs were passed through, each stored once.
+        assert_eq!(f.link_configs.len(), 7);
+        let cfgs = &f.link_configs;
+        assert!((1..cfgs.len()).all(|i| !cfgs[..i].contains(&cfgs[i])));
+    }
+
+    #[test]
+    fn links_keep_construction_order() {
+        let mut f = Fabric::new();
+        let (a, b) = (f.add_switch(), f.add_switch());
+        f.reserve_links(6);
+        let fast = LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1 << 20);
+        let slow = LinkConfig::new(1_000_000_000, SimDuration::from_micros(2), 1 << 16);
+        let want: Vec<(Node, Node, LinkConfig)> = (0..6u32)
+            .map(|i| {
+                let (src, dst) = if i % 2 == 0 { (a, b) } else { (b, a) };
+                let host = Node::Host(HostId(i));
+                let cfg = if i % 3 == 0 { slow } else { fast };
+                match i % 3 {
+                    0 => (host, Node::Switch(src), cfg),
+                    1 => (Node::Switch(src), host, cfg),
+                    _ => (Node::Switch(src), Node::Switch(dst), cfg),
+                }
+            })
+            .collect();
+        for (i, &(src, dst, cfg)) in want.iter().enumerate() {
+            assert_eq!(f.add_link(src, dst, cfg), LinkId(i as u32));
+        }
+        assert_eq!(f.links().len(), want.len());
+        for (i, (l, &(src, dst, cfg))) in f.links().iter().zip(&want).enumerate() {
+            assert_eq!((l.src, l.dst), (src, dst), "link {i}");
+            assert_eq!(*f.link(LinkId(i as u32)).config(), cfg, "link {i}");
+        }
+        assert_eq!(f.link_configs.len(), 2);
     }
 }

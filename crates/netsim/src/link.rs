@@ -1,23 +1,37 @@
 //! Links and their drop-tail output queues.
 //!
-//! A [`Link`] is a unidirectional pipe with a fixed rate and propagation
+//! A link is a unidirectional pipe with a fixed rate and propagation
 //! delay, fed by a drop-tail byte-bounded FIFO at its source — the
 //! output-queued switch model. Serialization is modeled exactly: one packet
 //! occupies the transmitter for `wire_bytes / rate`, and the tail-drop
 //! decision happens at enqueue time against the configured buffer size.
 //!
-//! One packet is on the wire at a time. [`Link::commit`] marks the oldest
-//! waiting packet as committed and returns its serialization time; the
-//! caller schedules the packet's arrival and a `TxDone` at its completion
-//! instant, which calls [`Link::settle`] to release its bytes and then
-//! commits the next packet. A committed packet stays in the link until its
-//! arrival pops it with [`Link::arrive`], so the arrival event carries only
-//! the link id. Arrivals come in commit order: serialization is sequential
-//! and propagation constant, so each committed packet arrives no earlier
-//! than the one before it, and equal-time events pop in push order.
+//! A link's state is split by how often it is used, because a large
+//! fabric has tens of thousands of links and only a few carry traffic:
 //!
-//! The link remembers the committed packet's completion instant, so
-//! [`Link::occupancy`] excludes a packet that finished at exactly the
+//! * [`Link`] holds what every link has — its endpoints, its up flag, its
+//!   [`LinkCounters`] and two `u32` handles into tables of its
+//!   [`Fabric`](crate::Fabric).
+//! * [`LinkConfig`] holds rate, propagation, buffer size and ECN
+//!   threshold. The fabric interns configs: a fabric has a handful of
+//!   distinct ones, however many links share them.
+//! * [`LinkQueue`] holds the queue itself. The fabric builds it on the
+//!   link's first enqueue or admission drop; a link that never sees a
+//!   packet has none.
+//!
+//! One packet is on the wire at a time. [`LinkQueue::commit`] marks the
+//! oldest waiting packet as committed and returns its serialization time;
+//! the caller schedules the packet's arrival and a `TxDone` at its
+//! completion instant, which calls [`LinkQueue::settle`] to release its
+//! bytes and then commits the next packet. A committed packet stays in the
+//! queue until its arrival pops it with [`LinkQueue::arrive`], so the
+//! arrival event carries only the link id. Arrivals come in commit order:
+//! serialization is sequential and propagation constant, so each committed
+//! packet arrives no earlier than the one before it, and equal-time events
+//! pop in push order.
+//!
+//! The queue remembers the committed packet's completion instant, so
+//! [`LinkQueue::occupancy`] excludes a packet that finished at exactly the
 //! query instant even before its `TxDone` pops — the one tie between
 //! same-instant events whose order would otherwise leak into drop
 //! decisions.
@@ -49,35 +63,170 @@ pub struct LinkCounters {
     /// High-water mark of queued bytes.
     pub max_queue_bytes: u64,
     /// Data packets whose ECN CE bit this link set at enqueue because
-    /// queue occupancy met [`Link::ecn_threshold_bytes`] (DCTCP's K).
+    /// queue occupancy met [`LinkConfig::ecn_threshold_bytes`] (DCTCP's
+    /// K).
     pub ce_marked_packets: u64,
 }
 
-/// A unidirectional link plus its source-side drop-tail queue.
+impl LinkCounters {
+    /// Count `pkt` as dropped: by a full queue, or by switch-level
+    /// admission (shared-buffer DT) before the queue is consulted.
+    pub(crate) fn count_drop(&mut self, pkt: &Packet) {
+        self.dropped_packets += 1;
+        self.dropped_bytes += pkt.wire_bytes() as u64;
+        if pkt.is_data() {
+            self.dropped_data_packets += 1;
+        }
+    }
+}
+
+/// A link's configuration: line rate, propagation delay, buffer size and
+/// ECN threshold. Links with equal configs share one interned copy in
+/// their fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkConfig {
+    rate_bps: u64,
+    nominal_rate_bps: u64,
+    propagation: SimDuration,
+    queue_capacity_bytes: u64,
+    ecn_threshold_bytes: Option<u64>,
+}
+
+impl LinkConfig {
+    /// A healthy link of `rate_bps` with a `queue_capacity_bytes`
+    /// drop-tail buffer and no ECN marking.
+    pub fn new(rate_bps: u64, propagation: SimDuration, queue_capacity_bytes: u64) -> Self {
+        assert!(rate_bps > 0);
+        LinkConfig {
+            rate_bps,
+            nominal_rate_bps: rate_bps,
+            propagation,
+            queue_capacity_bytes,
+            ecn_threshold_bytes: None,
+        }
+    }
+
+    /// Current line rate in bits per second.
+    #[inline]
+    pub fn rate_bps(&self) -> u64 {
+        self.rate_bps
+    }
+
+    /// Line rate the link was built with (the reference for degradation).
+    pub fn nominal_rate_bps(&self) -> u64 {
+        self.nominal_rate_bps
+    }
+
+    /// Propagation delay.
+    #[inline]
+    pub fn propagation(&self) -> SimDuration {
+        self.propagation
+    }
+
+    /// Tail-drop threshold for the output queue, in wire bytes.
+    pub fn queue_capacity_bytes(&self) -> u64 {
+        self.queue_capacity_bytes
+    }
+
+    /// ECN marking threshold in wire bytes (DCTCP's K): a data packet
+    /// enqueued while exact occupancy is at or above this gets its CE bit
+    /// set. `None` (the default) disables marking entirely, keeping the
+    /// drop-tail behaviour and event stream bit-identical.
+    pub fn ecn_threshold_bytes(&self) -> Option<u64> {
+        self.ecn_threshold_bytes
+    }
+
+    /// Current rate as a fraction of nominal — 1.0 for a healthy link.
+    /// The controller quantizes this into spanning-tree weights.
+    pub fn rate_fraction(&self) -> f64 {
+        self.rate_bps as f64 / self.nominal_rate_bps as f64
+    }
+
+    /// This config with its rate at `fraction` of nominal (clamped to
+    /// `(0, 1]`: a zero fraction still leaves a crawling link).
+    pub(crate) fn degraded(self, fraction: f64) -> Self {
+        let f = fraction.clamp(0.0, 1.0);
+        LinkConfig {
+            rate_bps: ((self.nominal_rate_bps as f64 * f).round() as u64).max(1),
+            ..self
+        }
+    }
+
+    /// This config back at its nominal rate.
+    pub(crate) fn restored(self) -> Self {
+        LinkConfig {
+            rate_bps: self.nominal_rate_bps,
+            ..self
+        }
+    }
+
+    /// This config with a `bytes` drop-tail buffer.
+    pub(crate) fn with_queue_capacity(self, bytes: u64) -> Self {
+        LinkConfig {
+            queue_capacity_bytes: bytes,
+            ..self
+        }
+    }
+
+    /// This config with ECN threshold `k` (`None` disables marking).
+    pub(crate) fn with_ecn_threshold(self, k: Option<u64>) -> Self {
+        LinkConfig {
+            ecn_threshold_bytes: k,
+            ..self
+        }
+    }
+}
+
+/// A unidirectional link as its fabric stores it: endpoints, state,
+/// counters and handles to its config and queue. Read a link through
+/// [`Fabric::link`](crate::Fabric::link), which resolves both.
 #[derive(Debug)]
 pub struct Link {
     /// Transmitting endpoint.
     pub src: Node,
     /// Receiving endpoint.
     pub dst: Node,
-    /// Line rate in bits per second.
-    pub rate_bps: u64,
-    /// Propagation delay.
-    pub propagation: SimDuration,
-    /// Tail-drop threshold for the output queue, in wire bytes.
-    pub queue_capacity_bytes: u64,
     /// Administrative and failure state; a down link drops at forwarding
     /// time and finishes (then discards) whatever is mid-flight.
     pub up: bool,
-    /// Line rate the link was built with. [`Link::degrade`] lowers
-    /// `rate_bps` relative to this; [`Link::restore_rate`] returns to it.
-    nominal_rate_bps: u64,
-    /// ECN marking threshold in wire bytes (DCTCP's K): a data packet
-    /// enqueued while exact occupancy is at or above this gets its CE bit
-    /// set. `None` (the default) disables marking entirely, keeping the
-    /// drop-tail behaviour and event stream bit-identical.
-    pub ecn_threshold_bytes: Option<u64>,
+    /// Counters for loss/throughput reporting.
+    pub counters: LinkCounters,
+    /// Index of the link's config in the fabric's config table.
+    pub(crate) config: u32,
+    /// Index of the link's queue in the fabric's queue table, or
+    /// [`Link::NO_QUEUE`] until its first packet.
+    pub(crate) queue: u32,
+}
 
+// Counters (56 bytes) stay inline: reports read them straight off the
+// link table. Everything else a busy link needs lives behind a handle.
+const _: () = assert!(std::mem::size_of::<Link>() <= 88);
+
+impl Link {
+    /// The queue handle of a link that has never seen a packet.
+    pub(crate) const NO_QUEUE: u32 = u32::MAX;
+
+    /// An idle, up link with config `config` and no queue.
+    pub(crate) fn new(src: Node, dst: Node, config: u32) -> Self {
+        Link {
+            src,
+            dst,
+            up: true,
+            counters: LinkCounters::default(),
+            config,
+            queue: Link::NO_QUEUE,
+        }
+    }
+
+    /// Reset counters (used between measurement phases of an experiment).
+    pub fn reset_counters(&mut self) {
+        self.counters = LinkCounters::default();
+    }
+}
+
+/// A link's output queue: the packets it holds and the transmitter state.
+#[derive(Debug, Default)]
+pub struct LinkQueue {
     /// Every packet the link holds, oldest first: a prefix of `committed`
     /// packets that have started serializing and not yet arrived, then
     /// the packets waiting for the transmitter.
@@ -85,27 +234,30 @@ pub struct Link {
     /// Length of the committed prefix of `queue`.
     committed: u32,
     /// Wire bytes of the waiting packets plus the one on the wire, until
-    /// its [`Link::settle`]; packets already propagating do not count.
+    /// its [`LinkQueue::settle`]; packets already propagating do not
+    /// count.
     queued_bytes: u64,
     /// The committed-but-unsettled packet, as `(completion instant, wire
     /// bytes)`: `Some` while its `TxDone` is outstanding. Its bytes stay
-    /// in `queued_bytes` until [`Link::settle`].
+    /// in `queued_bytes` until [`LinkQueue::settle`].
     on_wire: Option<(SimTime, u64)>,
     /// The last `(wire bytes, rate, serialization time)` computed by
-    /// [`Link::serialization`]. Most links carry mostly full data packets
-    /// or mostly ACKs, so one entry saves most u128 divisions (88% on the
-    /// headline point); keying on the rate keeps it exact across degrade
-    /// and restore.
+    /// [`LinkQueue::serialization`]. Most links carry mostly full data
+    /// packets or mostly ACKs, so one entry saves most u128 divisions (88%
+    /// on the headline point); keying on the rate keeps it exact across
+    /// degrade and restore.
     tx_memo: (u64, u64, SimDuration),
-    /// Counters for loss/throughput reporting.
-    pub counters: LinkCounters,
 }
+
+// Built once per link that carries traffic; keep it within 1.5 cache
+// lines.
+const _: () = assert!(std::mem::size_of::<LinkQueue>() <= 96);
 
 /// Result of offering a packet to a link's queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Enqueue {
     /// The transmitter was idle: the caller must now start it with
-    /// [`Link::commit`] and schedule the packet's `TxDone`.
+    /// [`LinkQueue::commit`] and schedule the packet's `TxDone`.
     StartTx,
     /// Queued behind in-flight traffic.
     Queued,
@@ -113,89 +265,66 @@ pub enum Enqueue {
     Dropped,
 }
 
-impl Link {
-    /// Create an idle, empty, up link.
-    pub fn new(
-        src: Node,
-        dst: Node,
-        rate_bps: u64,
-        propagation: SimDuration,
-        queue_capacity_bytes: u64,
-    ) -> Self {
-        assert!(rate_bps > 0);
-        Link {
-            src,
-            dst,
-            rate_bps,
-            propagation,
-            queue_capacity_bytes,
-            up: true,
-            nominal_rate_bps: rate_bps,
-            ecn_threshold_bytes: None,
-            queue: VecDeque::new(),
-            committed: 0,
-            queued_bytes: 0,
-            on_wire: None,
-            tx_memo: (0, rate_bps, SimDuration::ZERO),
-            counters: LinkCounters::default(),
-        }
-    }
-
-    /// Offer `pkt` to the output queue at simulated instant `now`.
+impl LinkQueue {
+    /// Offer `pkt` at simulated instant `now` to a link configured as
+    /// `cfg`, counting into `counters`.
     ///
     /// If the transmitter is idle ([`Enqueue::StartTx`]) the caller must
-    /// start it with [`Link::commit`]. A full queue tail-drops; the drop
-    /// decision uses [`Link::occupancy`] at `now`, so it does not depend
-    /// on whether the `TxDone` of a packet finishing at `now` has popped.
-    pub fn enqueue(&mut self, now: SimTime, mut pkt: Packet) -> Enqueue {
+    /// start it with [`LinkQueue::commit`]. A full queue tail-drops; the
+    /// drop decision uses [`LinkQueue::occupancy`] at `now`, so it does
+    /// not depend on whether the `TxDone` of a packet finishing at `now`
+    /// has popped.
+    pub fn enqueue(
+        &mut self,
+        now: SimTime,
+        mut pkt: Packet,
+        cfg: &LinkConfig,
+        counters: &mut LinkCounters,
+    ) -> Enqueue {
         let wire = pkt.wire_bytes() as u64;
         if self.on_wire.is_none() {
             debug_assert_eq!(self.queue_len(), 0);
             self.queue.push_back(pkt);
             self.queued_bytes += wire;
-            self.counters.max_queue_bytes = self.counters.max_queue_bytes.max(self.queued_bytes);
+            counters.max_queue_bytes = counters.max_queue_bytes.max(self.queued_bytes);
             return Enqueue::StartTx;
         }
         let occ = self.occupancy(now);
-        if occ + wire > self.queue_capacity_bytes {
-            self.counters.dropped_packets += 1;
-            self.counters.dropped_bytes += wire;
-            if pkt.is_data() {
-                self.counters.dropped_data_packets += 1;
-            }
+        if occ + wire > cfg.queue_capacity_bytes {
+            counters.count_drop(&pkt);
             return Enqueue::Dropped;
         }
         // ECN: mark-on-enqueue against instantaneous occupancy (DCTCP's
         // single threshold K). Only data packets are marked; ACKs carry
         // the echo, not the signal.
-        if let Some(k) = self.ecn_threshold_bytes {
+        if let Some(k) = cfg.ecn_threshold_bytes {
             if occ >= k && pkt.is_data() && !pkt.ce {
                 pkt.ce = true;
-                self.counters.ce_marked_packets += 1;
+                counters.ce_marked_packets += 1;
             }
         }
         self.queue.push_back(pkt);
         self.queued_bytes += wire;
-        self.counters.max_queue_bytes = self.counters.max_queue_bytes.max(occ + wire);
+        counters.max_queue_bytes = counters.max_queue_bytes.max(occ + wire);
         Enqueue::Queued
     }
 
-    /// Commit the oldest waiting packet to the wire at `now`.
+    /// Commit the oldest waiting packet to a wire of `rate_bps` at `now`.
     ///
     /// Returns its serialization time: the caller schedules its arrival
-    /// at that offset plus propagation, where [`Link::arrive`] hands the
-    /// packet over, and a `TxDone` at that offset to [`Link::settle`] it
-    /// and commit the next packet. Returns `None` (and stays idle) if
-    /// nothing is waiting.
+    /// at that offset plus propagation, where [`LinkQueue::arrive`] hands
+    /// the packet over, and a `TxDone` at that offset to
+    /// [`LinkQueue::settle`] it and commit the next packet. Returns `None`
+    /// (and stays idle) if nothing is waiting.
     #[inline]
-    pub fn commit(&mut self, now: SimTime) -> Option<SimDuration> {
+    pub fn commit(&mut self, now: SimTime, rate_bps: u64) -> Option<SimDuration> {
         debug_assert!(
             self.on_wire.is_none(),
             "commit while a packet is on the wire"
         );
         let wire = self.queue.get(self.committed as usize)?.wire_bytes() as u64;
         self.committed += 1;
-        let d = self.serialization(wire);
+        let d = self.serialization(wire, rate_bps);
         self.on_wire = Some((now + d, wire));
         Some(d)
     }
@@ -218,35 +347,35 @@ impl Link {
             .expect("committed packets are queued")
     }
 
-    /// `SimDuration::transmission(wire, self.rate_bps)`, memoized on the
-    /// last `(wire, rate)` pair.
+    /// `SimDuration::transmission(wire, rate_bps)`, memoized on the last
+    /// `(wire, rate)` pair.
     #[inline]
-    fn serialization(&mut self, wire: u64) -> SimDuration {
+    pub(crate) fn serialization(&mut self, wire: u64, rate_bps: u64) -> SimDuration {
         let (memo_wire, memo_rate, d) = self.tx_memo;
-        if memo_wire == wire && memo_rate == self.rate_bps {
+        if memo_wire == wire && memo_rate == rate_bps {
             return d;
         }
-        let d = SimDuration::transmission(wire, self.rate_bps);
-        self.tx_memo = (wire, self.rate_bps, d);
+        let d = SimDuration::transmission(wire, rate_bps);
+        self.tx_memo = (wire, rate_bps, d);
         d
     }
 
     /// Settle the committed packet when its `TxDone` fires: release its
-    /// bytes from the queue occupancy and count the transmission. Returns
-    /// its wire bytes so the caller can release shared-buffer occupancy
-    /// upstream.
+    /// bytes from the queue occupancy and count the transmission into
+    /// `counters`. Returns its wire bytes so the caller can release
+    /// shared-buffer occupancy upstream.
     #[inline]
-    pub fn settle(&mut self) -> u64 {
+    pub fn settle(&mut self, counters: &mut LinkCounters) -> u64 {
         let (_, bytes) = self.on_wire.take().expect("TxDone on idle link");
         self.queued_bytes -= bytes;
-        self.counters.tx_packets += 1;
-        self.counters.tx_bytes += bytes;
+        counters.tx_packets += 1;
+        counters.tx_bytes += bytes;
         bytes
     }
 
     /// Total queued wire bytes, *including* the committed-but-unsettled
-    /// packet. Coarser than [`Link::occupancy`] at the instant that packet
-    /// completes; use `occupancy` for drop and admission decisions.
+    /// packet. Coarser than [`LinkQueue::occupancy`] at the instant that
+    /// packet completes; use `occupancy` for drop and admission decisions.
     pub fn queued_bytes(&self) -> u64 {
         self.queued_bytes
     }
@@ -276,66 +405,14 @@ impl Link {
     pub fn queue_len(&self) -> usize {
         self.queue.len() - self.committed as usize
     }
-
-    /// Record a drop decided by switch-level admission (shared-buffer DT),
-    /// which happens before the per-port queue is consulted.
-    pub fn count_admission_drop(&mut self, pkt: &Packet) {
-        let wire = pkt.wire_bytes() as u64;
-        self.counters.dropped_packets += 1;
-        self.counters.dropped_bytes += wire;
-        if pkt.is_data() {
-            self.counters.dropped_data_packets += 1;
-        }
-    }
-
-    /// Mark the link down (fast-failover and controller pruning react to
-    /// this). Queued packets drain; new forwarding decisions avoid it.
-    pub fn set_down(&mut self) {
-        self.up = false;
-    }
-
-    /// Restore the link.
-    pub fn set_up(&mut self) {
-        self.up = true;
-    }
-
-    /// Line rate the link was built with (the reference for degradation).
-    pub fn nominal_rate_bps(&self) -> u64 {
-        self.nominal_rate_bps
-    }
-
-    /// Degrade the line rate to `fraction` of nominal (clamped to
-    /// `(0, 1]`). The link stays up — fast failover does not trigger —
-    /// so only controller re-weighting can steer traffic away. A packet
-    /// already committed to the wire keeps its departure time; the new
-    /// rate applies from the next committed packet.
-    pub fn degrade(&mut self, fraction: f64) {
-        let f = fraction.clamp(0.0, 1.0);
-        self.rate_bps = ((self.nominal_rate_bps as f64 * f).round() as u64).max(1);
-    }
-
-    /// Undo [`Link::degrade`]: return to the nominal line rate.
-    pub fn restore_rate(&mut self) {
-        self.rate_bps = self.nominal_rate_bps;
-    }
-
-    /// Current rate as a fraction of nominal — 1.0 for a healthy link.
-    /// The controller quantizes this into spanning-tree weights.
-    pub fn rate_fraction(&self) -> f64 {
-        self.rate_bps as f64 / self.nominal_rate_bps as f64
-    }
-
-    /// Reset counters (used between measurement phases of an experiment).
-    pub fn reset_counters(&mut self) {
-        self.counters = LinkCounters::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{HostId, Mac, Node, SwitchId};
     use crate::packet::{FlowKey, PacketKind, MSS, WIRE_OVERHEAD};
+    use crate::HostId;
+    use crate::Mac;
 
     fn pkt(len: u32) -> Packet {
         Packet {
@@ -353,26 +430,41 @@ mod tests {
         }
     }
 
-    fn link(cap: u64) -> Link {
-        Link::new(
-            Node::Host(HostId(0)),
-            Node::Switch(SwitchId(0)),
-            10_000_000_000,
-            SimDuration::from_nanos(500),
-            cap,
-        )
+    /// One link's config, queue and counters, as the fabric keeps them.
+    struct TestLink {
+        cfg: LinkConfig,
+        q: LinkQueue,
+        counters: LinkCounters,
+    }
+
+    impl TestLink {
+        fn enqueue(&mut self, now: SimTime, p: Packet) -> Enqueue {
+            self.q.enqueue(now, p, &self.cfg, &mut self.counters)
+        }
+
+        fn settle(&mut self) -> u64 {
+            self.q.settle(&mut self.counters)
+        }
+    }
+
+    fn link(cap: u64) -> TestLink {
+        TestLink {
+            cfg: LinkConfig::new(10_000_000_000, SimDuration::from_nanos(500), cap),
+            q: LinkQueue::default(),
+            counters: LinkCounters::default(),
+        }
     }
 
     /// Commit the next waiting packet at t = 0, returning it with its
     /// serialization time.
-    fn commit(l: &mut Link) -> Option<(Packet, SimDuration)> {
-        let d = l.commit(SimTime::ZERO)?;
-        Some((l.queue[l.committed as usize - 1], d))
+    fn commit(l: &mut TestLink) -> Option<(Packet, SimDuration)> {
+        let d = l.q.commit(SimTime::ZERO, l.cfg.rate_bps())?;
+        Some((l.q.queue[l.q.committed as usize - 1], d))
     }
 
     /// The packets waiting for the transmitter, oldest first.
-    fn waiting(l: &Link) -> impl Iterator<Item = &Packet> {
-        l.queue.iter().skip(l.committed as usize)
+    fn waiting(l: &TestLink) -> impl Iterator<Item = &Packet> {
+        l.q.queue.iter().skip(l.q.committed as usize)
     }
 
     #[test]
@@ -385,8 +477,8 @@ mod tests {
             d,
             SimDuration::transmission((MSS + WIRE_OVERHEAD) as u64, 10_000_000_000)
         );
-        assert!(l.on_wire.is_some());
-        assert_eq!(l.queue_len(), 0);
+        assert!(l.q.on_wire.is_some());
+        assert_eq!(l.q.queue_len(), 0);
     }
 
     #[test]
@@ -396,7 +488,7 @@ mod tests {
         assert_eq!(commit(&mut l).unwrap().0.payload_bytes(), 100);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(200)), Enqueue::Queued);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(300)), Enqueue::Queued);
-        assert_eq!(l.queue_len(), 2);
+        assert_eq!(l.q.queue_len(), 2);
 
         for len in [200, 300] {
             l.settle();
@@ -407,11 +499,11 @@ mod tests {
                 SimDuration::transmission((len + WIRE_OVERHEAD) as u64, 10_000_000_000)
             );
         }
-        assert_eq!(l.queue_len(), 0);
+        assert_eq!(l.q.queue_len(), 0);
         assert_eq!(l.settle(), (300 + WIRE_OVERHEAD) as u64);
-        assert!(l.on_wire.is_none());
+        assert!(l.q.on_wire.is_none());
         assert!(commit(&mut l).is_none(), "an empty queue stays idle");
-        assert!(l.on_wire.is_none());
+        assert!(l.q.on_wire.is_none());
         assert_eq!(l.counters.tx_packets, 3);
     }
 
@@ -453,14 +545,14 @@ mod tests {
                 assert!(commit(&mut l).is_some());
             }
             if let Some(want) = arrival {
-                assert_eq!(l.arrive().payload_bytes(), want);
+                assert_eq!(l.q.arrive().payload_bytes(), want);
             }
-            assert_eq!(l.queue_len(), len);
-            assert_eq!(l.queued_bytes(), bytes);
-            assert_eq!(l.occupancy(SimTime::ZERO), bytes);
+            assert_eq!(l.q.queue_len(), len);
+            assert_eq!(l.q.queued_bytes(), bytes);
+            assert_eq!(l.q.occupancy(SimTime::ZERO), bytes);
         }
-        assert!(l.on_wire.is_none());
-        assert!(l.queue.is_empty());
+        assert!(l.q.on_wire.is_none());
+        assert!(l.q.queue.is_empty());
         assert_eq!(l.counters.tx_packets, 4);
     }
 
@@ -469,7 +561,7 @@ mod tests {
     fn arrival_without_a_committed_packet_panics() {
         let mut l = link(1_000_000);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(100)), Enqueue::StartTx);
-        l.arrive();
+        l.q.arrive();
     }
 
     #[test]
@@ -484,18 +576,18 @@ mod tests {
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::Queued);
         let done = SimTime::ZERO + d;
         let before = done - SimDuration::from_nanos(1);
-        assert_eq!(l.occupancy(before), 2 * wire);
-        assert_eq!(l.finished_unsettled(before), 0);
-        assert_eq!(l.occupancy(done), wire);
-        assert_eq!(l.finished_unsettled(done), wire);
-        assert_eq!(l.queued_bytes(), 2 * wire, "not settled yet");
+        assert_eq!(l.q.occupancy(before), 2 * wire);
+        assert_eq!(l.q.finished_unsettled(before), 0);
+        assert_eq!(l.q.occupancy(done), wire);
+        assert_eq!(l.q.finished_unsettled(done), wire);
+        assert_eq!(l.q.queued_bytes(), 2 * wire, "not settled yet");
         assert_eq!(l.enqueue(before, pkt(MSS)), Enqueue::Dropped);
         assert_eq!(l.enqueue(done, pkt(MSS)), Enqueue::Queued);
         // Settling converges to the same answer.
         l.settle();
-        assert_eq!(l.finished_unsettled(done), 0);
-        assert_eq!(l.occupancy(done), 2 * wire);
-        assert_eq!(l.queued_bytes(), 2 * wire);
+        assert_eq!(l.q.finished_unsettled(done), 0);
+        assert_eq!(l.q.occupancy(done), 2 * wire);
+        assert_eq!(l.q.queued_bytes(), 2 * wire);
     }
 
     #[test]
@@ -519,12 +611,15 @@ mod tests {
     #[test]
     fn occupancy_counts_committed_bytes() {
         let mut l = link(1_000_000);
-        assert_eq!(l.occupancy(SimTime::ZERO), 0);
+        assert_eq!(l.q.occupancy(SimTime::ZERO), 0);
         l.enqueue(SimTime::ZERO, pkt(MSS));
         commit(&mut l);
         l.enqueue(SimTime::ZERO, pkt(MSS));
         // Committed-but-unsettled bytes still count toward occupancy.
-        assert_eq!(l.occupancy(SimTime::ZERO), 2 * (MSS + WIRE_OVERHEAD) as u64);
+        assert_eq!(
+            l.q.occupancy(SimTime::ZERO),
+            2 * (MSS + WIRE_OVERHEAD) as u64
+        );
     }
 
     #[test]
@@ -537,7 +632,7 @@ mod tests {
         }
         let expect = 5 * (MSS + WIRE_OVERHEAD) as u64;
         assert_eq!(l.counters.max_queue_bytes, expect);
-        while l.on_wire.is_some() {
+        while l.q.on_wire.is_some() {
             l.settle();
             commit(&mut l);
         }
@@ -546,14 +641,14 @@ mod tests {
             "high water mark persists"
         );
         assert_eq!(l.counters.tx_packets, 5);
-        assert_eq!(l.queued_bytes(), 0);
+        assert_eq!(l.q.queued_bytes(), 0);
     }
 
     #[test]
     fn ecn_marks_data_at_threshold() {
         let wire = (MSS + WIRE_OVERHEAD) as u64;
         let mut l = link(100 * wire);
-        l.ecn_threshold_bytes = Some(2 * wire);
+        l.cfg = l.cfg.with_ecn_threshold(Some(2 * wire));
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(MSS)), Enqueue::StartTx);
         commit(&mut l);
         // Occupancy 1*wire: below K, unmarked.
@@ -574,7 +669,7 @@ mod tests {
         };
         assert_eq!(l.enqueue(SimTime::ZERO, ack), Enqueue::Queued);
         assert_eq!(l.counters.ce_marked_packets, 2);
-        assert!(!l.queue.back().unwrap().ce);
+        assert!(!l.q.queue.back().unwrap().ce);
     }
 
     #[test]
@@ -590,45 +685,32 @@ mod tests {
     }
 
     #[test]
-    fn up_down_toggle() {
-        let mut l = link(1000);
-        assert!(l.up);
-        l.set_down();
-        assert!(!l.up);
-        l.set_up();
-        assert!(l.up);
-    }
-
-    #[test]
     fn degrade_and_restore_rate() {
-        let mut l = link(1000);
-        let nominal = l.rate_bps;
-        assert_eq!(l.nominal_rate_bps(), nominal);
-        assert_eq!(l.rate_fraction(), 1.0);
-        l.degrade(0.1);
-        assert_eq!(l.rate_bps, nominal / 10);
-        assert!((l.rate_fraction() - 0.1).abs() < 1e-12);
-        assert!(l.up, "degradation must not take the link down");
-        l.restore_rate();
-        assert_eq!(l.rate_bps, nominal);
+        let cfg = link(1000).cfg;
+        let nominal = cfg.rate_bps();
+        assert_eq!(cfg.nominal_rate_bps(), nominal);
+        assert_eq!(cfg.rate_fraction(), 1.0);
+        let slow = cfg.degraded(0.1);
+        assert_eq!(slow.rate_bps(), nominal / 10);
+        assert_eq!(slow.nominal_rate_bps(), nominal);
+        assert!((slow.rate_fraction() - 0.1).abs() < 1e-12);
+        assert_eq!(slow.restored(), cfg);
         // Clamped: a zero fraction still leaves a crawling link, not a
         // division by zero.
-        l.degrade(0.0);
-        assert_eq!(l.rate_bps, 1);
-        l.restore_rate();
-        assert_eq!(l.rate_bps, nominal);
+        assert_eq!(cfg.degraded(0.0).rate_bps(), 1);
+        assert_eq!(cfg.degraded(0.0).restored(), cfg);
     }
 
     #[test]
     fn memoized_serialization_matches_transmission() {
         let mut l = link(1000);
-        let check = |l: &mut Link| {
+        let check = |l: &mut TestLink| {
+            let rate = l.cfg.rate_bps();
             for wire in [1538, 84, 84, 0, 1, 9000, 64 * 1024, 1538, 1538] {
                 assert_eq!(
-                    l.serialization(wire),
-                    SimDuration::transmission(wire, l.rate_bps),
-                    "wire {wire} at {} bps",
-                    l.rate_bps
+                    l.q.serialization(wire, rate),
+                    SimDuration::transmission(wire, rate),
+                    "wire {wire} at {rate} bps"
                 );
             }
         };
@@ -636,11 +718,9 @@ mod tests {
         // Each pass starts with the wire size the last one ended on, so
         // the memo is hit right across a rate change and must not return
         // the old rate's time.
-        l.degrade(0.3);
-        check(&mut l);
-        l.degrade(0.0);
-        check(&mut l);
-        l.restore_rate();
-        check(&mut l);
+        for cfg in [l.cfg.degraded(0.3), l.cfg.degraded(0.0), l.cfg] {
+            l.cfg = cfg;
+            check(&mut l);
+        }
     }
 }

@@ -345,7 +345,7 @@ mod tests {
     use super::*;
     use crate::fabric::Fabric;
     use crate::ids::Node;
-    use crate::link::Link;
+    use crate::link::LinkConfig;
     use crate::packet::{FlowKey, PacketKind};
     use presto_simcore::SimDuration;
 
@@ -370,13 +370,11 @@ mod tests {
         let mut f = Fabric::new();
         let sw = f.add_switch();
         for h in 0..n {
-            f.add_link(Link::new(
+            f.add_link(
                 Node::Switch(sw),
                 Node::Host(HostId(h)),
-                10_000_000_000,
-                SimDuration::from_micros(1),
-                1 << 20,
-            ));
+                LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1 << 20),
+            );
         }
         (f, sw)
     }

@@ -5,7 +5,7 @@ use presto_simcore::SimDuration;
 use crate::buffer::SharedBuffer;
 use crate::fabric::Fabric;
 use crate::ids::{HostId, LinkId, Node, SwitchId};
-use crate::link::Link;
+use crate::link::LinkConfig;
 
 use super::tables::{DownClosure, PairLinks};
 use super::Topology;
@@ -57,6 +57,13 @@ impl TopologyBuilder {
         sw
     }
 
+    /// Make room for exactly `additional` more links (each direction of
+    /// a cable counts once). A builder that knows its link count up front
+    /// leaves no doubled table behind.
+    pub(crate) fn reserve_links(&mut self, additional: usize) {
+        self.fabric.reserve_links(additional);
+    }
+
     /// Attach the next host to leaf switch `leaf`: adds the up and down
     /// links (in that order) and registers the host with the fabric.
     /// Hosts receive sequential ids in call order.
@@ -69,20 +76,13 @@ impl TopologyBuilder {
     ) -> HostId {
         assert_eq!(self.switch_tier[leaf.index()], 0, "hosts attach at tier 0");
         let host = HostId(self.hosts.len() as u32);
-        let up = self.fabric.add_link(Link::new(
-            Node::Host(host),
-            Node::Switch(leaf),
-            link_rate_bps,
-            propagation,
-            queue_bytes,
-        ));
-        let down = self.fabric.add_link(Link::new(
-            Node::Switch(leaf),
-            Node::Host(host),
-            link_rate_bps,
-            propagation,
-            queue_bytes,
-        ));
+        let cfg = LinkConfig::new(link_rate_bps, propagation, queue_bytes);
+        let up = self
+            .fabric
+            .add_link(Node::Host(host), Node::Switch(leaf), cfg);
+        let down = self
+            .fabric
+            .add_link(Node::Switch(leaf), Node::Host(host), cfg);
         self.fabric.attach_host(host, up);
         self.hosts.push(host);
         self.host_leaf.push(leaf);
@@ -114,21 +114,14 @@ impl TopologyBuilder {
             self.up_adj[lower.index()].push(upper);
             self.down_adj[upper.index()].push(lower);
         }
+        let cfg = LinkConfig::new(link_rate_bps, propagation, queue_bytes);
         for _ in 0..n {
-            let up = self.fabric.add_link(Link::new(
-                Node::Switch(lower),
-                Node::Switch(upper),
-                link_rate_bps,
-                propagation,
-                queue_bytes,
-            ));
-            let down = self.fabric.add_link(Link::new(
-                Node::Switch(upper),
-                Node::Switch(lower),
-                link_rate_bps,
-                propagation,
-                queue_bytes,
-            ));
+            let up = self
+                .fabric
+                .add_link(Node::Switch(lower), Node::Switch(upper), cfg);
+            let down = self
+                .fabric
+                .add_link(Node::Switch(upper), Node::Switch(lower), cfg);
             self.pair_links.push((lower, upper, up));
             self.pair_links.push((upper, lower, down));
         }

@@ -39,7 +39,7 @@ use presto_simcore::SimDuration;
 
 use crate::fabric::Fabric;
 use crate::ids::{HostId, LinkId, Mac, Node, SwitchId};
-use crate::link::Link;
+use crate::link::LinkConfig;
 use tables::{DownClosure, PairLinks};
 
 /// A built network plus the structural metadata controllers need.
@@ -295,20 +295,13 @@ impl Topology {
         queue_bytes: u64,
     ) -> HostId {
         let host = HostId(self.hosts.len() as u32);
-        let up = self.fabric.add_link(Link::new(
-            Node::Host(host),
-            Node::Switch(switch),
-            link_rate_bps,
-            propagation,
-            queue_bytes,
-        ));
-        let down = self.fabric.add_link(Link::new(
-            Node::Switch(switch),
-            Node::Host(host),
-            link_rate_bps,
-            propagation,
-            queue_bytes,
-        ));
+        let cfg = LinkConfig::new(link_rate_bps, propagation, queue_bytes);
+        let up = self
+            .fabric
+            .add_link(Node::Host(host), Node::Switch(switch), cfg);
+        let down = self
+            .fabric
+            .add_link(Node::Switch(switch), Node::Host(host), cfg);
         self.fabric.attach_host(host, up);
         self.fabric.install_l2(switch, Mac::host(host), down);
         self.hosts.push(host);

@@ -13,6 +13,7 @@ impl Topology {
         queue_bytes: u64,
     ) -> Topology {
         let mut b = TopologyBuilder::new();
+        b.reserve_links(2 * n_hosts);
         let sw = b.add_switch(0);
         for _ in 0..n_hosts {
             b.attach_host(sw, link_rate_bps, propagation, queue_bytes);

@@ -92,12 +92,16 @@ impl Topology {
             None => spec.queue_bytes,
         };
         let mut b = TopologyBuilder::new();
-        let tors: Vec<_> = (0..spec.pods * spec.tors_per_pod)
-            .map(|_| b.add_switch(0))
-            .collect();
-        let aggs: Vec<_> = (0..spec.pods * spec.aggs_per_pod)
-            .map(|_| b.add_switch(1))
-            .collect();
+        let (tors, aggs) = (spec.pods * spec.tors_per_pod, spec.pods * spec.aggs_per_pod);
+        // Host, ToR–aggregation and aggregation–core cables, two links
+        // each.
+        b.reserve_links(
+            2 * (tors * spec.hosts_per_tor
+                + tors * spec.aggs_per_pod * spec.links_per_pair
+                + aggs * spec.cores_per_group),
+        );
+        let tors: Vec<_> = (0..tors).map(|_| b.add_switch(0)).collect();
+        let aggs: Vec<_> = (0..aggs).map(|_| b.add_switch(1)).collect();
         let cores: Vec<_> = (0..spec.aggs_per_pod * spec.cores_per_group)
             .map(|_| b.add_switch(2))
             .collect();

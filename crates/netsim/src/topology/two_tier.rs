@@ -56,6 +56,9 @@ impl Topology {
             None => spec.queue_bytes,
         };
         let mut b = TopologyBuilder::new();
+        b.reserve_links(
+            2 * spec.leaves * (spec.hosts_per_leaf + spec.spines * spec.links_per_pair),
+        );
         let leaves: Vec<_> = (0..spec.leaves).map(|_| b.add_switch(0)).collect();
         let spines: Vec<_> = (0..spec.spines).map(|_| b.add_switch(1)).collect();
         for &leaf in &leaves {
@@ -144,7 +147,7 @@ mod tests {
         // Per-port static caps are raised to the pool size.
         let some_link = t.links_between(t.leaves[0], t.spines[0])[0];
         assert_eq!(
-            t.fabric.link(some_link).queue_capacity_bytes,
+            t.fabric.link(some_link).config().queue_capacity_bytes(),
             4 * 1024 * 1024
         );
     }

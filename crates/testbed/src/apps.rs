@@ -57,11 +57,18 @@ impl Start {
 }
 
 /// A sockperf-style RTT prober: its probe flow (port 7) and the probes
-/// awaiting their echo.
+/// awaiting their echo, by sequence number.
 struct Pinger {
     flow: FlowKey,
-    next_id: u64,
-    outstanding: FxHashMap<u64, SimTime>,
+    next_seq: u32,
+    outstanding: FxHashMap<u32, SimTime>,
+}
+
+/// The id of pinger `pinger`'s probe `seq`: the pinger index in the high
+/// half, so an echo finds its pinger even when pingers share a host pair
+/// and hence a probe flow.
+fn probe_id(pinger: usize, seq: u32) -> u64 {
+    (pinger as u64) << 32 | seq as u64
 }
 
 /// A running [`ShuffleSpec`].
@@ -113,8 +120,6 @@ pub(crate) struct Apps {
     mice: Vec<MiceSpec>,
     probe_interval: SimDuration,
     pingers: Vec<Pinger>,
-    /// Pinger index by probe flow, for matching echoes.
-    probe_flows: FxHashMap<FlowKey, usize>,
     shuffle: Option<Shuffle>,
     incast: Option<Incast>,
     allreduce: Option<Allreduce>,
@@ -136,7 +141,7 @@ impl Apps {
             .iter()
             .map(|&(src, dst)| Pinger {
                 flow: FlowKey::new(host(src), host(dst), 7, 7),
-                next_id: 0,
+                next_seq: 0,
                 outstanding: FxHashMap::default(),
             })
             .collect();
@@ -178,11 +183,6 @@ impl Apps {
             flows: sc.flows.clone(),
             mice: sc.mice.clone(),
             probe_interval: sc.probe_interval,
-            probe_flows: pingers
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.flow, i))
-                .collect(),
             pingers,
             shuffle,
             incast,
@@ -277,18 +277,18 @@ impl Apps {
     /// probe interval.
     pub(crate) fn probe(&mut self, i: usize, now: SimTime) -> (FlowKey, u64, SimDuration) {
         let p = &mut self.pingers[i];
-        let id = p.next_id;
-        p.next_id += 1;
-        p.outstanding.insert(id, now);
-        (p.flow, id, self.probe_interval)
+        let seq = p.next_seq;
+        p.next_seq += 1;
+        p.outstanding.insert(seq, now);
+        (p.flow, probe_id(i, seq), self.probe_interval)
     }
 
-    /// The echo of probe `id` sent on `flow` came back at `now`.
-    pub(crate) fn on_probe_echo(&mut self, flow: FlowKey, id: u64, now: SimTime, warmup: SimTime) {
-        let Some(&i) = self.probe_flows.get(&flow) else {
+    /// The echo of probe `id` came back at `now`.
+    pub(crate) fn on_probe_echo(&mut self, id: u64, now: SimTime, warmup: SimTime) {
+        let Some(p) = self.pingers.get_mut((id >> 32) as usize) else {
             return;
         };
-        if let Some(sent) = self.pingers[i].outstanding.remove(&id) {
+        if let Some(sent) = p.outstanding.remove(&(id as u32)) {
             if now >= warmup {
                 self.rtt_ms.add(now.saturating_since(sent).as_millis_f64());
             }

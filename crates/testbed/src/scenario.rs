@@ -15,7 +15,7 @@ use presto_core::Controller;
 use presto_endhost::ReceiveOffload;
 use presto_faults::{FaultEvent, FaultKind, FaultPlan};
 use presto_gro::{OfficialGro, PrestoGro, PrestoGroConfig};
-use presto_netsim::{ClosSpec, HostId, Mac, ThreeTierSpec, Topology};
+use presto_netsim::{ClosSpec, HostId, LinkId, Mac, Node, ThreeTierSpec, Topology};
 use presto_simcore::rng::DetRng;
 use presto_simcore::{SimDuration, SimTime};
 use presto_telemetry::{TelemetryConfig, TelemetryReport};
@@ -320,7 +320,8 @@ impl Scenario {
 
         // 5. Sender NICs backpressure rather than drop: large uplink queues.
         for &up in &topo.host_up.clone() {
-            topo.fabric.link_mut(up).queue_capacity_bytes = self.host_uplink_queue;
+            topo.fabric
+                .set_link_queue_capacity(up, self.host_uplink_queue);
         }
 
         // 5b. ECN: arm the marking threshold on every switch-egress queue
@@ -328,9 +329,10 @@ impl Scenario {
         // not the sender NIC). `None` — the default — leaves every link's
         // behaviour bit-identical to the pre-ECN testbed.
         if let Some(k) = self.scheme.ecn {
-            for l in topo.fabric.links_mut() {
-                if matches!(l.src, presto_netsim::Node::Switch(_)) {
-                    l.ecn_threshold_bytes = Some(k);
+            for i in 0..topo.fabric.links().len() {
+                let l = LinkId(i as u32);
+                if matches!(topo.fabric.link(l).src, Node::Switch(_)) {
+                    topo.fabric.set_link_ecn_threshold(l, Some(k));
                 }
             }
         }

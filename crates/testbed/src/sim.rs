@@ -869,7 +869,7 @@ impl Simulation {
                 // backwards; treat that sample's delta as zero.
                 let delta = tx.saturating_sub(tel.last_tx_bytes[i]);
                 tel.last_tx_bytes[i] = tx;
-                let util = (delta as f64 * 8.0) / (window * link.rate_bps as f64);
+                let util = (delta as f64 * 8.0) / (window * link.config().rate_bps() as f64);
                 tel.util_sum[i] += util.min(1.0);
                 tel.sink.borrow_mut().record(
                     t_ns,
@@ -1028,7 +1028,7 @@ impl Simulation {
             let now = self.now;
             let link = self.topo.fabric.link(uplink);
             let backlog = link.occupancy(now).saturating_sub(EGRESS_TARGET_BYTES) + 1538;
-            let at = now + SimDuration::transmission(backlog, link.rate_bps);
+            let at = now + SimDuration::transmission(backlog, link.config().rate_bps());
             let egress = &mut self.host_mut(host).egress;
             let need = match egress.drain_at {
                 Some(cur) => at < cur || cur <= now,
@@ -1230,8 +1230,8 @@ impl Simulation {
             }
             let link = self.topo.fabric.link(self.topo.fabric.host_uplink(h));
             let queue_bytes = link.occupancy(now);
-            let latency_ns = if link.up && link.rate_bps > 0 {
-                SimDuration::transmission(queue_bytes, link.rate_bps).as_nanos()
+            let latency_ns = if link.up {
+                SimDuration::transmission(queue_bytes, link.config().rate_bps()).as_nanos()
             } else {
                 u64::MAX / 2
             };
@@ -1279,7 +1279,11 @@ impl Simulation {
                     PathSignal {
                         tree: t as u32,
                         queue_bytes: link.occupancy(now),
-                        rate_fraction: if link.up { link.rate_fraction() } else { 0.0 },
+                        rate_fraction: if link.up {
+                            link.config().rate_fraction()
+                        } else {
+                            0.0
+                        },
                     }
                 }
                 None => PathSignal {
@@ -1504,7 +1508,7 @@ impl Simulation {
         };
         let back = pkt.flow.reverse();
         if echo {
-            self.apps.on_probe_echo(back, id, self.now, self.warmup);
+            self.apps.on_probe_echo(id, self.now, self.warmup);
         } else {
             self.send_probe(back, id, true);
         }

@@ -116,3 +116,20 @@ fn probes_rotate_paths_under_presto() {
     let p50 = r.rtt_ms.clone().percentile(50.0).unwrap();
     assert!(p50 > 0.01 && p50 < 1.0, "suspicious probe RTT {p50}");
 }
+
+/// Two pingers on one host pair share a probe flow; each must still match
+/// its own echoes, so the pair records twice the samples of one pinger.
+#[test]
+fn pingers_sharing_a_host_pair_keep_every_sample() {
+    let samples = |probes: Vec<(usize, usize)>| {
+        let sc = Scenario::builder(SchemeSpec::presto(), 1)
+            .duration(SimDuration::from_millis(30))
+            .warmup(SimDuration::from_millis(10))
+            .probes(probes)
+            .build();
+        sc.build().run().rtt_ms.len()
+    };
+    assert_eq!(samples(vec![(0, 12)]), 40);
+    assert_eq!(samples(vec![(0, 12), (1, 12)]), 80);
+    assert_eq!(samples(vec![(0, 12), (0, 12)]), 80);
+}

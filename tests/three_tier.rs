@@ -12,7 +12,7 @@
 //!    the hosts that talk; so does the simulator's per-host edge state.
 
 use presto_faults::{FaultPlan, Notify};
-use presto_netsim::{HostId, ThreeTierSpec};
+use presto_netsim::{HostId, LinkId, ThreeTierSpec};
 use presto_simcore::{SimDuration, SimTime};
 use presto_telemetry::TelemetryConfig;
 use presto_testbed::{stride_elephants, ParallelRunner, Report, Scenario, SchemeSpec};
@@ -167,6 +167,47 @@ fn oversubscribed_fabric_still_runs() {
         .build()
         .run();
     assert!(report.mean_elephant_tput() > 0.5);
+}
+
+/// Links get queue state on their first packet, so after a run exactly
+/// the links that sent or dropped one hold it. Counters start at zero
+/// (no warm-up reset) and the flows finish well before the end, so no
+/// link's first packet is still in flight.
+#[test]
+fn only_links_that_carried_packets_hold_queue_state() {
+    let flows = cross_pod()
+        .into_iter()
+        .map(|f| FlowSpec {
+            bytes: Some(200_000),
+            ..f
+        })
+        .collect();
+    let mut sim = Scenario::builder(SchemeSpec::presto(), 17)
+        .three_tier(balanced_spec())
+        .duration(SimDuration::from_millis(10))
+        .warmup(SimDuration::ZERO)
+        .elephants(flows)
+        .build()
+        .build();
+    sim.run();
+    let fabric = &sim.topo.fabric;
+    let links: Vec<_> = (0..fabric.links().len())
+        .map(|i| fabric.link(LinkId(i as u32)))
+        .collect();
+    let queued = links.iter().filter(|l| l.queue().is_some()).count();
+    let carried = links
+        .iter()
+        .filter(|l| l.counters.tx_packets + l.counters.dropped_packets > 0)
+        .count();
+    assert_eq!(queued, carried);
+    assert!(
+        0 < carried && carried < links.len(),
+        "{carried} of {} links carried packets",
+        links.len()
+    );
+    assert!(links
+        .iter()
+        .all(|l| l.queue().is_none_or(|q| q.queued_bytes() == 0)));
 }
 
 /// 64 stride elephants on the 8192-host three-tier fabric: 128 hosts talk.
