@@ -1,27 +1,26 @@
-//! Overhead of the telemetry layer on the simulator's end-to-end path.
+//! Overhead of the telemetry observer on the simulator's end-to-end path.
 //!
-//! Three measurements on the same short testbed16 run:
+//! Two measurements on the same short testbed16 run:
 //!
-//! * `baseline` — no telemetry attached;
-//! * `attached` — telemetry layer on (trace-event ring, counters,
-//!   periodic sampler, queue profiler);
-//! * the per-event cost of a `trace_event!` site with no sink attached.
+//! * `baseline` — no observer attached;
+//! * `attached` — the telemetry observer on (trace-event ring, per-kind
+//!   event profile, periodic sampler).
 //!
-//! The observability contract (DESIGN.md §8): every build can record, and
-//! with no telemetry attached — the default for every figure harness —
-//! each instrumented site costs one live `Option` load-and-branch and
-//! never builds its event (`trace_event_unattached_site_1k` times 1k such
-//! sites). `attached` is the opt-in price: every site records into the
-//! ring, plus the queue profiler (a classify call plus two counter adds
-//! per scheduled event) and the periodic sampler. CI runs this as a smoke
-//! check (it must build and complete), not as a threshold gate —
+//! The observability contract (DESIGN.md §8): a run is watched only
+//! through the observer seam on `Simulation`. With nothing attached — the
+//! default for every figure harness — each hook site (a push, a dispatch,
+//! a fabric or edge record) costs one branch and never builds its event,
+//! so `baseline` is the plain simulator. `attached` is the opt-in price:
+//! every scheduled event feeds the profile, every dispatch checks the
+//! sampling grid, and every record lands in the ring. CI runs this as a
+//! smoke check (it must build and complete), not as a threshold gate —
 //! wall-clock thresholds on shared runners flake.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use presto_simcore::SimDuration;
-use presto_telemetry::{trace_event, SharedSink, TelemetryConfig, TraceEvent};
+use presto_telemetry::TelemetryConfig;
 use presto_testbed::{stride_elephants, Scenario, SchemeSpec};
 
 fn tiny(telemetry: bool) -> Scenario {
@@ -46,32 +45,9 @@ fn bench_run_overhead(c: &mut Criterion) {
     });
 }
 
-fn bench_noop_event(c: &mut Criterion) {
-    // The cost of an instrumented site that is *not* wired to a sink —
-    // what every fabric enqueue pays in a plain run. `black_box` keeps
-    // the `Option` check live at every site instead of hoisted out of
-    // the loop.
-    c.bench_function("trace_event_unattached_site_1k", |b| {
-        let sink: Option<SharedSink> = None;
-        b.iter(|| {
-            for i in 0..1000u64 {
-                trace_event!(
-                    black_box(&sink),
-                    i,
-                    TraceEvent::PacketEnqueued {
-                        link: i as u32,
-                        queue_bytes: i,
-                    }
-                );
-            }
-            black_box(&sink)
-        })
-    });
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_run_overhead, bench_noop_event
+    targets = bench_run_overhead
 );
 criterion_main!(benches);

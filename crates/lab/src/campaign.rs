@@ -111,6 +111,11 @@ impl PointSpec {
         if self.flowcell_kb == 0 {
             return whine("flowcell size must be \u{2265} 1 KiB");
         }
+        if let WorkloadId::Stride(k) = self.workload {
+            if k.is_multiple_of(self.topo.n_servers()) {
+                return whine("stride must not map a server onto itself");
+            }
+        }
         if let WorkloadId::Incast { fanout, .. } = self.workload {
             if fanout >= self.topo.n_servers() {
                 return whine("incast fanout must leave room for the aggregator");
@@ -1072,6 +1077,19 @@ probe = "!default"
         let mut c = Campaign::new("ring-too-wide");
         c.workloads = vec!["allreduce:17:512".parse().unwrap()];
         assert!(c.expand().unwrap_err().contains("ring"), "{}", c.name);
+    }
+
+    #[test]
+    fn stride_points_validate_against_the_topology() {
+        for w in ["stride:16", "stride:32"] {
+            let mut c = Campaign::new("self-stride");
+            c.workloads = vec![w.parse().unwrap()];
+            let err = c.expand().unwrap_err();
+            assert!(err.contains("onto itself"), "{w}: {err}");
+        }
+        let mut c = Campaign::new("stride");
+        c.workloads = vec!["stride:15".parse().unwrap()];
+        assert!(c.expand().is_ok());
     }
 
     #[test]

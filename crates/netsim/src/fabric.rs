@@ -23,7 +23,7 @@
 use std::ops::Deref;
 
 use presto_simcore::{SimDuration, SimTime};
-use presto_telemetry::{trace_event, DropReason, SharedSink, TraceEvent};
+use presto_telemetry::{DropReason, TraceEvent};
 
 use crate::buffer::SharedBuffer;
 use crate::ids::{HostId, LinkId, Mac, Node, SwitchId};
@@ -33,7 +33,7 @@ use crate::switch::{HostSlots, Switch};
 
 /// Events internal to the fabric. The composed simulator embeds these in
 /// its global event enum and routes them back to [`Fabric::handle`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub enum NetEvent {
     /// A link finished serializing its head packet.
     TxDone {
@@ -52,7 +52,8 @@ pub enum NetEvent {
 const _: () = assert!(std::mem::size_of::<NetEvent>() <= 8);
 
 /// The fabric's interface to the outside world: a clock, a way to schedule
-/// its own future events, and a sink for packets that reach hosts.
+/// its own future events, a sink for packets that reach hosts, and a
+/// place to report what it saw (enqueues and drops).
 pub trait NetScheduler {
     /// Current simulated time.
     fn now(&self) -> SimTime;
@@ -60,6 +61,10 @@ pub trait NetScheduler {
     fn schedule_net(&mut self, delay: SimDuration, ev: NetEvent);
     /// A packet arrived at `host`'s NIC.
     fn deliver(&mut self, host: HostId, packet: Packet);
+    /// Report a trace event now. `ev` builds it; an implementation calls
+    /// it only if something is watching. By default nothing is.
+    #[inline]
+    fn record(&mut self, _ev: impl FnOnce() -> TraceEvent) {}
 }
 
 /// All switches and links of one experiment's network.
@@ -93,9 +98,6 @@ pub struct Fabric {
     /// past the end, for none). A link leaves one switch, so one table
     /// serves every switch.
     failover: Vec<LinkId>,
-    /// Optional trace sink for enqueue/drop events; without one a site
-    /// costs one `Option` check.
-    sink: Option<SharedSink>,
 }
 
 impl Fabric {
@@ -330,11 +332,6 @@ impl Fabric {
         }
     }
 
-    /// Install a trace sink; subsequent enqueues and drops are recorded.
-    pub fn set_trace_sink(&mut self, sink: SharedSink) {
-        self.sink = Some(sink);
-    }
-
     /// The egress link switch `sw` picks for `pkt` given which links are
     /// up, or `None` (counted in the switch's `no_route_drops`) if it has
     /// no usable one.
@@ -352,14 +349,10 @@ impl Fabric {
             self.enqueue_on(out, packet, s);
         } else {
             // Already counted in the switch's no_route_drops.
-            trace_event!(
-                self.sink,
-                s.now().as_nanos(),
-                TraceEvent::PacketDropped {
-                    site: sw.0,
-                    reason: DropReason::NoRoute,
-                }
-            );
+            s.record(|| TraceEvent::PacketDropped {
+                site: sw.0,
+                reason: DropReason::NoRoute,
+            });
         }
     }
 
@@ -382,14 +375,10 @@ impl Fabric {
                     // A drop is a packet the link saw: it gets a queue.
                     self.queue_of(link);
                     self.links[link.index()].counters.count_drop(&packet);
-                    trace_event!(
-                        self.sink,
-                        now.as_nanos(),
-                        TraceEvent::PacketDropped {
-                            site: link.0,
-                            reason: DropReason::Admission,
-                        }
-                    );
+                    s.record(|| TraceEvent::PacketDropped {
+                        site: link.0,
+                        reason: DropReason::Admission,
+                    });
                     return false;
                 }
                 charge_pool = Some(sw.index());
@@ -401,14 +390,10 @@ impl Fabric {
         let cfg = &self.link_configs[l.config as usize];
         let verdict = q.enqueue(now, packet, cfg, &mut l.counters);
         if verdict == Enqueue::Dropped {
-            trace_event!(
-                self.sink,
-                now.as_nanos(),
-                TraceEvent::PacketDropped {
-                    site: link.0,
-                    reason: DropReason::QueueFull,
-                }
-            );
+            s.record(|| TraceEvent::PacketDropped {
+                site: link.0,
+                reason: DropReason::QueueFull,
+            });
             return false;
         }
         if let Some(i) = charge_pool {
@@ -417,14 +402,10 @@ impl Fabric {
                 .expect("pool exists")
                 .on_enqueue(wire);
         }
-        trace_event!(
-            self.sink,
-            now.as_nanos(),
-            TraceEvent::PacketEnqueued {
-                link: link.0,
-                queue_bytes: q.occupancy(now),
-            }
-        );
+        s.record(|| TraceEvent::PacketEnqueued {
+            link: link.0,
+            queue_bytes: q.occupancy(now),
+        });
         if verdict == Enqueue::StartTx {
             start_tx(link, q, cfg, s);
         }

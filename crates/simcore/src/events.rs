@@ -147,55 +147,6 @@ impl<E> Slot<E> {
     }
 }
 
-/// An event classifier: maps an event to a row of a [`QueueProfile`].
-type Classifier<E> = fn(&E) -> usize;
-
-/// Per-event-type profile of a queue: how many events of each class were
-/// scheduled and how far ahead of "now" they were scheduled (dwell). Fed
-/// by an [`EventQueue::enable_profiler`] classifier; read by the
-/// telemetry layer after a run.
-#[derive(Debug, Clone)]
-pub struct QueueProfile {
-    names: &'static [&'static str],
-    counts: Vec<u64>,
-    dwell_ns: Vec<u64>,
-}
-
-impl QueueProfile {
-    fn new(names: &'static [&'static str]) -> Self {
-        QueueProfile {
-            names,
-            counts: vec![0; names.len()],
-            dwell_ns: vec![0; names.len()],
-        }
-    }
-
-    /// Class names, in table order.
-    pub fn names(&self) -> &'static [&'static str] {
-        self.names
-    }
-
-    /// Events scheduled per class.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total push-to-due nanoseconds per class. Divide by the count for
-    /// the mean scheduling horizon of that event type.
-    pub fn dwell_ns(&self) -> &[u64] {
-        &self.dwell_ns
-    }
-
-    #[inline]
-    fn record(&mut self, class: usize, dwell_ns: u64) {
-        // Out-of-range classes clamp to the last entry so a buggy
-        // classifier skews one row instead of panicking mid-run.
-        let i = class.min(self.counts.len().saturating_sub(1));
-        self.counts[i] += 1;
-        self.dwell_ns[i] += dwell_ns;
-    }
-}
-
 /// Delay lanes beside the wheel.
 ///
 /// Nearly every event the simulator schedules recurs at one of a few
@@ -284,16 +235,10 @@ pub struct EventQueue<E> {
     /// events are pending.
     cur_bucket: u64,
     len: usize,
-    /// Peak value of `len` since construction or the last `clear()`.
-    high_water: usize,
     next_seq: u64,
     /// Time of the most recently popped event; pushes earlier than this are
     /// a logic error (time travel) and panic.
     watermark: SimTime,
-    /// Optional per-event-type profiling: a classifier mapping events to
-    /// rows of a [`QueueProfile`]. `None` (the default) costs one branch
-    /// per push.
-    profiler: Option<(Classifier<E>, QueueProfile)>,
 }
 
 impl<E: Copy> Default for EventQueue<E> {
@@ -316,10 +261,8 @@ impl<E: Copy> EventQueue<E> {
             overflow: BinaryHeap::new(),
             cur_bucket: 0,
             len: 0,
-            high_water: 0,
             next_seq: 0,
             watermark: SimTime::ZERO,
-            profiler: None,
         }
     }
 
@@ -336,12 +279,6 @@ impl<E: Copy> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        if self.len > self.high_water {
-            self.high_water = self.len;
-        }
-        if let Some((classify, profile)) = &mut self.profiler {
-            profile.record(classify(&event), delay);
-        }
         let key = Key { time, seq, event };
         match self.lane_for(delay, &key) {
             Some(i) => {
@@ -554,38 +491,8 @@ impl<E: Copy> EventQueue<E> {
         self.len == 0
     }
 
-    /// Total number of events ever scheduled; useful for instrumentation.
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Peak number of simultaneously pending events since construction or
-    /// the last [`EventQueue::clear`]. The telemetry sampler reads this to
-    /// size the event-queue occupancy track.
-    #[inline]
-    pub fn high_water_mark(&self) -> usize {
-        self.high_water
-    }
-
-    /// Start classifying pushed events into a [`QueueProfile`] with
-    /// `names.len()` rows. `classify` maps an event to its row; values out
-    /// of range clamp to the last row. Replaces any previous profile.
-    pub fn enable_profiler(&mut self, names: &'static [&'static str], classify: fn(&E) -> usize) {
-        assert!(!names.is_empty(), "profiler needs at least one class");
-        self.profiler = Some((classify, QueueProfile::new(names)));
-    }
-
-    /// The accumulated profile, if [`EventQueue::enable_profiler`] was
-    /// called.
-    pub fn profile(&self) -> Option<&QueueProfile> {
-        self.profiler.as_ref().map(|(_, p)| p)
-    }
-
     /// Drop all pending events and rewind the watermark to t = 0, so a
-    /// torn-down queue can host a fresh scenario. `scheduled_total` keeps
-    /// counting across clears; the high-water mark and any profile reset
-    /// with the scenario.
+    /// torn-down queue can host a fresh scenario.
     pub fn clear(&mut self) {
         for lane in &mut self.lanes {
             lane.clear();
@@ -603,11 +510,7 @@ impl<E: Copy> EventQueue<E> {
         self.overflow.clear();
         self.cur_bucket = 0;
         self.len = 0;
-        self.high_water = 0;
         self.watermark = SimTime::ZERO;
-        if let Some((_, profile)) = &mut self.profiler {
-            *profile = QueueProfile::new(profile.names);
-        }
     }
 }
 
@@ -617,7 +520,6 @@ impl<E: Copy> EventQueue<E> {
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Key<E>>,
     next_seq: u64,
-    high_water: usize,
     watermark: SimTime,
 }
 
@@ -633,7 +535,6 @@ impl<E> HeapEventQueue<E> {
         HeapEventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            high_water: 0,
             watermark: SimTime::ZERO,
         }
     }
@@ -650,7 +551,6 @@ impl<E> HeapEventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Key { time, seq, event });
-        self.high_water = self.high_water.max(self.heap.len());
     }
 
     /// Remove and return the earliest event, advancing the watermark.
@@ -680,24 +580,9 @@ impl<E> HeapEventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled.
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Peak number of simultaneously pending events since construction or
-    /// the last [`HeapEventQueue::clear`].
-    #[inline]
-    pub fn high_water_mark(&self) -> usize {
-        self.high_water
-    }
-
-    /// Drop all pending events and rewind the watermark to t = 0. The
-    /// high-water mark resets with the scenario.
+    /// Drop all pending events and rewind the watermark to t = 0.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.high_water = 0;
         self.watermark = SimTime::ZERO;
     }
 }
@@ -762,7 +647,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 1);
     }
 
     #[test]
@@ -783,62 +667,6 @@ mod tests {
         h.clear();
         h.push(SimTime::from_nanos(1), 2);
         assert_eq!(h.pop(), Some((SimTime::from_nanos(1), 2)));
-    }
-
-    #[test]
-    fn high_water_mark_tracks_peak_and_resets_on_clear() {
-        // Extends the PR 1 clear() regression: the high-water mark must
-        // reflect the peak backlog of the *current* scenario, not the
-        // queue's lifetime, on both implementations.
-        let mut q = EventQueue::new();
-        let mut h = HeapEventQueue::new();
-        assert_eq!(q.high_water_mark(), 0);
-        assert_eq!(h.high_water_mark(), 0);
-        for i in 0..5u64 {
-            q.push(SimTime::from_nanos(10 + i), i);
-            h.push(SimTime::from_nanos(10 + i), i);
-        }
-        q.pop();
-        h.pop();
-        // Draining does not lower the mark.
-        assert_eq!(q.high_water_mark(), 5);
-        assert_eq!(h.high_water_mark(), 5);
-        q.push(SimTime::from_nanos(100), 9);
-        h.push(SimTime::from_nanos(100), 9);
-        assert_eq!(
-            q.high_water_mark(),
-            5,
-            "4 pending + 1 push stays below peak"
-        );
-        assert_eq!(h.high_water_mark(), 5);
-        q.clear();
-        h.clear();
-        assert_eq!(q.high_water_mark(), 0);
-        assert_eq!(h.high_water_mark(), 0);
-        // A fresh scenario establishes a fresh peak.
-        q.push(SimTime::from_nanos(1), 1);
-        h.push(SimTime::from_nanos(1), 1);
-        assert_eq!(q.high_water_mark(), 1);
-        assert_eq!(h.high_water_mark(), 1);
-    }
-
-    #[test]
-    fn profiler_counts_and_dwell() {
-        const NAMES: &[&str] = &["even", "odd"];
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.enable_profiler(NAMES, |e| (*e % 2) as usize);
-        q.push(SimTime::from_nanos(100), 0); // even, dwell 100
-        q.push(SimTime::from_nanos(40), 1); // odd, dwell 40
-        q.pop(); // watermark -> 40
-        q.push(SimTime::from_nanos(90), 3); // odd, dwell 50
-        q.push(SimTime::from_nanos(41), 7); // class 7 clamps to last row
-        let p = q.profile().expect("profiler enabled");
-        assert_eq!(p.names(), NAMES);
-        assert_eq!(p.counts(), &[1, 3]);
-        assert_eq!(p.dwell_ns(), &[100, 40 + 50 + 1]);
-        q.clear();
-        let p = q.profile().expect("profile survives clear");
-        assert_eq!(p.counts(), &[0, 0]);
     }
 
     #[test]

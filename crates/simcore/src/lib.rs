@@ -22,7 +22,7 @@ pub mod fxhash;
 pub mod rng;
 pub mod time;
 
-pub use events::{EventQueue, HeapEventQueue, QueueProfile};
+pub use events::{EventQueue, HeapEventQueue};
 pub use ewma::Ewma;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use time::{SimDuration, SimTime};

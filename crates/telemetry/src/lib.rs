@@ -13,9 +13,10 @@
 //! * [`TraceSink`] — a bounded ring buffer of sim-timestamped records,
 //!   shared across components via [`SharedSink`] (`Rc<RefCell<..>>`: each
 //!   simulation is strictly single-threaded);
-//! * [`trace_event!`] — the only way components record events. Every
-//!   build records; a site with no sink attached costs one `Option`
-//!   check and never evaluates its event-construction expression;
+//! * [`trace_event!`] — how the GRO engines record into the ring they
+//!   are handed; everything else reports through the simulation's
+//!   observers. A site with no sink attached costs one `Option` check
+//!   and never evaluates its event-construction expression;
 //! * [`FlushReason`] — the shared flush-cause taxonomy for both GRO
 //!   engines, always counted (plain `u64` increments) so Fig 5
 //!   comparisons can attribute segment pushes per cause even in default

@@ -36,6 +36,7 @@
 mod apps;
 pub mod builder;
 pub mod canon;
+pub mod observe;
 pub mod registry;
 pub mod report;
 pub mod runner;
@@ -45,6 +46,7 @@ pub mod sim;
 
 pub use builder::ScenarioBuilder;
 pub use canon::{scheme_canon, Fnv128};
+pub use observe::{EventStreamHash, Observer};
 pub use presto_faults::{FaultEvent, FaultKind, FaultPlan, FlapProcess, Notify};
 pub use presto_probe::{HclPool, HostLoad, PoolClass, PoolStats, ProbeParams};
 pub use presto_telemetry::{FailoverStage, TelemetryConfig, TelemetryReport};

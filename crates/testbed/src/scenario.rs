@@ -241,7 +241,7 @@ impl Scenario {
     /// together with the telemetry report.
     pub fn run_traced(&self) -> (Report, TelemetryReport) {
         let mut sim = self.build();
-        if !sim.telemetry_enabled() {
+        if self.telemetry.is_none() {
             sim.enable_telemetry(TelemetryConfig::default());
         }
         let report = sim.run();

@@ -27,16 +27,16 @@ use presto_metrics::TimeSeries;
 use presto_netsim::{
     FlowKey, HostId, LinkId, NetEvent, NetScheduler, Packet, PacketKind, SwitchId, Topology,
 };
-use presto_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
+use presto_simcore::{FxHashMap, SimDuration, SimTime};
 use presto_telemetry::{
-    shared_sink, CounterEntry, DropReason, FailoverStage, QueueDepthSummary, QueueProfileEntry,
-    SharedSink, TelemetryConfig, TelemetryReport, TraceEvent,
+    CounterEntry, DropReason, FailoverStage, TelemetryConfig, TelemetryReport, TraceEvent,
 };
 use presto_transport::{
     CongestionControl, MptcpConnection, SenderOutput, TcpConfig, TcpReceiver, TcpSender,
 };
 
 use crate::apps::{Apps, FlowTag, Start};
+use crate::observe::{self, Agenda, Observer, Telemetry};
 use crate::report::{ooo_cell_counts, Report};
 use crate::scheme::{SchemeSpec, TransportKind};
 
@@ -50,7 +50,7 @@ pub const PRESTO_GRO_EXTRA: SimDuration = SimDuration::from_nanos(75);
 /// for single-path TCP). Building a simulation rejects a subflow count
 /// beyond [`TransportKind::MAX_SUBFLOWS`], and starting a connection
 /// panics past 2^24 connections in one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Subflow(u32);
 
 impl Subflow {
@@ -78,7 +78,7 @@ impl Subflow {
 /// Global event type. Every variant is a small handle (16 bytes, pinned
 /// below): payloads too large for that, such as packets in flight and
 /// segments in the receive CPU, wait in the component that owns them.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub enum Event {
     /// Fabric-internal event.
     Net(NetEvent),
@@ -133,8 +133,7 @@ pub enum Event {
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
 const _: () = assert!(TransportKind::MAX_SUBFLOWS == 1 << Subflow::SUB_BITS);
 
-/// Event-class names for the queue profiler, index-aligned with
-/// [`classify_event`].
+/// Event kind names, index-aligned with [`Event::kind`].
 pub const EVENT_NAMES: &[&str] = &[
     "Net",
     "NicPoll",
@@ -156,52 +155,30 @@ pub const EVENT_NAMES: &[&str] = &[
     "ProbeRound",
 ];
 
-/// Map an [`Event`] to its [`EVENT_NAMES`] row for the queue profiler.
-pub fn classify_event(ev: &Event) -> usize {
-    match ev {
-        Event::Net(_) => 0,
-        Event::NicPoll(_) => 1,
-        Event::GroTimer(_) => 2,
-        Event::CpuDone(_) => 3,
-        Event::Rto(..) => 4,
-        Event::FlowStart(_) => 5,
-        Event::MiceNext(_) => 6,
-        Event::ProbeSend(_) => 7,
-        Event::CpuSample => 8,
-        Event::WarmupMark => 9,
-        Event::Fault(_) => 10,
-        Event::ControllerNotify(_) => 11,
-        Event::ShuffleMore(_) => 12,
-        Event::EgressDrain(_) => 13,
-        Event::PathFeedback => 14,
-        Event::IncastNext => 15,
-        Event::AllreduceRound => 16,
-        Event::ProbeRound => 17,
+impl Event {
+    /// The event's row in [`EVENT_NAMES`].
+    pub fn kind(&self) -> usize {
+        match self {
+            Event::Net(_) => 0,
+            Event::NicPoll(_) => 1,
+            Event::GroTimer(_) => 2,
+            Event::CpuDone(_) => 3,
+            Event::Rto(..) => 4,
+            Event::FlowStart(_) => 5,
+            Event::MiceNext(_) => 6,
+            Event::ProbeSend(_) => 7,
+            Event::CpuSample => 8,
+            Event::WarmupMark => 9,
+            Event::Fault(_) => 10,
+            Event::ControllerNotify(_) => 11,
+            Event::ShuffleMore(_) => 12,
+            Event::EgressDrain(_) => 13,
+            Event::PathFeedback => 14,
+            Event::IncastNext => 15,
+            Event::AllreduceRound => 16,
+            Event::ProbeRound => 17,
+        }
     }
-}
-
-/// Telemetry plumbing attached to a running simulation by
-/// [`Simulation::enable_telemetry`].
-///
-/// Holds the shared trace ring plus the periodic sampler's state: the next
-/// grid time, per-link queue-depth samples, and the tx-byte snapshots that
-/// turn counter deltas into utilization. Sampling is driven from the run
-/// loop against a fixed time grid rather than via queue events so that
-/// enabling telemetry never perturbs `events_processed` (and therefore
-/// never changes `Report::digest()`).
-pub struct TelemetryState {
-    cfg: TelemetryConfig,
-    sink: SharedSink,
-    next_sample: SimTime,
-    /// Per-link queue-depth samples (bytes), one inner vec per link.
-    depth_samples: Vec<Vec<u64>>,
-    /// `tx_bytes` at the previous sample, per link.
-    last_tx_bytes: Vec<u64>,
-    /// Running sum of per-sample utilization fractions, per link.
-    util_sum: Vec<f64>,
-    /// Last flowcell tag seen per flow, to emit `FlowcellEmitted` once per
-    /// cell rather than once per segment.
-    last_cell: FxHashMap<FlowKey, u64>,
 }
 
 /// One host's soft edge.
@@ -577,7 +554,8 @@ struct Scratch {
 pub struct Simulation {
     /// Current simulated time.
     pub now: SimTime,
-    queue: EventQueue<Event>,
+    /// The event queue and the observers watching the run.
+    agenda: Agenda,
     /// The network.
     pub topo: Topology,
     /// The hosts' soft edges, in ascending host id: one per host that
@@ -634,14 +612,14 @@ pub struct Simulation {
     stage: Option<StageTracker>,
     /// The closed failure timeline, populated by `finish`.
     pub failover_stages: Vec<FailoverStage>,
-    telemetry: Option<TelemetryState>,
 }
 
-/// `NetScheduler` adapter: fabric events go back into the event queue,
-/// host deliveries into a drain buffer processed after each fabric call.
+/// `NetScheduler` adapter: fabric events go back into the agenda, host
+/// deliveries into a drain buffer processed after each fabric call, and
+/// the fabric's trace events to the observers.
 struct Sched<'a> {
     now: SimTime,
-    queue: &'a mut EventQueue<Event>,
+    agenda: &'a mut Agenda,
     delivered: &'a mut Vec<(HostId, Packet)>,
 }
 
@@ -650,10 +628,14 @@ impl NetScheduler for Sched<'_> {
         self.now
     }
     fn schedule_net(&mut self, delay: SimDuration, ev: NetEvent) {
-        self.queue.push(self.now + delay, Event::Net(ev));
+        self.agenda.push(self.now, self.now + delay, Event::Net(ev));
     }
     fn deliver(&mut self, host: HostId, packet: Packet) {
         self.delivered.push((host, packet));
+    }
+    #[inline]
+    fn record(&mut self, ev: impl FnOnce() -> TraceEvent) {
+        self.agenda.record(self.now, ev);
     }
 }
 
@@ -727,7 +709,7 @@ impl Simulation {
         };
         let mut sim = Simulation {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            agenda: Agenda::default(),
             topo,
             hosts,
             edge_index,
@@ -752,17 +734,16 @@ impl Simulation {
             faults: Vec::new(),
             stage: None,
             failover_stages: Vec::new(),
-            telemetry: None,
         };
-        sim.queue.push(warmup, Event::WarmupMark);
+        sim.schedule(warmup, Event::WarmupMark);
         sim
     }
 
     /// Schedule each workload's first event. Called once, after any
-    /// telemetry is attached, so the queue profiler counts them.
+    /// telemetry is attached, so its event profile counts them.
     pub(crate) fn schedule_apps(&mut self) {
         for (at, ev) in self.apps.first_events() {
-            self.queue.push(at, ev);
+            self.agenda.push(self.now, at, ev);
         }
     }
 
@@ -792,7 +773,7 @@ impl Simulation {
 
     /// Schedule an event at an absolute time.
     pub fn schedule(&mut self, at: SimTime, ev: Event) {
-        self.queue.push(at, ev);
+        self.agenda.push(self.now, at, ev);
     }
 
     /// Append a resolved fault to the timeline and schedule its fabric
@@ -803,12 +784,12 @@ impl Simulation {
             self.stage = Some(StageTracker::new());
         }
         let i = self.faults.len();
-        self.queue.push(fault.at, Event::Fault(i));
+        self.schedule(fault.at, Event::Fault(i));
         if let Some(n) = fault.notify_at {
             // The controller can't hear about a fault before it happens;
             // a same-instant notification still runs after the fault
             // because the queue breaks time ties by insertion order.
-            self.queue.push(
+            self.schedule(
                 if n < fault.at { fault.at } else { n },
                 Event::ControllerNotify(i),
             );
@@ -816,77 +797,36 @@ impl Simulation {
         self.faults.push(fault);
     }
 
-    /// Attach the telemetry layer: a shared trace ring wired into the
-    /// fabric and every host's GRO engine, the event-queue profiler, and
-    /// the periodic link/queue sampler.
+    /// Attach `observer`: it hears everything that happens from now on
+    /// (see [`Observer`]). Observing never changes the run.
+    pub fn attach(&mut self, observer: impl Observer) {
+        self.agenda.observers.push(Box::new(observer));
+    }
+
+    /// The attached observer of type `T`, if any.
+    pub fn observer<T: Observer>(&mut self) -> Option<&mut T> {
+        observe::find(&mut self.agenda.observers)
+    }
+
+    /// Attach the telemetry layer, replacing any attached before: a trace
+    /// ring that the fabric, the edge and every host's GRO engine record
+    /// into, the per-kind event profile, and the periodic link/queue
+    /// sampler.
     ///
     /// Must be called before [`Simulation::run`]. Enabling telemetry does
     /// not change simulation behaviour: no events are added to the queue
     /// and no packet takes a different path, so `Report::digest()` is
     /// byte-identical with telemetry on or off.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        let sink = shared_sink(cfg.ring_capacity);
-        self.topo.fabric.set_trace_sink(std::rc::Rc::clone(&sink));
+        let links = self.topo.fabric.links().len();
+        let tel = Telemetry::new(cfg, links, self.agenda.queue.len());
         for host in &mut self.hosts {
             host.gro
-                .set_telemetry(host.vswitch.host.0, std::rc::Rc::clone(&sink));
+                .set_telemetry(host.vswitch.host.0, std::rc::Rc::clone(&tel.ring));
         }
-        self.queue.enable_profiler(EVENT_NAMES, classify_event);
-        let nlinks = self.topo.fabric.links().len();
-        self.telemetry = Some(TelemetryState {
-            next_sample: SimTime::ZERO + cfg.sample_every,
-            depth_samples: vec![Vec::new(); nlinks],
-            last_tx_bytes: vec![0; nlinks],
-            util_sum: vec![0.0; nlinks],
-            last_cell: FxHashMap::default(),
-            sink,
-            cfg,
-        });
-    }
-
-    /// Is the telemetry layer attached?
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// Advance the sampling grid up to (and including) `t`, taking one
-    /// queue-depth / utilization / event-queue sample per grid crossing.
-    fn telemetry_sample_until(&mut self, t: SimTime) {
-        let Some(tel) = self.telemetry.as_mut() else {
-            return;
-        };
-        let every = tel.cfg.sample_every;
-        let window = every.as_secs_f64();
-        while tel.next_sample <= t && tel.next_sample <= self.end {
-            let g = tel.next_sample;
-            let t_ns = g.as_nanos();
-            for (i, samples) in tel.depth_samples.iter_mut().enumerate() {
-                let link = self.topo.fabric.link(LinkId(i as u32));
-                let occ = link.occupancy(g);
-                samples.push(occ);
-                let tx = link.counters.tx_bytes;
-                // `reset_counters` at the warmup mark can move tx_bytes
-                // backwards; treat that sample's delta as zero.
-                let delta = tx.saturating_sub(tel.last_tx_bytes[i]);
-                tel.last_tx_bytes[i] = tx;
-                let util = (delta as f64 * 8.0) / (window * link.config().rate_bps() as f64);
-                tel.util_sum[i] += util.min(1.0);
-                tel.sink.borrow_mut().record(
-                    t_ns,
-                    TraceEvent::LinkOccupancySample {
-                        link: i as u32,
-                        queue_bytes: occ,
-                    },
-                );
-            }
-            tel.sink.borrow_mut().record(
-                t_ns,
-                TraceEvent::EventQueueSample {
-                    len: self.queue.len() as u64,
-                    high_water: self.queue.high_water_mark() as u64,
-                },
-            );
-            tel.next_sample = g + every;
+        match self.observer::<Telemetry>() {
+            Some(old) => *old = tel,
+            None => self.attach(tel),
         }
     }
 
@@ -963,7 +903,7 @@ impl Simulation {
             self.send_segment(flow, a.seq, a.len, a.retx);
         }
         if let Some((deadline, gen)) = out.arm_rto {
-            self.queue.push(deadline, Event::Rto(sf, gen));
+            self.schedule(deadline, Event::Rto(sf, gen));
         }
         if out.completed {
             self.on_flow_complete(sf.conn());
@@ -976,32 +916,15 @@ impl Simulation {
         let host = flow.src;
         let now = self.now;
         let tag = self.host_mut(host).vswitch.process(now, flow, len, retx);
-        if let Some(tel) = self.telemetry.as_mut() {
-            let t_ns = self.now.as_nanos();
-            if retx {
-                tel.sink
-                    .borrow_mut()
-                    .record(t_ns, TraceEvent::Retransmit { host: host.0, seq });
-            }
-            // One FlowcellEmitted per cell, not per segment.
-            if tel.last_cell.insert(flow, tag.flowcell) != Some(tag.flowcell) {
-                tel.sink.borrow_mut().record(
-                    t_ns,
-                    TraceEvent::FlowcellEmitted {
-                        host: host.0,
-                        flowcell: tag.flowcell,
-                        path: tag.dst_mac.tree(),
-                    },
-                );
-            }
-        }
-        self.host_mut(host).egress.stage(TxSegment {
+        let seg = TxSegment {
             flow,
             seq,
             len,
             retx,
             tag,
-        });
+        };
+        self.agenda.tagged(now, &seg);
+        self.host_mut(host).egress.stage(seg);
         self.drain_egress(host);
     }
 
@@ -1036,7 +959,7 @@ impl Simulation {
             };
             if need {
                 egress.drain_at = Some(at);
-                self.queue.push(at, Event::EgressDrain(host));
+                self.schedule(at, Event::EgressDrain(host));
             }
         }
     }
@@ -1045,7 +968,7 @@ impl Simulation {
     fn inject(&mut self, host: HostId, pkt: Packet) {
         let mut sched = Sched {
             now: self.now,
-            queue: &mut self.queue,
+            agenda: &mut self.agenda,
             delivered: &mut self.scratch.delivered,
         };
         let _ = self.topo.fabric.inject(host, pkt, &mut sched);
@@ -1064,7 +987,7 @@ impl Simulation {
         let (tag, start, bytes) = (c.tag, c.start, c.bytes);
         let (now, warmup, end) = (self.now, self.warmup, self.end);
         if let Some(ev) = self.apps.on_flow_done(tag, start, bytes, now, warmup, end) {
-            self.queue.push(now, ev);
+            self.schedule(now, ev);
         }
     }
 
@@ -1073,7 +996,7 @@ impl Simulation {
     fn repeat(&mut self, every: SimDuration, ev: Event) {
         let next = self.now + every;
         if next < self.end {
-            self.queue.push(next, ev);
+            self.schedule(next, ev);
         }
     }
 
@@ -1101,29 +1024,22 @@ impl Simulation {
     /// Run until the simulated end time; returns the report.
     pub fn run(&mut self) -> Report {
         if let Some(every) = self.cpu_sample_every {
-            self.queue.push(SimTime::ZERO + every, Event::CpuSample);
+            self.schedule(SimTime::ZERO + every, Event::CpuSample);
         }
         if let Some(every) = self.feedback_every {
-            self.queue.push(SimTime::ZERO + every, Event::PathFeedback);
+            self.schedule(SimTime::ZERO + every, Event::PathFeedback);
         }
         if let Some(params) = self.probe_params {
-            self.queue
-                .push(SimTime::ZERO + params.every, Event::ProbeRound);
+            self.schedule(SimTime::ZERO + params.every, Event::ProbeRound);
         }
-        let sampling = self.telemetry.is_some();
-        while let Some((t, ev)) = self.queue.pop() {
+        while let Some((t, ev)) = self.agenda.queue.pop() {
             if t > self.end {
                 break;
             }
-            if sampling {
-                self.telemetry_sample_until(t);
-            }
+            self.agenda.dispatching(t, ev, &self.topo.fabric);
             self.now = t;
             self.events_processed += 1;
             self.dispatch(ev);
-        }
-        if sampling {
-            self.telemetry_sample_until(self.end);
         }
         self.finish()
     }
@@ -1138,7 +1054,7 @@ impl Simulation {
                 {
                     let mut sched = Sched {
                         now: self.now,
-                        queue: &mut self.queue,
+                        agenda: &mut self.agenda,
                         delivered: &mut delivered,
                     };
                     self.topo.fabric.handle(nev, &mut sched);
@@ -1252,7 +1168,7 @@ impl Simulation {
         self.probe_rounds += 1;
         let next = now + params.every;
         if next <= self.end {
-            self.queue.push(next, Event::ProbeRound);
+            self.schedule(next, Event::ProbeRound);
         }
     }
 
@@ -1307,25 +1223,18 @@ impl Simulation {
         }
         let next = now + every;
         if next <= self.end {
-            self.queue.push(next, Event::PathFeedback);
+            self.schedule(next, Event::PathFeedback);
         }
     }
 
     fn on_deliver(&mut self, h: HostId, pkt: Packet) {
         match self.host_mut(h).ring.push(pkt) {
-            RxAction::SchedulePoll(d) => self.queue.push(self.now + d, Event::NicPoll(h)),
-            RxAction::PollNow => self.queue.push(self.now, Event::NicPoll(h)),
-            RxAction::Dropped => {
-                if let Some(tel) = self.telemetry.as_ref() {
-                    tel.sink.borrow_mut().record(
-                        self.now.as_nanos(),
-                        TraceEvent::PacketDropped {
-                            site: h.0,
-                            reason: DropReason::RingOverflow,
-                        },
-                    );
-                }
-            }
+            RxAction::SchedulePoll(d) => self.schedule(self.now + d, Event::NicPoll(h)),
+            RxAction::PollNow => self.schedule(self.now, Event::NicPoll(h)),
+            RxAction::Dropped => self.agenda.record(self.now, || TraceEvent::PacketDropped {
+                site: h.0,
+                reason: DropReason::RingOverflow,
+            }),
             RxAction::None => {}
         }
     }
@@ -1394,7 +1303,7 @@ impl Simulation {
         host.cpu.process_into(now, &segs, &mut completions);
         host.cpu_done.extend(completions.iter().copied());
         for &(t, _) in &completions {
-            self.queue.push(t, Event::CpuDone(h));
+            self.schedule(t, Event::CpuDone(h));
         }
         segs.clear();
         completions.clear();
@@ -1427,7 +1336,7 @@ impl Simulation {
             };
             if need {
                 host.gro_timer_at = Some(at);
-                self.queue.push(at, Event::GroTimer(h));
+                self.schedule(at, Event::GroTimer(h));
             }
         }
     }
@@ -1596,15 +1505,10 @@ impl Simulation {
                 FaultAction::Restore(l) => self.topo.fabric.restore_link_rate(l),
             }
         }
-        if let Some(tel) = self.telemetry.as_ref() {
-            tel.sink.borrow_mut().record(
-                self.now.as_nanos(),
-                TraceEvent::FaultApplied {
-                    index: i as u32,
-                    degrading,
-                },
-            );
-        }
+        self.agenda.record(self.now, || TraceEvent::FaultApplied {
+            index: i as u32,
+            degrading,
+        });
         self.stage_boundary(if degrading {
             "fast-failover"
         } else {
@@ -1622,12 +1526,10 @@ impl Simulation {
             (f.leaf, f.degrading)
         };
         self.reweight_labels(leaf);
-        if let Some(tel) = self.telemetry.as_ref() {
-            tel.sink.borrow_mut().record(
-                self.now.as_nanos(),
-                TraceEvent::ControllerNotified { index: i as u32 },
-            );
-        }
+        self.agenda
+            .record(self.now, || TraceEvent::ControllerNotified {
+                index: i as u32,
+            });
         self.stage_boundary(if degrading {
             "post-reweight"
         } else {
@@ -1790,7 +1692,7 @@ impl Simulation {
     /// Every collection is emitted in index order — no map iteration — so
     /// two identical runs produce byte-identical reports.
     pub fn telemetry_report(&mut self) -> Option<TelemetryReport> {
-        let tel = self.telemetry.as_mut()?;
+        let tel = observe::find::<Telemetry>(&mut self.agenda.observers)?;
         let mut rep = TelemetryReport {
             scheme: self.scheme.name.to_string(),
             ..TelemetryReport::default()
@@ -1906,33 +1808,8 @@ impl Simulation {
                 value: self.probe_rounds * per_round * presto_netsim::PROBE_WIRE_BYTES,
             });
         }
-        // Queue-depth summaries per link, from the periodic sampler.
-        for (i, samples) in tel.depth_samples.iter().enumerate() {
-            let mean_util = if samples.is_empty() {
-                0.0
-            } else {
-                tel.util_sum[i] / samples.len() as f64
-            };
-            rep.queue_depths.push(QueueDepthSummary::from_samples(
-                i as u32,
-                samples.clone(),
-                mean_util,
-            ));
-        }
-        // Event-queue profile, in EVENT_NAMES order.
-        if let Some(profile) = self.queue.profile() {
-            for (i, name) in profile.names().iter().enumerate() {
-                rep.event_queue.push(QueueProfileEntry {
-                    name: name.to_string(),
-                    count: profile.counts()[i],
-                    dwell_ns: profile.dwell_ns()[i],
-                });
-            }
-        }
-        rep.queue_high_water = self.queue.high_water_mark() as u64;
+        tel.report_into(&mut rep, self.end, &self.topo.fabric, &self.agenda.queue);
         rep.failover_stages = self.failover_stages.clone();
-        rep.events_dropped = tel.sink.borrow().evicted();
-        rep.events = tel.sink.borrow_mut().drain();
         Some(rep)
     }
 }
