@@ -14,7 +14,7 @@ use presto_endhost::{tso_split, tso_split_into, EdgePolicy, PathTag, ReceiveOffl
 use presto_gro::{OfficialGro, PrestoGro};
 use presto_netsim::{
     Fabric, FlowKey, HostId, LinkConfig, LinkCounters, LinkId, LinkQueue, Mac, Node, Packet,
-    PacketKind, MSS,
+    PacketArena, PacketKind, MSS,
 };
 use presto_probe::{HclPool, ProbeParams};
 use presto_simcore::{EventQueue, HeapEventQueue, SimDuration, SimTime};
@@ -25,19 +25,12 @@ fn flow() -> FlowKey {
 }
 
 fn data_packet(i: u64) -> Packet {
-    Packet {
-        flow: flow(),
-        src_host: HostId(0),
-        dst_host: HostId(1),
-        dst_mac: Mac::host(HostId(1)),
-        flowcell: i / 45,
-        ce: false,
-        kind: PacketKind::Data {
-            seq: i * MSS as u64,
-            len: MSS,
-            retx: false,
-        },
-    }
+    let kind = PacketKind::Data {
+        seq: i * MSS as u64,
+        len: MSS,
+        retx: false,
+    };
+    Packet::new(flow(), Mac::host(HostId(1)), i / 45, kind)
 }
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -225,21 +218,22 @@ fn bench_link_departure(c: &mut Criterion) {
     c.bench_function("link_departure", |b| {
         let cfg = LinkConfig::new(10_000_000_000, SimDuration::from_micros(1), 1 << 30);
         let rate = cfg.rate_bps();
+        let mut arena = PacketArena::default();
         let mut link = LinkQueue::default();
         let mut counters = LinkCounters::default();
         let mut now = SimTime::ZERO;
         for i in 0..16 {
-            link.enqueue(now, data_packet(i), &cfg, &mut counters);
+            link.enqueue(&mut arena, now, data_packet(i), &cfg, &mut counters);
         }
-        let mut done = now + link.commit(now, rate).expect("backlog");
+        let mut done = now + link.commit(&arena, now, rate).expect("backlog");
         b.iter(|| {
             let mut bytes = 0u64;
             for i in 0..1000 {
                 now = done;
                 bytes += link.settle(&mut counters);
-                link.enqueue(now, data_packet(i), &cfg, &mut counters);
-                done = now + link.commit(now, rate).expect("backlog");
-                black_box(link.arrive());
+                link.enqueue(&mut arena, now, data_packet(i), &cfg, &mut counters);
+                done = now + link.commit(&arena, now, rate).expect("backlog");
+                black_box(link.arrive(&mut arena));
             }
             black_box(bytes)
         })
@@ -282,8 +276,8 @@ fn bench_switch_forward_shadow(c: &mut Criterion) {
             .map(|i| {
                 let h = (i * 37) % HOSTS;
                 let mut p = data_packet(i as u64);
-                p.dst_host = host(h);
-                p.dst_mac = Mac::shadow(p.dst_host, (i * 7) % TREES);
+                p.flow.dst = host(h);
+                p.dst_mac = Mac::shadow(p.flow.dst, (i * 7) % TREES);
                 p
             })
             .collect();

@@ -47,19 +47,17 @@ pub fn tso_split_into(seg: TxSegment, out: &mut Vec<Packet>) {
     let mut off = 0u32;
     while off < seg.len {
         let chunk = (seg.len - off).min(MSS);
-        out.push(Packet {
-            flow: seg.flow,
-            src_host: seg.flow.src,
-            dst_host: seg.flow.dst,
-            dst_mac: seg.tag.dst_mac,
-            flowcell: seg.tag.flowcell,
-            ce: false,
-            kind: PacketKind::Data {
-                seq: seg.seq + off as u64,
-                len: chunk,
-                retx: seg.retx,
-            },
-        });
+        let kind = PacketKind::Data {
+            seq: seg.seq + off as u64,
+            len: chunk,
+            retx: seg.retx,
+        };
+        out.push(Packet::new(
+            seg.flow,
+            seg.tag.dst_mac,
+            seg.tag.flowcell,
+            kind,
+        ));
         off += chunk;
     }
 }
@@ -76,15 +74,14 @@ pub fn tso_split(seg: TxSegment) -> Vec<Packet> {
 /// carried back to the sender on the ACK's `ce` bit (switches never mark
 /// ACKs, so the bit is free on the reverse path).
 pub fn make_ack(flow: FlowKey, ack: u64, sack_hi: u64, tag: PathTag, ece: bool) -> Packet {
-    Packet {
+    let mut p = Packet::new(
         flow,
-        src_host: flow.src,
-        dst_host: flow.dst,
-        dst_mac: tag.dst_mac,
-        flowcell: tag.flowcell,
-        ce: ece,
-        kind: PacketKind::Ack { ack, sack_hi },
-    }
+        tag.dst_mac,
+        tag.flowcell,
+        PacketKind::Ack { ack, sack_hi },
+    );
+    p.set_ce(ece);
+    p
 }
 
 /// Receive-side ring with interrupt coalescing.
@@ -223,7 +220,7 @@ mod tests {
         let pkts = tso_split(seg(10_000));
         for p in &pkts {
             assert_eq!(p.dst_mac, tag().dst_mac);
-            assert_eq!(p.flowcell, 7);
+            assert_eq!(p.flowcell(), 7);
         }
     }
 
@@ -232,7 +229,7 @@ mod tests {
         let pkts = tso_split(seg(5000));
         let mut expect = 1000u64;
         for p in &pkts {
-            match p.kind {
+            match p.kind() {
                 PacketKind::Data { seq, len, .. } => {
                     assert_eq!(seq, expect);
                     expect += len as u64;
@@ -257,19 +254,17 @@ mod tests {
     }
 
     fn data_pkt() -> Packet {
-        Packet {
-            flow: FlowKey::new(HostId(0), HostId(1), 5, 6),
-            src_host: HostId(0),
-            dst_host: HostId(1),
-            dst_mac: Mac::host(HostId(1)),
-            flowcell: 0,
-            ce: false,
-            kind: PacketKind::Data {
-                seq: 0,
-                len: 1460,
-                retx: false,
-            },
-        }
+        let kind = PacketKind::Data {
+            seq: 0,
+            len: 1460,
+            retx: false,
+        };
+        Packet::new(
+            FlowKey::new(HostId(0), HostId(1), 5, 6),
+            Mac::host(HostId(1)),
+            0,
+            kind,
+        )
     }
 
     #[test]
@@ -321,27 +316,28 @@ mod tests {
         let a = make_ack(f, 5000, 8000, tag(), false);
         assert_eq!(a.dst_mac, tag().dst_mac);
         assert!(matches!(
-            a.kind,
+            a.kind(),
             PacketKind::Ack {
                 ack: 5000,
                 sack_hi: 8000
             }
         ));
-        assert_eq!(a.src_host, HostId(1));
-        assert_eq!(a.dst_host, HostId(0));
-        assert!(!a.ce);
+        assert_eq!(a.flowcell(), tag().flowcell);
+        // The fabric routes an ACK to its flow's destination.
+        assert_eq!(a.flow, f);
+        assert!(!a.ce());
     }
 
     #[test]
     fn make_ack_carries_ece_on_ce_bit() {
         let f = FlowKey::new(HostId(1), HostId(0), 6, 5);
-        assert!(make_ack(f, 1460, 1460, tag(), true).ce);
+        assert!(make_ack(f, 1460, 1460, tag(), true).ce());
     }
 
     #[test]
     fn tso_packets_start_unmarked() {
         // CE is a fabric signal: freshly segmented sender packets never
         // carry it.
-        assert!(tso_split(seg(10_000)).iter().all(|p| !p.ce));
+        assert!(tso_split(seg(10_000)).iter().all(|p| !p.ce()));
     }
 }

@@ -70,15 +70,15 @@ impl Segment {
     /// why the packet cannot seed a segment. This is the checked entry
     /// point engines use to skip stray non-data packets.
     pub fn try_from_packet(pkt: &Packet) -> Result<Segment, OffloadError> {
-        match pkt.kind {
+        match pkt.kind() {
             presto_netsim::PacketKind::Data { seq, len, retx } => Ok(Segment {
                 flow: pkt.flow,
                 seq,
                 len,
                 packets: 1,
-                flowcell: pkt.flowcell,
+                flowcell: pkt.flowcell(),
                 retx,
-                ce: pkt.ce,
+                ce: pkt.ce(),
             }),
             _ => Err(OffloadError::NotData),
         }
@@ -87,12 +87,12 @@ impl Segment {
     /// Try to append `pkt` to the tail of this segment: same flow, same
     /// flowcell, and exactly contiguous sequence. Returns true on merge.
     pub fn try_merge_tail(&mut self, pkt: &Packet) -> bool {
-        if let presto_netsim::PacketKind::Data { seq, len, retx } = pkt.kind {
-            if pkt.flow == self.flow && pkt.flowcell == self.flowcell && seq == self.end_seq() {
+        if let presto_netsim::PacketKind::Data { seq, len, retx } = pkt.kind() {
+            if pkt.flow == self.flow && pkt.flowcell() == self.flowcell && seq == self.end_seq() {
                 self.len += len;
                 self.packets += 1;
                 self.retx |= retx;
-                self.ce |= pkt.ce;
+                self.ce |= pkt.ce();
                 return true;
             }
         }
@@ -182,19 +182,17 @@ mod tests {
     use presto_netsim::{HostId, Mac, PacketKind};
 
     fn pkt(seq: u64, len: u32, flowcell: u64) -> Packet {
-        Packet {
-            flow: FlowKey::new(HostId(0), HostId(1), 1, 2),
-            src_host: HostId(0),
-            dst_host: HostId(1),
-            dst_mac: Mac::host(HostId(1)),
+        let kind = PacketKind::Data {
+            seq,
+            len,
+            retx: false,
+        };
+        Packet::new(
+            FlowKey::new(HostId(0), HostId(1), 1, 2),
+            Mac::host(HostId(1)),
             flowcell,
-            ce: false,
-            kind: PacketKind::Data {
-                seq,
-                len,
-                retx: false,
-            },
-        }
+            kind,
+        )
     }
 
     #[test]
@@ -211,7 +209,7 @@ mod tests {
     #[test]
     fn try_from_packet_rejects_acks() {
         let mut p = pkt(0, 0, 0);
-        p.kind = PacketKind::Ack { ack: 0, sack_hi: 0 };
+        p.set_kind(PacketKind::Ack { ack: 0, sack_hi: 0 });
         assert_eq!(Segment::try_from_packet(&p), Err(OffloadError::NotData));
         assert_eq!(
             OffloadError::NotData.to_string(),
@@ -254,11 +252,11 @@ mod tests {
     fn merge_propagates_retx_flag() {
         let mut s = Segment::try_from_packet(&pkt(0, 1460, 0)).unwrap();
         let mut r = pkt(1460, 1460, 0);
-        r.kind = PacketKind::Data {
+        r.set_kind(PacketKind::Data {
             seq: 1460,
             len: 1460,
             retx: true,
-        };
+        });
         assert!(s.try_merge_tail(&r));
         assert!(s.retx);
     }
@@ -267,7 +265,7 @@ mod tests {
     fn merge_ors_ce_mark() {
         // CE from the seed packet sticks …
         let mut marked = pkt(0, 1460, 0);
-        marked.ce = true;
+        marked.set_ce(true);
         let mut s = Segment::try_from_packet(&marked).unwrap();
         assert!(s.ce);
         assert!(s.try_merge_tail(&pkt(1460, 1460, 0)));
@@ -277,7 +275,7 @@ mod tests {
         let mut s = Segment::try_from_packet(&pkt(0, 1460, 0)).unwrap();
         assert!(!s.ce);
         let mut m = pkt(1460, 1460, 0);
-        m.ce = true;
+        m.set_ce(true);
         assert!(s.try_merge_tail(&m));
         assert!(s.ce, "marked tail must set CE on the merged segment");
     }

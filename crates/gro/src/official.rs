@@ -76,7 +76,7 @@ impl ReceiveOffload for OfficialGro {
             Some(seg) => {
                 let would_overflow = seg.len + pkt.payload_bytes() > GRO_MAX_BYTES;
                 if !would_overflow && seg.try_merge_tail(pkt) {
-                    if pkt.ce {
+                    if pkt.ce() {
                         self.ce_merges += 1;
                     }
                     return;
@@ -89,7 +89,7 @@ impl ReceiveOffload for OfficialGro {
                 // indicate loss on the cell's single path.
                 let reason = if would_overflow {
                     FlushReason::SizeCapEject
-                } else if pkt.flowcell != seg.flowcell {
+                } else if pkt.flowcell() != seg.flowcell {
                     FlushReason::BoundaryEject
                 } else {
                     FlushReason::OutOfOrderEject
@@ -147,19 +147,17 @@ mod tests {
     use presto_netsim::{HostId, Mac, PacketKind, MSS};
 
     fn pkt_cell(seq: u64, flowcell: u64) -> Packet {
-        Packet {
-            flow: FlowKey::new(HostId(0), HostId(1), 1, 2),
-            src_host: HostId(0),
-            dst_host: HostId(1),
-            dst_mac: Mac::host(HostId(1)),
+        let kind = PacketKind::Data {
+            seq,
+            len: MSS,
+            retx: false,
+        };
+        Packet::new(
+            FlowKey::new(HostId(0), HostId(1), 1, 2),
+            Mac::host(HostId(1)),
             flowcell,
-            ce: false,
-            kind: PacketKind::Data {
-                seq,
-                len: MSS,
-                retx: false,
-            },
-        }
+            kind,
+        )
     }
 
     fn pkt(seq: u64) -> Packet {
@@ -177,7 +175,7 @@ mod tests {
         let mut g = OfficialGro::new();
         g.on_packet(SimTime::ZERO, &pkt(seq(0)));
         let mut ack = pkt(seq(1));
-        ack.kind = PacketKind::Ack { ack: 0, sack_hi: 0 };
+        ack.set_kind(PacketKind::Ack { ack: 0, sack_hi: 0 });
         g.on_packet(SimTime::ZERO, &ack);
         g.on_packet(SimTime::ZERO, &pkt(seq(1)));
         let segs = g.flush(SimTime::ZERO);
@@ -311,7 +309,7 @@ mod tests {
         let mut g = OfficialGro::new();
         g.on_packet(SimTime::ZERO, &pkt(seq(0)));
         let mut marked = pkt(seq(1));
-        marked.ce = true;
+        marked.set_ce(true);
         g.on_packet(SimTime::ZERO, &marked);
         g.on_packet(SimTime::ZERO, &pkt(seq(2)));
         let segs = g.flush(SimTime::ZERO);

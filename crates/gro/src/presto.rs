@@ -132,10 +132,9 @@ struct FlowState {
 /// use presto_simcore::SimTime;
 ///
 /// let flow = FlowKey::new(HostId(0), HostId(1), 1, 2);
-/// let pkt = |i: u64, cell: u64| Packet {
-///     flow, src_host: HostId(0), dst_host: HostId(1),
-///     dst_mac: Mac::host(HostId(1)), flowcell: cell, ce: false,
-///     kind: PacketKind::Data { seq: i * MSS as u64, len: MSS, retx: false },
+/// let pkt = |i: u64, cell: u64| {
+///     let kind = PacketKind::Data { seq: i * MSS as u64, len: MSS, retx: false };
+///     Packet::new(flow, Mac::host(HostId(1)), cell, kind)
 /// };
 /// let mut gro = PrestoGro::new();
 /// let t = SimTime::from_micros(5);
@@ -400,7 +399,7 @@ impl ReceiveOffload for PrestoGro {
         for h in f.segs.iter_mut().rev() {
             if h.seg.try_merge_tail(pkt) {
                 h.last_merge = now;
-                if pkt.ce {
+                if pkt.ce() {
                     self.ce_merges += 1;
                 }
                 return;
@@ -514,19 +513,12 @@ mod tests {
     }
 
     fn pkt_retx(i: u64, retx: bool) -> Packet {
-        Packet {
-            flow: flow(),
-            src_host: HostId(0),
-            dst_host: HostId(1),
-            dst_mac: Mac::host(HostId(1)),
-            flowcell: i / CELL,
-            ce: false,
-            kind: PacketKind::Data {
-                seq: i * MSS as u64,
-                len: MSS,
-                retx,
-            },
-        }
+        let kind = PacketKind::Data {
+            seq: i * MSS as u64,
+            len: MSS,
+            retx,
+        };
+        Packet::new(flow(), Mac::host(HostId(1)), i / CELL, kind)
     }
 
     fn push_all(g: &mut PrestoGro, t: SimTime, idxs: &[u64]) -> Vec<Segment> {
@@ -547,7 +539,7 @@ mod tests {
         let mut g = PrestoGro::new();
         g.on_packet(SimTime::ZERO, &pkt(0));
         let mut ack = pkt(1);
-        ack.kind = PacketKind::Ack { ack: 0, sack_hi: 0 };
+        ack.set_kind(PacketKind::Ack { ack: 0, sack_hi: 0 });
         g.on_packet(SimTime::ZERO, &ack);
         g.on_packet(SimTime::ZERO, &pkt(1));
         let segs = g.flush(SimTime::ZERO);
@@ -563,7 +555,7 @@ mod tests {
         let t = SimTime::from_micros(5);
         g.on_packet(t, &pkt(0));
         let mut marked = pkt(1);
-        marked.ce = true;
+        marked.set_ce(true);
         g.on_packet(t, &marked);
         g.on_packet(t, &pkt(2));
         g.on_packet(t, &pkt(3));
@@ -576,7 +568,7 @@ mod tests {
         // cell 1's tail is missing; the mark must still be on the segment
         // when the hold resolves.
         let mut held = pkt(8); // cell 2 head
-        held.ce = true;
+        held.set_ce(true);
         g.on_packet(t, &pkt(4));
         g.on_packet(t, &pkt(5));
         g.on_packet(t, &pkt(6));

@@ -18,7 +18,8 @@
 //! Links are stored the same way: each [`Link`] keeps its counters inline
 //! and handles into two fabric tables, the interned [`LinkConfig`]s and
 //! the [`LinkQueue`]s built on a link's first packet. [`Fabric::link`]
-//! resolves both into a [`LinkView`].
+//! resolves both into a [`LinkView`]. The packets every queue holds live
+//! in one [`PacketArena`], from enqueue to arrival.
 
 use std::ops::Deref;
 
@@ -27,7 +28,7 @@ use presto_telemetry::{DropReason, TraceEvent};
 
 use crate::buffer::SharedBuffer;
 use crate::ids::{HostId, LinkId, Mac, Node, SwitchId};
-use crate::link::{Enqueue, Link, LinkConfig, LinkQueue};
+use crate::link::{Enqueue, Link, LinkConfig, LinkQueue, PacketArena};
 use crate::packet::Packet;
 use crate::switch::{HostSlots, Switch};
 
@@ -82,6 +83,8 @@ pub struct Fabric {
     /// Queue state of every link that has seen a packet, indexed by
     /// [`Link`]'s queue handle.
     queues: Vec<LinkQueue>,
+    /// Every packet the queues hold.
+    packets: PacketArena,
     /// Optional shared-memory buffer per switch (dynamic-threshold
     /// admission); `None` = static per-port drop-tail.
     shared: Vec<Option<SharedBuffer>>,
@@ -274,6 +277,12 @@ impl Fabric {
         &self.links
     }
 
+    /// Packet slots the fabric has built: the most packets its links
+    /// have held at once, from enqueue to arrival.
+    pub fn packet_slots(&self) -> usize {
+        self.packets.slots()
+    }
+
     /// The queue handle of `link`, building its queue on first use.
     #[inline]
     fn queue_of(&mut self, link: LinkId) -> usize {
@@ -319,11 +328,12 @@ impl Fabric {
                         buf.on_dequeue(bytes);
                     }
                 }
-                start_tx(link, q, &self.link_configs[l.config as usize], s);
+                let cfg = &self.link_configs[l.config as usize];
+                start_tx(link, q, &self.packets, cfg, s);
             }
             NetEvent::Arrive { link } => {
                 let l = &self.links[link.index()];
-                let packet = self.queues[l.queue as usize].arrive();
+                let packet = self.queues[l.queue as usize].arrive(&mut self.packets);
                 match l.dst {
                     Node::Host(h) => s.deliver(h, packet),
                     Node::Switch(sw) => self.forward_at(sw, packet, s),
@@ -388,7 +398,7 @@ impl Fabric {
         let l = &mut self.links[link.index()];
         let q = &mut self.queues[q];
         let cfg = &self.link_configs[l.config as usize];
-        let verdict = q.enqueue(now, packet, cfg, &mut l.counters);
+        let verdict = q.enqueue(&mut self.packets, now, packet, cfg, &mut l.counters);
         if verdict == Enqueue::Dropped {
             s.record(|| TraceEvent::PacketDropped {
                 site: link.0,
@@ -407,7 +417,7 @@ impl Fabric {
             queue_bytes: q.occupancy(now),
         });
         if verdict == Enqueue::StartTx {
-            start_tx(link, q, cfg, s);
+            start_tx(link, q, &self.packets, cfg, s);
         }
         true
     }
@@ -492,13 +502,20 @@ impl Fabric {
     }
 }
 
-/// Commit the next waiting packet of `link` (queue `q`, config `cfg`)
-/// to the wire: pre-schedule its arrival at its completion + propagation
-/// instant, then its `TxDone` at completion. Propagation loss on a link
-/// that fails mid-flight is modeled at forwarding time, not here.
+/// Commit the next waiting packet of `link` (queue `q` over `packets`,
+/// config `cfg`) to the wire: pre-schedule its arrival at its completion
+/// instant plus propagation, then its `TxDone` at completion. Propagation
+/// loss on a link that fails mid-flight is modeled at forwarding time,
+/// not here.
 #[inline]
-fn start_tx(link: LinkId, q: &mut LinkQueue, cfg: &LinkConfig, s: &mut impl NetScheduler) {
-    if let Some(d) = q.commit(s.now(), cfg.rate_bps()) {
+fn start_tx(
+    link: LinkId,
+    q: &mut LinkQueue,
+    packets: &PacketArena,
+    cfg: &LinkConfig,
+    s: &mut impl NetScheduler,
+) {
+    if let Some(d) = q.commit(packets, s.now(), cfg.rate_bps()) {
         s.schedule_net(d + cfg.propagation(), NetEvent::Arrive { link });
         s.schedule_net(d, NetEvent::TxDone { link });
     }
@@ -667,19 +684,17 @@ mod tests {
     }
 
     fn data_pkt(len: u32, seq: u64) -> Packet {
-        Packet {
-            flow: FlowKey::new(HostId(0), HostId(1), 5, 6),
-            src_host: HostId(0),
-            dst_host: HostId(1),
-            dst_mac: Mac::host(HostId(1)),
-            flowcell: 0,
-            ce: false,
-            kind: PacketKind::Data {
-                seq,
-                len,
-                retx: false,
-            },
-        }
+        let kind = PacketKind::Data {
+            seq,
+            len,
+            retx: false,
+        };
+        Packet::new(
+            FlowKey::new(HostId(0), HostId(1), 5, 6),
+            Mac::host(HostId(1)),
+            0,
+            kind,
+        )
     }
 
     #[test]
@@ -734,7 +749,7 @@ mod tests {
         h.run(&mut f);
         h.delivered
             .iter()
-            .map(|(t, _, p)| match p.kind {
+            .map(|(t, _, p)| match p.kind() {
                 PacketKind::Data { seq, .. } => (t.as_nanos(), seq),
                 _ => unreachable!("only data was sent"),
             })
@@ -777,7 +792,7 @@ mod tests {
         let mut h = Harness::new();
         let mut p = data_pkt(100, 0);
         p.dst_mac = Mac::host(HostId(7)); // no entry
-        p.dst_host = HostId(7);
+        p.flow.dst = HostId(7);
         h.inject(&mut f, HostId(0), p);
         h.run(&mut f);
         assert!(h.delivered.is_empty());

@@ -27,7 +27,7 @@ pub mod topology;
 pub use buffer::SharedBuffer;
 pub use fabric::{Fabric, LinkView, NetEvent, NetScheduler, SwitchView};
 pub use ids::{HostId, LinkId, Mac, Node, SwitchId};
-pub use link::{Link, LinkConfig, LinkCounters, LinkQueue};
+pub use link::{Link, LinkConfig, LinkCounters, LinkQueue, PacketArena};
 pub use packet::{
     FlowKey, Packet, PacketKind, ACK_WIRE_BYTES, MSS, PROBE_WIRE_BYTES, WIRE_OVERHEAD,
 };

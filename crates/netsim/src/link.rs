@@ -15,9 +15,12 @@
 //! * [`LinkConfig`] holds rate, propagation, buffer size and ECN
 //!   threshold. The fabric interns configs: a fabric has a handful of
 //!   distinct ones, however many links share them.
-//! * [`LinkQueue`] holds the queue itself. The fabric builds it on the
-//!   link's first enqueue or admission drop; a link that never sees a
-//!   packet has none.
+//! * [`LinkQueue`] holds the transmitter state and the ends of the
+//!   link's packet list. The fabric builds it on the link's first enqueue
+//!   or admission drop; a link that never sees a packet has none.
+//! * The packets themselves live in the fabric's one [`PacketArena`],
+//!   from enqueue to arrival, so memory follows the packets held at once
+//!   rather than each link's own peak.
 //!
 //! One packet is on the wire at a time. [`LinkQueue::commit`] marks the
 //! oldest waiting packet as committed and returns its serialization time;
@@ -38,8 +41,6 @@
 //!
 //! Per-link [`LinkCounters`] provide the "switch counters" the paper reads
 //! loss rates from (§4).
-
-use std::collections::VecDeque;
 
 use presto_simcore::{SimDuration, SimTime};
 
@@ -224,15 +225,94 @@ impl Link {
     }
 }
 
-/// A link's output queue: the packets it holds and the transmitter state.
-#[derive(Debug, Default)]
+/// The packets every link of one fabric holds, in one slab.
+///
+/// A packet takes a slot when a link's queue admits it and gives it back
+/// when it arrives at the link's far end. Each slot links to the next
+/// packet of the same queue, so a [`LinkQueue`] is a list threaded
+/// through the arena; freed slots form a LIFO free list through the same
+/// link. The arena grows only when no slot is free, so it holds as many
+/// slots as the most packets held at once, however they spread over the
+/// links, and once grown a packet hop allocates nothing.
+#[derive(Debug)]
+pub struct PacketArena {
+    slots: Vec<Slot>,
+    /// First free slot, or [`NIL`].
+    free: u32,
+}
+
+#[derive(Debug)]
+struct Slot {
+    packet: Packet,
+    /// The next packet of the same queue, or the next free slot; [`NIL`]
+    /// for none.
+    next: u32,
+}
+
+/// The end of a slot list.
+const NIL: u32 = u32::MAX;
+
+impl Default for PacketArena {
+    /// An empty arena.
+    fn default() -> Self {
+        PacketArena {
+            slots: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl PacketArena {
+    /// Slots built so far: the most packets held at once.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Store `packet` in a free slot, last in its list.
+    #[inline]
+    fn take(&mut self, packet: Packet) -> u32 {
+        let slot = Slot { packet, next: NIL };
+        match self.free {
+            NIL => {
+                assert!(self.slots.len() < NIL as usize, "packet slots exhausted");
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+            i => {
+                let s = &mut self.slots[i as usize];
+                self.free = s.next;
+                *s = slot;
+                i
+            }
+        }
+    }
+
+    /// Free slot `i`, returning its packet and the slot that followed it.
+    #[inline]
+    fn give_back(&mut self, i: u32) -> (Packet, u32) {
+        let s = &mut self.slots[i as usize];
+        let next = s.next;
+        s.next = self.free;
+        self.free = i;
+        (s.packet, next)
+    }
+}
+
+/// A link's output queue: the transmitter state and a list of the
+/// packets it holds, threaded through its fabric's [`PacketArena`].
+/// Every call that takes an arena must get that same one.
+#[derive(Debug)]
 pub struct LinkQueue {
-    /// Every packet the link holds, oldest first: a prefix of `committed`
-    /// packets that have started serializing and not yet arrived, then
-    /// the packets waiting for the transmitter.
-    queue: VecDeque<Packet>,
-    /// Length of the committed prefix of `queue`.
-    committed: u32,
+    /// The oldest packet the link holds, or [`NIL`]. The list runs from
+    /// the committed packets that have started serializing and not yet
+    /// arrived to the packets waiting for the transmitter.
+    head: u32,
+    /// The newest packet, or [`NIL`].
+    tail: u32,
+    /// The oldest waiting (uncommitted) packet, or [`NIL`].
+    next: u32,
+    /// Number of waiting packets.
+    waiting: u32,
     /// Wire bytes of the waiting packets plus the one on the wire, until
     /// its [`LinkQueue::settle`]; packets already propagating do not
     /// count.
@@ -249,9 +329,23 @@ pub struct LinkQueue {
     tx_memo: (u64, u64, SimDuration),
 }
 
-// Built once per link that carries traffic; keep it within 1.5 cache
-// lines.
-const _: () = assert!(std::mem::size_of::<LinkQueue>() <= 96);
+// Built once per link that carries traffic; the packets live in the
+// arena.
+const _: () = assert!(std::mem::size_of::<LinkQueue>() <= 72);
+
+impl Default for LinkQueue {
+    fn default() -> Self {
+        LinkQueue {
+            head: NIL,
+            tail: NIL,
+            next: NIL,
+            waiting: 0,
+            queued_bytes: 0,
+            on_wire: None,
+            tx_memo: Default::default(),
+        }
+    }
+}
 
 /// Result of offering a packet to a link's queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,7 +361,8 @@ pub enum Enqueue {
 
 impl LinkQueue {
     /// Offer `pkt` at simulated instant `now` to a link configured as
-    /// `cfg`, counting into `counters`.
+    /// `cfg`, counting into `counters`. An admitted packet takes a slot
+    /// of `arena`.
     ///
     /// If the transmitter is idle ([`Enqueue::StartTx`]) the caller must
     /// start it with [`LinkQueue::commit`]. A full queue tail-drops; the
@@ -276,6 +371,7 @@ impl LinkQueue {
     /// has popped.
     pub fn enqueue(
         &mut self,
+        arena: &mut PacketArena,
         now: SimTime,
         mut pkt: Packet,
         cfg: &LinkConfig,
@@ -284,7 +380,7 @@ impl LinkQueue {
         let wire = pkt.wire_bytes() as u64;
         if self.on_wire.is_none() {
             debug_assert_eq!(self.queue_len(), 0);
-            self.queue.push_back(pkt);
+            self.push(arena, pkt);
             self.queued_bytes += wire;
             counters.max_queue_bytes = counters.max_queue_bytes.max(self.queued_bytes);
             return Enqueue::StartTx;
@@ -298,15 +394,30 @@ impl LinkQueue {
         // single threshold K). Only data packets are marked; ACKs carry
         // the echo, not the signal.
         if let Some(k) = cfg.ecn_threshold_bytes {
-            if occ >= k && pkt.is_data() && !pkt.ce {
-                pkt.ce = true;
+            if occ >= k && pkt.is_data() && !pkt.ce() {
+                pkt.set_ce(true);
                 counters.ce_marked_packets += 1;
             }
         }
-        self.queue.push_back(pkt);
+        self.push(arena, pkt);
         self.queued_bytes += wire;
         counters.max_queue_bytes = counters.max_queue_bytes.max(occ + wire);
         Enqueue::Queued
+    }
+
+    /// Append `pkt` to the waiting packets.
+    #[inline]
+    fn push(&mut self, arena: &mut PacketArena, pkt: Packet) {
+        let slot = arena.take(pkt);
+        match self.tail {
+            NIL => self.head = slot,
+            t => arena.slots[t as usize].next = slot,
+        }
+        self.tail = slot;
+        if self.next == NIL {
+            self.next = slot;
+        }
+        self.waiting += 1;
     }
 
     /// Commit the oldest waiting packet to a wire of `rate_bps` at `now`.
@@ -317,34 +428,44 @@ impl LinkQueue {
     /// [`LinkQueue::settle`] it and commit the next packet. Returns `None`
     /// (and stays idle) if nothing is waiting.
     #[inline]
-    pub fn commit(&mut self, now: SimTime, rate_bps: u64) -> Option<SimDuration> {
+    pub fn commit(
+        &mut self,
+        arena: &PacketArena,
+        now: SimTime,
+        rate_bps: u64,
+    ) -> Option<SimDuration> {
         debug_assert!(
             self.on_wire.is_none(),
             "commit while a packet is on the wire"
         );
-        let wire = self.queue.get(self.committed as usize)?.wire_bytes() as u64;
-        self.committed += 1;
+        let slot = arena.slots.get(self.next as usize)?;
+        let wire = slot.packet.wire_bytes() as u64;
+        self.next = slot.next;
+        self.waiting -= 1;
         let d = self.serialization(wire, rate_bps);
         self.on_wire = Some((now + d, wire));
         Some(d)
     }
 
-    /// Hand over the oldest committed packet when its arrival fires.
-    /// Arrivals come in commit order (see the module docs), so this is
-    /// always the packet the arrival was scheduled for.
+    /// Hand over the oldest committed packet when its arrival fires,
+    /// returning its slot to `arena`. Arrivals come in commit order (see
+    /// the module docs), so this is always the packet the arrival was
+    /// scheduled for.
     ///
     /// # Panics
     /// If no committed packet is pending.
     #[inline]
-    pub fn arrive(&mut self) -> Packet {
+    pub fn arrive(&mut self, arena: &mut PacketArena) -> Packet {
         assert!(
-            self.committed > 0,
+            self.head != self.next,
             "arrival on a link with nothing in flight"
         );
-        self.committed -= 1;
-        self.queue
-            .pop_front()
-            .expect("committed packets are queued")
+        let (packet, next) = arena.give_back(self.head);
+        self.head = next;
+        if next == NIL {
+            self.tail = NIL;
+        }
+        packet
     }
 
     /// `SimDuration::transmission(wire, rate_bps)`, memoized on the last
@@ -403,47 +524,56 @@ impl LinkQueue {
     /// Number of packets waiting for the transmitter, excluding the one
     /// being serialized and those propagating.
     pub fn queue_len(&self) -> usize {
-        self.queue.len() - self.committed as usize
+        self.waiting as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::packet::{FlowKey, PacketKind, MSS, WIRE_OVERHEAD};
     use crate::HostId;
     use crate::Mac;
 
     fn pkt(len: u32) -> Packet {
-        Packet {
-            flow: FlowKey::new(HostId(0), HostId(1), 1, 2),
-            src_host: HostId(0),
-            dst_host: HostId(1),
-            dst_mac: Mac::host(HostId(1)),
-            flowcell: 0,
-            ce: false,
-            kind: PacketKind::Data {
-                seq: 0,
-                len,
-                retx: false,
-            },
-        }
+        let kind = PacketKind::Data {
+            seq: 0,
+            len,
+            retx: false,
+        };
+        Packet::new(
+            FlowKey::new(HostId(0), HostId(1), 1, 2),
+            Mac::host(HostId(1)),
+            0,
+            kind,
+        )
     }
 
-    /// One link's config, queue and counters, as the fabric keeps them.
+    /// One link's config, queue and counters, as the fabric keeps them,
+    /// with an arena of its own.
     struct TestLink {
         cfg: LinkConfig,
         q: LinkQueue,
         counters: LinkCounters,
+        arena: PacketArena,
     }
 
     impl TestLink {
         fn enqueue(&mut self, now: SimTime, p: Packet) -> Enqueue {
-            self.q.enqueue(now, p, &self.cfg, &mut self.counters)
+            self.q
+                .enqueue(&mut self.arena, now, p, &self.cfg, &mut self.counters)
         }
 
         fn settle(&mut self) -> u64 {
             self.q.settle(&mut self.counters)
+        }
+
+        fn arrive(&mut self) -> Packet {
+            self.q.arrive(&mut self.arena)
         }
     }
 
@@ -452,19 +582,30 @@ mod tests {
             cfg: LinkConfig::new(10_000_000_000, SimDuration::from_nanos(500), cap),
             q: LinkQueue::default(),
             counters: LinkCounters::default(),
+            arena: PacketArena::default(),
         }
+    }
+
+    /// The packets of the list that starts at slot `at`, in order.
+    fn list(arena: &PacketArena, mut at: u32) -> impl Iterator<Item = &Packet> {
+        std::iter::from_fn(move || {
+            let slot = arena.slots.get(at as usize)?;
+            at = slot.next;
+            Some(&slot.packet)
+        })
     }
 
     /// Commit the next waiting packet at t = 0, returning it with its
     /// serialization time.
     fn commit(l: &mut TestLink) -> Option<(Packet, SimDuration)> {
-        let d = l.q.commit(SimTime::ZERO, l.cfg.rate_bps())?;
-        Some((l.q.queue[l.q.committed as usize - 1], d))
+        let next = list(&l.arena, l.q.next).next().copied();
+        let d = l.q.commit(&l.arena, SimTime::ZERO, l.cfg.rate_bps())?;
+        Some((next.expect("a committed packet was waiting"), d))
     }
 
     /// The packets waiting for the transmitter, oldest first.
     fn waiting(l: &TestLink) -> impl Iterator<Item = &Packet> {
-        l.q.queue.iter().skip(l.q.committed as usize)
+        list(&l.arena, l.q.next)
     }
 
     #[test]
@@ -545,14 +686,15 @@ mod tests {
                 assert!(commit(&mut l).is_some());
             }
             if let Some(want) = arrival {
-                assert_eq!(l.q.arrive().payload_bytes(), want);
+                assert_eq!(l.arrive().payload_bytes(), want);
             }
             assert_eq!(l.q.queue_len(), len);
             assert_eq!(l.q.queued_bytes(), bytes);
             assert_eq!(l.q.occupancy(SimTime::ZERO), bytes);
         }
         assert!(l.q.on_wire.is_none());
-        assert!(l.q.queue.is_empty());
+        assert_eq!((l.q.head, l.q.tail, l.q.next), (NIL, NIL, NIL));
+        assert_eq!(l.arena.slots(), 4, "four packets were held at once");
         assert_eq!(l.counters.tx_packets, 4);
     }
 
@@ -561,7 +703,7 @@ mod tests {
     fn arrival_without_a_committed_packet_panics() {
         let mut l = link(1_000_000);
         assert_eq!(l.enqueue(SimTime::ZERO, pkt(100)), Enqueue::StartTx);
-        l.q.arrive();
+        l.arrive();
     }
 
     #[test]
@@ -659,17 +801,15 @@ mod tests {
         assert_eq!(l.counters.ce_marked_packets, 2);
         // The committed head is on the wire; three later packets wait:
         // below-K unmarked, then marked.
-        let marks: Vec<bool> = waiting(&l).map(|p| p.ce).collect();
+        let marks: Vec<bool> = waiting(&l).map(|p| p.ce()).collect();
         assert_eq!(marks, vec![false, true, true]);
 
         // ACKs are never marked even over threshold.
-        let ack = Packet {
-            kind: PacketKind::Ack { ack: 0, sack_hi: 0 },
-            ..pkt(0)
-        };
+        let mut ack = pkt(0);
+        ack.set_kind(PacketKind::Ack { ack: 0, sack_hi: 0 });
         assert_eq!(l.enqueue(SimTime::ZERO, ack), Enqueue::Queued);
         assert_eq!(l.counters.ce_marked_packets, 2);
-        assert!(!l.q.queue.back().unwrap().ce);
+        assert!(!list(&l.arena, l.q.tail).next().unwrap().ce());
     }
 
     #[test]
@@ -681,7 +821,7 @@ mod tests {
             l.enqueue(SimTime::ZERO, pkt(MSS));
         }
         assert_eq!(l.counters.ce_marked_packets, 0);
-        assert!(waiting(&l).all(|p| !p.ce));
+        assert!(waiting(&l).all(|p| !p.ce()));
     }
 
     #[test]
@@ -721,6 +861,150 @@ mod tests {
         for cfg in [l.cfg.degraded(0.3), l.cfg.degraded(0.0), l.cfg] {
             l.cfg = cfg;
             check(&mut l);
+        }
+    }
+
+    /// A link of the model test: what a `VecDeque` queue would hold.
+    #[derive(Default)]
+    struct Reference {
+        /// Committed packets, then waiting ones, oldest first.
+        held: VecDeque<Packet>,
+        committed: usize,
+        queued_bytes: u64,
+        on_wire: Option<(SimTime, u64)>,
+    }
+
+    impl Reference {
+        fn occupancy(&self, now: SimTime) -> u64 {
+            self.queued_bytes - self.finished_unsettled(now)
+        }
+
+        fn finished_unsettled(&self, now: SimTime) -> u64 {
+            match self.on_wire {
+                Some((end, wire)) if end <= now => wire,
+                _ => 0,
+            }
+        }
+
+        /// Commit the oldest waiting packet at `now`, if any.
+        fn commit(&mut self, now: SimTime, cfg: &LinkConfig) {
+            if let Some(p) = self.held.get(self.committed) {
+                let wire = p.wire_bytes() as u64;
+                self.committed += 1;
+                let d = SimDuration::transmission(wire, cfg.rate_bps());
+                self.on_wire = Some((now + d, wire));
+            }
+        }
+    }
+
+    proptest! {
+        /// Random enqueues (some tail-dropped, some ECN-marked), `TxDone`
+        /// settles and arrivals over three links that share one arena,
+        /// against a `VecDeque` per link: every arrival hands over the
+        /// packet the reference does, the queues' lengths and occupancies
+        /// agree at every step, and the arena holds exactly as many slots
+        /// as the most packets held at once.
+        #[test]
+        fn arena_queues_match_a_vecdeque_reference(
+            ops in prop::collection::vec(0u64..u64::MAX, 1..400),
+        ) {
+            const LINKS: usize = 3;
+            let wire = (MSS + WIRE_OVERHEAD) as u64;
+            let base = LinkConfig::new(10_000_000_000, SimDuration::from_nanos(500), 4 * wire);
+            let cfgs = [
+                base,
+                base.with_queue_capacity(9 * wire).degraded(0.25),
+                base.with_queue_capacity(6 * wire).with_ecn_threshold(Some(2 * wire)),
+            ];
+            let mut arena = PacketArena::default();
+            let mut queues: [LinkQueue; LINKS] = Default::default();
+            let mut counters = [LinkCounters::default(); LINKS];
+            let mut refs: [Reference; LINKS] = Default::default();
+            let (mut now, mut sent, mut peak) = (SimTime::ZERO, 0u64, 0usize);
+            for (step, &op) in ops.iter().enumerate() {
+                let i = (op % LINKS as u64) as usize;
+                let arg = op >> 4;
+                let (q, r, cfg) = (&mut queues[i], &mut refs[i], &cfgs[i]);
+                match (op >> 2) % 4 {
+                    0 | 1 => {
+                        // A data packet of any length, or an ACK.
+                        let len = (arg % (MSS as u64 + 200)) as u32;
+                        let mut p = pkt(len.min(MSS));
+                        p.set_kind(if len > MSS {
+                            PacketKind::Ack { ack: sent, sack_hi: sent + len as u64 }
+                        } else {
+                            PacketKind::Data { seq: sent, len, retx: false }
+                        });
+                        sent += 1;
+                        let w = p.wire_bytes() as u64;
+                        let want = if r.on_wire.is_none() {
+                            Enqueue::StartTx
+                        } else if r.occupancy(now) + w > cfg.queue_capacity_bytes() {
+                            Enqueue::Dropped
+                        } else {
+                            Enqueue::Queued
+                        };
+                        let mut stored = p;
+                        if want == Enqueue::Queued
+                            && cfg.ecn_threshold_bytes().is_some_and(|k| r.occupancy(now) >= k)
+                            && p.is_data()
+                        {
+                            stored.set_ce(true);
+                        }
+                        prop_assert_eq!(q.enqueue(&mut arena, now, p, cfg, &mut counters[i]), want, "step {}", step);
+                        if want != Enqueue::Dropped {
+                            r.held.push_back(stored);
+                            r.queued_bytes += w;
+                        }
+                        if want == Enqueue::StartTx {
+                            q.commit(&arena, now, cfg.rate_bps());
+                            r.commit(now, cfg);
+                        }
+                    }
+                    2 => {
+                        // The `TxDone` of the packet on the wire, then
+                        // the next commit.
+                        if let Some((_, w)) = r.on_wire.take() {
+                            prop_assert_eq!(q.settle(&mut counters[i]), w);
+                            r.queued_bytes -= w;
+                            q.commit(&arena, now, cfg.rate_bps());
+                            r.commit(now, cfg);
+                        }
+                    }
+                    _ => {
+                        if r.committed > 0 {
+                            r.committed -= 1;
+                            let want = r.held.pop_front();
+                            prop_assert_eq!(Some(q.arrive(&mut arena)), want, "step {}", step);
+                        }
+                        now += SimDuration::from_nanos(arg % 2000);
+                    }
+                }
+                peak = peak.max(refs.iter().map(|r| r.held.len()).sum());
+                for (q, r) in queues.iter().zip(&refs) {
+                    prop_assert_eq!(q.occupancy(now), r.occupancy(now), "step {}", step);
+                    prop_assert_eq!(q.finished_unsettled(now), r.finished_unsettled(now));
+                    prop_assert_eq!(q.queued_bytes(), r.queued_bytes);
+                    prop_assert_eq!(q.queue_len(), r.held.len() - r.committed);
+                }
+                prop_assert_eq!(arena.slots(), peak, "step {}", step);
+            }
+            // Drain: every packet still held comes out, in order.
+            for ((q, r), cfg) in queues.iter_mut().zip(&mut refs).zip(&cfgs) {
+                let mut c = LinkCounters::default();
+                while !r.held.is_empty() {
+                    if r.committed == 0 {
+                        r.on_wire.take();
+                        q.settle(&mut c);
+                        q.commit(&arena, now, cfg.rate_bps());
+                        r.commit(now, cfg);
+                    }
+                    r.committed -= 1;
+                    prop_assert_eq!(Some(q.arrive(&mut arena)), r.held.pop_front());
+                }
+                prop_assert_eq!(q.queue_len(), 0);
+            }
+            prop_assert_eq!(arena.slots(), peak);
         }
     }
 }

@@ -7,6 +7,8 @@
 //! MAC / TCP options and that the receiver's GRO uses to tell loss from
 //! reordering.
 
+use std::fmt;
+
 use crate::ids::{HostId, Mac};
 
 /// TCP maximum segment size used throughout: 1500-byte MTU minus 40 bytes
@@ -104,58 +106,202 @@ pub enum PacketKind {
     },
 }
 
-/// A simulated packet.
-#[derive(Clone, Copy, Debug)]
+/// A simulated packet, packed into 40 bytes: links hold every packet
+/// from enqueue to arrival, so its size sets the fabric's memory.
+///
+/// The flow key and destination MAC are plain fields. The rest is stored
+/// packed and read through accessors: the flowcell as a `u32`, the
+/// [`PacketKind`] as one 64-bit word plus one 32-bit word, and the kind,
+/// CE, retransmit and echo flags in one byte. Every value round-trips
+/// exactly; a value the packing cannot hold panics at construction
+/// rather than being truncated.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
-    /// Flow the packet belongs to (data flows forward; ACKs carry the
-    /// *forward* flow's key with `src_host`/`dst_host` swapped below).
+    /// Flow the packet belongs to, oriented from its sender: an ACK
+    /// carries the reverse of the data flow it acknowledges. `flow.dst`
+    /// is the host the fabric must deliver the packet to.
     pub flow: FlowKey,
-    /// Routing source (the host that put this packet on the wire).
-    pub src_host: HostId,
-    /// Routing destination (where the fabric must deliver it).
-    pub dst_host: HostId,
     /// Destination MAC — a real host MAC or a shadow (label) MAC.
     pub dst_mac: Mac,
+    /// `seq` of a data packet, `ack` of an ACK, `id` of a probe.
+    word: u64,
+    /// `len` of a data packet, `sack_hi - ack` of an ACK, 0 for a probe.
+    aux: u32,
+    /// The flowcell ID, with [`Packet::NO_CELL`] standing for `u64::MAX`.
+    cell: u32,
+    /// [`KIND_MASK`] bits, then [`CE`], [`RETX`] and [`ECHO`].
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Packet>() <= 40);
+
+/// [`Packet::flags`] bits holding the kind.
+const KIND_MASK: u8 = 0b11;
+const DATA: u8 = 0;
+const ACK: u8 = 1;
+const PROBE: u8 = 2;
+/// The ECN congestion-experienced mark.
+const CE: u8 = 1 << 2;
+/// A data packet's retransmission flag.
+const RETX: u8 = 1 << 3;
+/// A probe's return-path flag.
+const ECHO: u8 = 1 << 4;
+
+impl Packet {
+    /// The stored flowcell of `u64::MAX`, the sentinel of policies that
+    /// pin a flow to one path (DiffFlow's elephants).
+    const NO_CELL: u32 = u32::MAX;
+
+    /// A packet of `flow` towards `dst_mac` in flowcell `flowcell`,
+    /// without a CE mark.
+    ///
+    /// # Panics
+    /// If `flowcell` is neither `u64::MAX` nor below `u32::MAX`, or if
+    /// `kind` is an ACK whose `sack_hi` lies below its `ack` or more than
+    /// `u32::MAX` above it.
+    #[inline]
+    pub fn new(flow: FlowKey, dst_mac: Mac, flowcell: u64, kind: PacketKind) -> Packet {
+        let mut p = Packet {
+            flow,
+            dst_mac,
+            word: 0,
+            aux: 0,
+            cell: 0,
+            flags: 0,
+        };
+        p.set_flowcell(flowcell);
+        p.set_kind(kind);
+        p
+    }
+
     /// Flowcell ID stamped by the sending vSwitch (paper: carried in the
     /// source MAC / TCP options). Monotonically increasing per flow.
-    pub flowcell: u64,
+    #[inline]
+    pub fn flowcell(&self) -> u64 {
+        match self.cell {
+            Self::NO_CELL => u64::MAX,
+            c => c as u64,
+        }
+    }
+
+    /// Stamp the flowcell ID. Panics on a value the packet cannot hold
+    /// (see [`Packet::new`]).
+    #[inline]
+    fn set_flowcell(&mut self, flowcell: u64) {
+        self.cell = if flowcell == u64::MAX {
+            Self::NO_CELL
+        } else {
+            assert!(
+                flowcell < Self::NO_CELL as u64,
+                "flowcell {flowcell} does not fit a packet"
+            );
+            flowcell as u32
+        };
+    }
+
+    /// Payload semantics.
+    #[inline]
+    pub fn kind(&self) -> PacketKind {
+        match self.flags & KIND_MASK {
+            DATA => PacketKind::Data {
+                seq: self.word,
+                len: self.aux,
+                retx: self.flags & RETX != 0,
+            },
+            ACK => PacketKind::Ack {
+                ack: self.word,
+                sack_hi: self.word + self.aux as u64,
+            },
+            _ => PacketKind::Probe {
+                id: self.word,
+                echo: self.flags & ECHO != 0,
+            },
+        }
+    }
+
+    /// Replace the payload semantics, keeping the CE mark. Panics on an
+    /// ACK the packet cannot hold (see [`Packet::new`]).
+    #[inline]
+    pub fn set_kind(&mut self, kind: PacketKind) {
+        let (word, aux, flags) = match kind {
+            PacketKind::Data { seq, len, retx } => (seq, len, DATA | if retx { RETX } else { 0 }),
+            PacketKind::Ack { ack, sack_hi } => {
+                let span = sack_hi
+                    .checked_sub(ack)
+                    .and_then(|d| u32::try_from(d).ok())
+                    .unwrap_or_else(|| {
+                        panic!("ACK sack_hi {sack_hi} must lie within 2^32 bytes at or above {ack}")
+                    });
+                (ack, span, ACK)
+            }
+            PacketKind::Probe { id, echo } => (id, 0, PROBE | if echo { ECHO } else { 0 }),
+        };
+        self.word = word;
+        self.aux = aux;
+        self.flags = flags | (self.flags & CE);
+    }
+
     /// ECN congestion-experienced mark. Set by a switch queue whose depth
     /// exceeds its marking threshold (data packets only); on ACKs the same
     /// bit carries the receiver's ECN-Echo back to the sender.
-    pub ce: bool,
-    /// Payload semantics.
-    pub kind: PacketKind,
-}
+    #[inline]
+    pub fn ce(&self) -> bool {
+        self.flags & CE != 0
+    }
 
-impl Packet {
+    /// Set or clear the CE mark.
+    #[inline]
+    pub fn set_ce(&mut self, ce: bool) {
+        self.flags = if ce {
+            self.flags | CE
+        } else {
+            self.flags & !CE
+        };
+    }
+
     /// Total bytes the packet occupies on the wire, including all framing
     /// overhead.
+    #[inline]
     pub fn wire_bytes(&self) -> u32 {
-        match self.kind {
-            PacketKind::Data { len, .. } => len + WIRE_OVERHEAD,
-            PacketKind::Ack { .. } | PacketKind::Probe { .. } => ACK_WIRE_BYTES,
+        if self.is_data() {
+            self.aux + WIRE_OVERHEAD
+        } else {
+            ACK_WIRE_BYTES
         }
     }
 
     /// Payload bytes (zero for ACKs and probes).
+    #[inline]
     pub fn payload_bytes(&self) -> u32 {
-        match self.kind {
-            PacketKind::Data { len, .. } => len,
-            _ => 0,
+        if self.is_data() {
+            self.aux
+        } else {
+            0
         }
     }
 
     /// True for TCP payload packets.
+    #[inline]
     pub fn is_data(&self) -> bool {
-        matches!(self.kind, PacketKind::Data { .. })
+        self.flags & KIND_MASK == DATA
     }
 
     /// End sequence (`seq + len`) for data packets.
+    #[inline]
     pub fn end_seq(&self) -> Option<u64> {
-        match self.kind {
-            PacketKind::Data { seq, len, .. } => Some(seq + len as u64),
-            _ => None,
-        }
+        self.is_data().then(|| self.word + self.aux as u64)
+    }
+}
+
+impl fmt::Debug for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Packet")
+            .field("flow", &self.flow)
+            .field("dst_mac", &self.dst_mac)
+            .field("flowcell", &self.flowcell())
+            .field("ce", &self.ce())
+            .field("kind", &self.kind())
+            .finish()
     }
 }
 
@@ -188,37 +334,98 @@ mod tests {
         assert_ne!(b, c);
     }
 
+    fn data(seq: u64, len: u32) -> Packet {
+        let kind = PacketKind::Data {
+            seq,
+            len,
+            retx: false,
+        };
+        Packet::new(key(), Mac::host(HostId(2)), 0, kind)
+    }
+
     #[test]
     fn wire_sizes() {
-        let data = Packet {
-            flow: key(),
-            src_host: HostId(1),
-            dst_host: HostId(2),
-            dst_mac: Mac::host(HostId(2)),
-            flowcell: 0,
-            ce: false,
-            kind: PacketKind::Data {
-                seq: 0,
-                len: MSS,
-                retx: false,
-            },
-        };
+        let data = data(0, MSS);
         assert_eq!(data.wire_bytes(), MSS + WIRE_OVERHEAD);
         assert_eq!(data.payload_bytes(), MSS);
         assert!(data.is_data());
         assert_eq!(data.end_seq(), Some(MSS as u64));
 
-        let ack = Packet {
-            kind: PacketKind::Ack {
-                ack: 100,
-                sack_hi: 100,
-            },
-            ..data
-        };
+        let mut ack = data;
+        ack.set_kind(PacketKind::Ack {
+            ack: 100,
+            sack_hi: 100,
+        });
         assert_eq!(ack.wire_bytes(), ACK_WIRE_BYTES);
         assert_eq!(ack.payload_bytes(), 0);
         assert!(!ack.is_data());
         assert_eq!(ack.end_seq(), None);
+    }
+
+    #[test]
+    fn packed_fields_round_trip_exactly() {
+        let kinds = [
+            PacketKind::Data {
+                seq: u64::MAX - u32::MAX as u64,
+                len: u32::MAX,
+                retx: true,
+            },
+            PacketKind::Data {
+                seq: 7,
+                len: 0,
+                retx: false,
+            },
+            PacketKind::Ack {
+                ack: u64::MAX - u32::MAX as u64,
+                sack_hi: u64::MAX,
+            },
+            PacketKind::Ack {
+                ack: 1 << 40,
+                sack_hi: 1 << 40,
+            },
+            PacketKind::Probe {
+                id: u64::MAX,
+                echo: true,
+            },
+            PacketKind::Probe { id: 0, echo: false },
+        ];
+        let cells = [0, 1, u32::MAX as u64 - 1, u64::MAX];
+        for kind in kinds {
+            for cell in cells {
+                for ce in [false, true] {
+                    let mut p = Packet::new(key(), Mac::shadow(HostId(2), 3), cell, kind);
+                    p.set_ce(ce);
+                    assert_eq!(p.kind(), kind);
+                    assert_eq!(p.flowcell(), cell);
+                    assert_eq!(p.ce(), ce);
+                    // Restamping the kind keeps the mark, and vice versa.
+                    p.set_kind(kind);
+                    assert_eq!((p.kind(), p.ce()), (kind, ce));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a packet")]
+    fn oversized_flowcell_panics() {
+        let kind = data(0, MSS).kind();
+        Packet::new(key(), Mac::host(HostId(2)), u32::MAX as u64, kind);
+    }
+
+    #[test]
+    #[should_panic(expected = "sack_hi")]
+    fn sack_hi_beyond_the_packed_span_panics() {
+        data(0, MSS).set_kind(PacketKind::Ack {
+            ack: 0,
+            sack_hi: 1 << 32,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "sack_hi")]
+    fn sack_hi_below_ack_panics() {
+        data(0, MSS).set_kind(PacketKind::Ack { ack: 1, sack_hi: 0 });
     }
 
     #[test]

@@ -310,15 +310,12 @@ impl Switch {
         }
         // 2. ECMP group towards the destination host (the MAC's host, bar
         // a packet whose two disagree).
-        let slot = if pkt.dst_host == mac_host {
-            slot
-        } else {
-            slots.of(pkt.dst_host)
-        };
+        let dst = pkt.flow.dst;
+        let slot = if dst == mac_host { slot } else { slots.of(dst) };
         if let Some(links) = self.group_at(slot) {
             let key = match self.ecmp_mode {
                 EcmpMode::FlowHash => pkt.flow.digest(),
-                EcmpMode::FlowcellHash => hash_mix(pkt.flow.digest(), pkt.flowcell),
+                EcmpMode::FlowcellHash => hash_mix(pkt.flow.digest(), pkt.flowcell()),
             };
             let h = hash_mix(key, self.hash_salt);
             let n = links.len() as u64;
@@ -350,19 +347,17 @@ mod tests {
     use presto_simcore::SimDuration;
 
     fn pkt(sport: u16, flowcell: u64, dst_mac: Mac) -> Packet {
-        Packet {
-            flow: FlowKey::new(HostId(0), HostId(9), sport, 80),
-            src_host: HostId(0),
-            dst_host: HostId(9),
+        let kind = PacketKind::Data {
+            seq: 0,
+            len: 1460,
+            retx: false,
+        };
+        Packet::new(
+            FlowKey::new(HostId(0), HostId(9), sport, 80),
             dst_mac,
             flowcell,
-            ce: false,
-            kind: PacketKind::Data {
-                seq: 0,
-                len: 1460,
-                retx: false,
-            },
-        }
+            kind,
+        )
     }
 
     /// A fabric of one switch with egress links `LinkId(0)..LinkId(n)`.
@@ -724,10 +719,8 @@ mod tests {
                                 0 => host(arg >> 42),
                                 _ => m.dst_host(),
                             };
-                            let p = Packet {
-                                dst_host: dst,
-                                ..pkt((arg >> 20) as u16, arg >> 36, m)
-                            };
+                            let mut p = pkt((arg >> 20) as u16, arg >> 36, m);
+                            p.flow.dst = dst;
                             let want = match model.get(&m) {
                                 Some(&out) if up(out) => Some(out),
                                 Some(out) => backup.get(out).copied().filter(|&b| up(b)),

@@ -25,7 +25,7 @@ use presto_workloads::FlowSpec;
 use crate::apps::Apps;
 use crate::report::Report;
 use crate::scheme::{GroKind, PolicyKind, SchemeSpec};
-use crate::sim::{make_host, FaultAction, ResolvedFault, Simulation};
+use crate::sim::{make_host, Event, FaultAction, ResolvedFault, Simulation};
 
 /// XOR-folded into the scenario seed to derive the fault-plan expansion
 /// stream, so flap draws never correlate with workload randomness.
@@ -238,12 +238,12 @@ impl Scenario {
 
     /// Run with the telemetry layer attached — `self.telemetry` if set,
     /// the default configuration otherwise — and return the figure report
-    /// together with the telemetry report.
+    /// together with the telemetry report. The default configuration is
+    /// attached before the first event is scheduled, so its event profile
+    /// counts the warm-up mark, the workloads' first events and the
+    /// faults too.
     pub fn run_traced(&self) -> (Report, TelemetryReport) {
-        let mut sim = self.build();
-        if self.telemetry.is_none() {
-            sim.enable_telemetry(TelemetryConfig::default());
-        }
+        let mut sim = self.assemble(self.telemetry.is_none().then(TelemetryConfig::default));
         let report = sim.run();
         let telemetry = sim.telemetry_report().expect("telemetry enabled");
         (report, telemetry)
@@ -252,6 +252,13 @@ impl Scenario {
     /// Assemble the simulator without running it — useful for inspection
     /// and custom drivers.
     pub fn build(&self) -> Simulation {
+        self.assemble(None)
+    }
+
+    /// [`Scenario::build`], with telemetry `early` attached before any
+    /// event is scheduled. A scenario's own telemetry config attaches
+    /// after the warm-up mark, as it always has: traces of it are pinned.
+    fn assemble(&self, early: Option<TelemetryConfig>) -> Simulation {
         let n_servers = self.n_servers();
         // Routing and label state is only materialized for the hosts and
         // pairs that will ever see a packet.
@@ -424,6 +431,10 @@ impl Scenario {
             end,
             warm,
         );
+        if let Some(cfg) = early {
+            sim.enable_telemetry(cfg);
+        }
+        sim.schedule(warm, Event::WarmupMark);
         sim.controller = controller;
         sim.label_pairs = label_sets
             .iter()

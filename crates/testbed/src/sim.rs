@@ -661,8 +661,8 @@ impl Simulation {
     /// receive; `mk_host` runs only for those and for every host past
     /// the mask (WAN remotes). `None` builds every host's edge. The
     /// path-feedback and probe cadences are those of the scheme's
-    /// registry policy. No workload starts before
-    /// [`Simulation::schedule_apps`].
+    /// registry policy. Nothing is scheduled yet: not the warm-up mark,
+    /// and no workload before [`Simulation::schedule_apps`].
     pub(crate) fn new(
         topo: Topology,
         scheme: SchemeSpec,
@@ -707,7 +707,7 @@ impl Simulation {
             max_tso: scheme.max_tso,
             ..TcpConfig::default()
         };
-        let mut sim = Simulation {
+        Simulation {
             now: SimTime::ZERO,
             agenda: Agenda::default(),
             topo,
@@ -734,9 +734,7 @@ impl Simulation {
             faults: Vec::new(),
             stage: None,
             failover_stages: Vec::new(),
-        };
-        sim.schedule(warmup, Event::WarmupMark);
-        sim
+        }
     }
 
     /// Schedule each workload's first event. Called once, after any
@@ -1253,13 +1251,13 @@ impl Simulation {
             let now = self.now;
             let host = self.host_mut(h);
             for pkt in &batch {
-                match pkt.kind {
+                match pkt.kind() {
                     PacketKind::Data { .. } => host.gro.on_packet(now, pkt),
                     PacketKind::Ack { ack, sack_hi } => {
                         misc_pkts += 1;
                         // On an ACK the `ce` bit carries the receiver's
                         // ECN-Echo, not a fabric mark.
-                        acks.push((pkt.flow, ack, sack_hi, pkt.ce));
+                        acks.push((pkt.flow, ack, sack_hi, pkt.ce()));
                     }
                     PacketKind::Probe { .. } => {
                         misc_pkts += 1;
@@ -1397,22 +1395,19 @@ impl Simulation {
     fn send_probe(&mut self, flow: FlowKey, id: u64, echo: bool) {
         let now = self.now;
         let tag = self.host_mut(flow.src).vswitch.process(now, flow, 0, false);
-        let pkt = Packet {
+        let pkt = Packet::new(
             flow,
-            src_host: flow.src,
-            dst_host: flow.dst,
-            dst_mac: tag.dst_mac,
-            flowcell: tag.flowcell,
-            ce: false,
-            kind: PacketKind::Probe { id, echo },
-        };
+            tag.dst_mac,
+            tag.flowcell,
+            PacketKind::Probe { id, echo },
+        );
         self.inject(flow.src, pkt);
     }
 
     /// A probe reached its destination, or an echo came back to its
     /// sender; either way the answer travels the reverse flow.
     fn on_probe(&mut self, pkt: Packet) {
-        let PacketKind::Probe { id, echo } = pkt.kind else {
+        let PacketKind::Probe { id, echo } = pkt.kind() else {
             return;
         };
         let back = pkt.flow.reverse();

@@ -16,19 +16,12 @@ fn flow() -> FlowKey {
 /// Packet `i` of a stream where every `cell_len` consecutive packets share
 /// a flowcell.
 fn pkt(i: u64, cell_len: u64) -> Packet {
-    Packet {
-        flow: flow(),
-        src_host: HostId(0),
-        dst_host: HostId(1),
-        dst_mac: Mac::host(HostId(1)),
-        flowcell: i / cell_len,
-        ce: false,
-        kind: PacketKind::Data {
-            seq: i * MSS as u64,
-            len: MSS,
-            retx: false,
-        },
-    }
+    let kind = PacketKind::Data {
+        seq: i * MSS as u64,
+        len: MSS,
+        retx: false,
+    };
+    Packet::new(flow(), Mac::host(HostId(1)), i / cell_len, kind)
 }
 
 proptest! {

@@ -220,3 +220,20 @@ fn headline_event_stream_is_pinned_with_telemetry_on_and_off() {
         );
     }
 }
+
+/// Without a telemetry config of its own, `run_traced` attaches the
+/// default one before the scenario schedules anything, so the per-kind
+/// profile counts the warm-up mark and the 16 elephants' starts too.
+#[test]
+fn run_traced_profiles_what_the_build_schedules() {
+    let (report, tel) = headline().run_traced();
+    assert_eq!(report.digest(), HEADLINE_DIGEST);
+    let count = |name: &str| {
+        tel.event_queue
+            .iter()
+            .find(|e| e.name == name)
+            .map(|e| e.count)
+    };
+    assert_eq!(count("FlowStart"), Some(16));
+    assert_eq!(count("WarmupMark"), Some(1));
+}
