@@ -9,8 +9,9 @@
 #      every point from the content-addressed store (zero executions),
 #      which pins the canonical-text fingerprints of every point.
 #   3. `lab diff --strict-digest` the fresh table against
-#      baselines/<c>.json: default tolerances, and a report digest that
-#      drifted at an unchanged fingerprint fails instead of printing a note.
+#      baselines/<c>.json: the column table's gates, and a report digest
+#      that drifted at an unchanged fingerprint fails instead of printing
+#      a note.
 #      Then the campaign's own gate (the `case` below) reads the fresh run.
 #   4. Every `[[trace]]` point's artifact under the fresh store's traces/
 #      must hold at least one `"type":"event"` record, so the viewer
@@ -53,7 +54,7 @@ echo "==> run the committed $C grid (fresh store)"
 echo "==> re-run: every point must be a cache hit"
 "$LAB" run "$CAMPAIGN" --store "$STORE/run" --require-cached --quiet
 
-echo "==> diff against the committed baseline (default tolerances, strict digests)"
+echo "==> diff against the committed baseline (column gates, strict digests)"
 "$LAB" diff "$BASELINE" "$FRESH" --strict-digest
 
 # Sum `deadline_misses` over the fresh rows whose label matches $1.
@@ -105,6 +106,21 @@ skew)
         exit 1
     fi
     echo "    prequal=$prequal_miss vs presto=$presto_miss misses on the skewed points"
+
+    echo "==> deadline fields that vanish must be caught"
+    # Strip every row's deadline counters in a copy of the fresh table,
+    # as if no incast request had completed.
+    sed -E 's/,"deadline_total":[0-9]+,"deadline_misses":[0-9]+//' "$FRESH" \
+        > "$STORE/no_deadlines.json"
+    if cmp -s "$FRESH" "$STORE/no_deadlines.json"; then
+        echo "FAIL: no deadline fields in $FRESH" >&2
+        exit 1
+    fi
+    if "$LAB" diff "$BASELINE" "$STORE/no_deadlines.json" >/dev/null 2>&1; then
+        echo "FAIL: lab diff accepted a table whose deadline fields vanished" >&2
+        exit 1
+    fi
+    echo "    vanished deadlines flagged, exit code nonzero — as required"
 
     echo "==> probing stays opt-in: non-prequal rows carry no probe fields"
     if grep '"label":"\(presto\|ecmp\)/' "$FRESH" | grep -q probe_rounds; then

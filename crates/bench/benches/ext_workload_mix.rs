@@ -81,11 +81,11 @@ fn main() {
             tbl.row([
                 mix_name.to_string(),
                 scheme.to_string(),
-                row.fct_ms.count.to_string(),
-                f(row.fct_ms.p50, 2),
-                f(row.fct_ms.p99, 2),
-                f(row.goodput_gbps, 2),
-                f(row.loss_rate * 100.0, 3),
+                row.get("fct_count").to_string(),
+                f(row.get("fct_p50"), 2),
+                f(row.get("fct_p99"), 2),
+                f(row.get("goodput_gbps"), 2),
+                f(row.get("loss_rate") * 100.0, 3),
             ]);
         }
     }

@@ -1,61 +1,25 @@
-//! Regression gating: compare two results tables under per-metric
-//! tolerances.
+//! Regression gating: compare two results tables column by column.
 //!
 //! `lab diff <baseline> <current>` reads two table artifacts (as written
 //! by [`ResultsStore::write_table`](crate::ResultsStore::write_table)),
 //! matches rows by grid-point label, and classifies every difference:
 //!
-//! * **regressions** — goodput drop, p99 FCT rise, loss-rate rise or
-//!   wall-time rise beyond tolerance; an `ok` point turning `failed`;
-//!   a fingerprint mismatch (the configuration itself changed, so the
-//!   baseline is stale); a point missing from the current table,
+//! * **regressions** — a gated column of the column table moving past its
+//!   tolerance the wrong way; a gated group the baseline row has and the
+//!   current row lacks (incast requests or mice that stopped
+//!   completing); an `ok` point turning `failed`; a fingerprint mismatch
+//!   (the configuration itself changed, so the baseline is stale); a
+//!   point missing from the current table,
 //! * **notes** — improvements beyond tolerance, newly added points, and
 //!   digest changes at an unchanged fingerprint (expected whenever the
-//!   simulator's behavior legitimately changed; promote to a regression
-//!   with [`Tolerances::strict_digest`] to pin bit-exact behavior).
+//!   simulator's behavior legitimately changed; `strict_digest` promotes
+//!   them to regressions to pin bit-exact behavior).
 //!
 //! Any regression makes the CLI exit nonzero, which is how CI consumes
 //! this: the committed baseline table is the contract, and loosening it
 //! requires a deliberate re-baseline commit.
 
-use crate::store::{Row, RowStatus};
-
-/// Per-metric tolerances. Relative tolerances are fractions of the
-/// baseline value (`0.05` = 5 %); the loss tolerance is absolute because
-/// loss rates hover near zero.
-#[derive(Debug, Clone)]
-pub struct Tolerances {
-    /// Allowed relative drop in mean elephant goodput.
-    pub goodput_drop_rel: f64,
-    /// Allowed relative rise in p99 mice FCT.
-    pub p99_fct_rise_rel: f64,
-    /// Allowed absolute rise in fabric loss rate.
-    pub loss_rise_abs: f64,
-    /// Allowed relative rise in wall-clock time. Infinite by default:
-    /// wall time is machine-dependent, so gating on it only makes sense
-    /// when baseline and current ran on comparable hardware.
-    pub wall_rise_rel: f64,
-    /// Allowed absolute rise in the incast deadline-miss fraction
-    /// (`0.02` = 2 percentage points). Only gates rows where both runs
-    /// tracked incast requests.
-    pub deadline_miss_rise_abs: f64,
-    /// Treat a digest change at an unchanged fingerprint as a regression
-    /// instead of a note.
-    pub strict_digest: bool,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            goodput_drop_rel: 0.05,
-            p99_fct_rise_rel: 0.10,
-            loss_rise_abs: 0.002,
-            wall_rise_rel: f64::INFINITY,
-            deadline_miss_rise_abs: 0.02,
-            strict_digest: false,
-        }
-    }
-}
+use crate::store::{Gate, Row, RowStatus, COLUMNS};
 
 /// The outcome of a table comparison.
 #[derive(Debug, Default)]
@@ -98,7 +62,9 @@ impl DiffReport {
 }
 
 /// Compare `current` against `baseline` row-by-row (matched on label).
-pub fn diff_tables(baseline: &[Row], current: &[Row], tol: &Tolerances) -> DiffReport {
+/// With `strict_digest`, a digest change at an unchanged fingerprint is a
+/// regression instead of a note.
+pub fn diff_tables(baseline: &[Row], current: &[Row], strict_digest: bool) -> DiffReport {
     let mut report = DiffReport::default();
     for base in baseline {
         let Some(cur) = current.iter().find(|r| r.label == base.label) else {
@@ -108,7 +74,7 @@ pub fn diff_tables(baseline: &[Row], current: &[Row], tol: &Tolerances) -> DiffR
             continue;
         };
         report.compared += 1;
-        diff_row(base, cur, tol, &mut report);
+        diff_row(base, cur, strict_digest, &mut report);
     }
     for cur in current {
         if !baseline.iter().any(|r| r.label == cur.label) {
@@ -120,7 +86,7 @@ pub fn diff_tables(baseline: &[Row], current: &[Row], tol: &Tolerances) -> DiffR
     report
 }
 
-fn diff_row(base: &Row, cur: &Row, tol: &Tolerances, report: &mut DiffReport) {
+fn diff_row(base: &Row, cur: &Row, strict_digest: bool, report: &mut DiffReport) {
     let label = &base.label;
     if base.fp != cur.fp {
         report.regressions.push(format!(
@@ -150,87 +116,52 @@ fn diff_row(base: &Row, cur: &Row, tol: &Tolerances, report: &mut DiffReport) {
              ({:016x} → {:016x})",
             base.digest, cur.digest
         );
-        if tol.strict_digest {
+        if strict_digest {
             report.regressions.push(msg);
         } else {
             report.notes.push(msg);
         }
     }
-    // Goodput: relative drop beyond tolerance fails; a comparable rise is
-    // worth a note.
-    if base.goodput_gbps > 0.0 {
-        let rel = (base.goodput_gbps - cur.goodput_gbps) / base.goodput_gbps;
-        if rel > tol.goodput_drop_rel {
-            report.regressions.push(format!(
-                "{label}: goodput {:.3} → {:.3} Gbps ({:.1} % drop > {:.1} % tolerance)",
-                base.goodput_gbps,
-                cur.goodput_gbps,
-                rel * 100.0,
-                tol.goodput_drop_rel * 100.0
-            ));
-        } else if -rel > tol.goodput_drop_rel {
-            report.notes.push(format!(
-                "{label}: goodput improved {:.3} → {:.3} Gbps",
-                base.goodput_gbps, cur.goodput_gbps
-            ));
+    for (i, col) in COLUMNS.iter().enumerate() {
+        let Some(gate) = col.gate else { continue };
+        let (key, mut b, mut c) = (col.key, base.value(i), cur.value(i));
+        let (mut from, mut to) = (b.to_string(), c.to_string());
+        if let Some(group) = col.group {
+            let head = group.head();
+            let (bn, cn) = (base.value(head), cur.value(head));
+            if bn == 0.0 {
+                continue; // the baseline never measured it
+            }
+            if cn == 0.0 {
+                report.regressions.push(format!(
+                    "{label}: {key} vanished ({} {bn} → 0)",
+                    COLUMNS[head].key
+                ));
+                continue;
+            }
+            if let Gate::ShareRiseAbs(_) = gate {
+                (from, to) = (format!("{from}/{bn}"), format!("{to}/{cn}"));
+                (b, c) = (b / bn, c / cn);
+            }
         }
-    }
-    // p99 mice FCT: only meaningful when both runs measured mice.
-    if base.fct_ms.count > 0 && cur.fct_ms.count > 0 && base.fct_ms.p99 > 0.0 {
-        let rel = (cur.fct_ms.p99 - base.fct_ms.p99) / base.fct_ms.p99;
-        if rel > tol.p99_fct_rise_rel {
+        // How far the value moved the wrong way, and how to show it.
+        let (worse, tol, scale, unit) = match gate {
+            Gate::DropRel(_) | Gate::RiseRel(_) if b <= 0.0 => continue,
+            Gate::DropRel(t) => ((b - c) / b, t, 100.0, " %"),
+            Gate::RiseRel(t) => ((c - b) / b, t, 100.0, " %"),
+            Gate::RiseAbs(t) => (c - b, t, 1.0, ""),
+            Gate::ShareRiseAbs(t) => (c - b, t, 100.0, " pp"),
+        };
+        if worse > tol {
             report.regressions.push(format!(
-                "{label}: p99 FCT {:.3} → {:.3} ms ({:.1} % rise > {:.1} % tolerance)",
-                base.fct_ms.p99,
-                cur.fct_ms.p99,
-                rel * 100.0,
-                tol.p99_fct_rise_rel * 100.0
+                "{label}: {key} {from} → {to} (worse by {:.3}{unit} > {:.3}{unit} tolerance)",
+                worse * scale,
+                tol * scale
             ));
-        } else if -rel > tol.p99_fct_rise_rel {
-            report.notes.push(format!(
-                "{label}: p99 FCT improved {:.3} → {:.3} ms",
-                base.fct_ms.p99, cur.fct_ms.p99
-            ));
-        }
-    }
-    // Incast deadline misses: absolute rise in the miss fraction, only
-    // where both runs tracked requests (pre-incast baselines carry zero
-    // totals and never fire this gate).
-    if base.deadline_total > 0 && cur.deadline_total > 0 {
-        let delta = cur.deadline_miss_fraction() - base.deadline_miss_fraction();
-        if delta > tol.deadline_miss_rise_abs {
-            report.regressions.push(format!(
-                "{label}: deadline misses {}/{} → {}/{} (+{:.1} pp > {:.1} pp tolerance)",
-                base.deadline_misses,
-                base.deadline_total,
-                cur.deadline_misses,
-                cur.deadline_total,
-                delta * 100.0,
-                tol.deadline_miss_rise_abs * 100.0
-            ));
-        } else if -delta > tol.deadline_miss_rise_abs {
-            report.notes.push(format!(
-                "{label}: deadline misses improved {}/{} → {}/{}",
-                base.deadline_misses, base.deadline_total, cur.deadline_misses, cur.deadline_total
-            ));
-        }
-    }
-    if cur.loss_rate - base.loss_rate > tol.loss_rise_abs {
-        report.regressions.push(format!(
-            "{label}: loss rate {:.5} → {:.5} (rise > {:.5} tolerance)",
-            base.loss_rate, cur.loss_rate, tol.loss_rise_abs
-        ));
-    }
-    if tol.wall_rise_rel.is_finite() && base.wall_ms > 0.0 {
-        let rel = (cur.wall_ms - base.wall_ms) / base.wall_ms;
-        if rel > tol.wall_rise_rel {
-            report.regressions.push(format!(
-                "{label}: wall time {:.0} → {:.0} ms ({:.0} % rise > {:.0} % tolerance)",
-                base.wall_ms,
-                cur.wall_ms,
-                rel * 100.0,
-                tol.wall_rise_rel * 100.0
-            ));
+        } else if -worse > tol {
+            report
+                .notes
+                .push(format!("{label}: {key} improved {from} → {to}"));
         }
     }
 }
@@ -238,39 +169,29 @@ fn diff_row(base: &Row, cur: &Row, tol: &Tolerances, report: &mut DiffReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_metrics::MetricSummary;
 
     fn ok_row(label: &str) -> Row {
-        Row {
-            label: label.to_string(),
-            fp: format!("fp-{label}"),
-            status: RowStatus::Ok,
-            digest: 7,
-            goodput_gbps: 9.0,
-            fairness: 0.99,
-            loss_rate: 0.001,
-            fct_ms: MetricSummary {
-                count: 100,
-                mean: 2.0,
-                min: 0.5,
-                p50: 1.8,
-                p90: 3.0,
-                p99: 4.0,
-                max: 6.0,
-            },
-            rtt_ms: MetricSummary::default(),
-            retransmissions: 3,
-            events: 1000,
-            wall_ms: 100.0,
-            events_per_sec: 10_000.0,
-            deadline_total: 0,
-            deadline_misses: 0,
-            probe_rounds: 0,
-            probe_samples: 0,
-            probe_hot: 0,
-            probe_cold: 0,
-            error: String::new(),
+        let mut row = Row::failed(label, &format!("fp-{label}"), "");
+        row.status = RowStatus::Ok;
+        row.digest = 7;
+        for (key, v) in [
+            ("goodput_gbps", 9.0),
+            ("fairness", 0.99),
+            ("loss_rate", 0.001),
+            ("fct_count", 100.0),
+            ("fct_mean", 2.0),
+            ("fct_min", 0.5),
+            ("fct_p50", 1.8),
+            ("fct_p90", 3.0),
+            ("fct_p99", 4.0),
+            ("fct_max", 6.0),
+            ("retrans", 3.0),
+            ("events", 1000.0),
+            ("wall_ms", 100.0),
+        ] {
+            row.set(key, v);
         }
+        row
     }
 
     #[test]
@@ -278,30 +199,50 @@ mod tests {
         let mut base = vec![ok_row("a")];
         let mut cur = vec![ok_row("a")];
         // Neither side tracked incast: fraction stays 0, gate silent.
-        assert!(diff_tables(&base, &cur, &Tolerances::default()).passed());
-        base[0].deadline_total = 100;
-        base[0].deadline_misses = 5;
-        cur[0].deadline_total = 100;
-        cur[0].deadline_misses = 20; // +15 pp
-        let report = diff_tables(&base, &cur, &Tolerances::default());
+        assert!(diff_tables(&base, &cur, false).passed());
+        base[0].set("deadline_total", 100.0);
+        base[0].set("deadline_misses", 5.0);
+        cur[0].set("deadline_total", 100.0);
+        cur[0].set("deadline_misses", 20.0); // +15 pp
+        let report = diff_tables(&base, &cur, false);
         assert!(!report.passed());
         assert!(
-            report.regressions[0].contains("deadline misses"),
+            report.regressions[0].contains("deadline_misses 5/100 → 20/100"),
             "{report:?}"
         );
         // Within tolerance passes; a big drop is a note.
-        cur[0].deadline_misses = 6;
-        assert!(diff_tables(&base, &cur, &Tolerances::default()).passed());
-        cur[0].deadline_misses = 0;
-        let report = diff_tables(&base, &cur, &Tolerances::default());
+        cur[0].set("deadline_misses", 6.0);
+        assert!(diff_tables(&base, &cur, false).passed());
+        cur[0].set("deadline_misses", 0.0);
+        let report = diff_tables(&base, &cur, false);
         assert!(report.passed());
         assert!(report.notes[0].contains("improved"), "{report:?}");
     }
 
     #[test]
+    fn gated_groups_the_current_row_lost_are_regressions() {
+        let mut base = vec![ok_row("a")];
+        base[0].set("deadline_total", 100.0);
+        base[0].set("deadline_misses", 5.0);
+        // Every incast request stopped completing.
+        let mut cur = vec![ok_row("a")];
+        let report = diff_tables(&base, &cur, false);
+        assert_eq!(report.regressions.len(), 1, "{report:?}");
+        assert!(report.regressions[0].contains("deadline_misses vanished"));
+        // Every mouse stopped completing.
+        cur[0] = base[0].clone();
+        cur[0].set("fct_count", 0.0);
+        let report = diff_tables(&base, &cur, false);
+        assert_eq!(report.regressions.len(), 1, "{report:?}");
+        assert!(report.regressions[0].contains("fct_p99 vanished"));
+        // A group only the current row has is not gated.
+        assert!(diff_tables(&cur, &base, false).passed());
+    }
+
+    #[test]
     fn identical_tables_pass() {
         let rows = vec![ok_row("a"), ok_row("b")];
-        let report = diff_tables(&rows, &rows, &Tolerances::default());
+        let report = diff_tables(&rows, &rows, false);
         assert!(report.passed());
         assert_eq!(report.compared, 2);
         assert!(report.notes.is_empty());
@@ -311,38 +252,25 @@ mod tests {
     fn goodput_drop_beyond_tolerance_fails() {
         let base = vec![ok_row("a")];
         let mut cur = vec![ok_row("a")];
-        cur[0].goodput_gbps = 8.0; // ~11 % drop
-        let report = diff_tables(&base, &cur, &Tolerances::default());
+        cur[0].set("goodput_gbps", 8.0); // ~11 % drop
+        let report = diff_tables(&base, &cur, false);
         assert!(!report.passed());
         assert!(report.regressions[0].contains("goodput"), "{report:?}");
         // Within tolerance passes.
-        cur[0].goodput_gbps = 8.8; // ~2 % drop
-        assert!(diff_tables(&base, &cur, &Tolerances::default()).passed());
+        cur[0].set("goodput_gbps", 8.8); // ~2 % drop
+        assert!(diff_tables(&base, &cur, false).passed());
     }
 
     #[test]
     fn p99_fct_and_loss_gates_fire() {
         let base = vec![ok_row("a")];
         let mut cur = vec![ok_row("a")];
-        cur[0].fct_ms.p99 = 5.0; // 25 % rise
-        cur[0].loss_rate = 0.01; // +0.009 absolute
-        let report = diff_tables(&base, &cur, &Tolerances::default());
+        cur[0].set("fct_p99", 5.0); // 25 % rise
+        cur[0].set("loss_rate", 0.01); // +0.009 absolute
+        let report = diff_tables(&base, &cur, false);
         assert_eq!(report.regressions.len(), 2, "{report:?}");
-        assert!(report.regressions[0].contains("p99 FCT"));
-        assert!(report.regressions[1].contains("loss rate"));
-    }
-
-    #[test]
-    fn wall_time_gate_is_opt_in() {
-        let base = vec![ok_row("a")];
-        let mut cur = vec![ok_row("a")];
-        cur[0].wall_ms = 1000.0;
-        assert!(diff_tables(&base, &cur, &Tolerances::default()).passed());
-        let tol = Tolerances {
-            wall_rise_rel: 2.0,
-            ..Tolerances::default()
-        };
-        assert!(!diff_tables(&base, &cur, &tol).passed());
+        assert!(report.regressions[0].contains("loss_rate"));
+        assert!(report.regressions[1].contains("fct_p99"));
     }
 
     #[test]
@@ -350,7 +278,7 @@ mod tests {
         let base = vec![ok_row("a"), ok_row("gone")];
         let mut cur = vec![ok_row("a"), ok_row("new")];
         cur[0].fp = "different".into();
-        let report = diff_tables(&base, &cur, &Tolerances::default());
+        let report = diff_tables(&base, &cur, false);
         assert_eq!(report.regressions.len(), 2, "{report:?}");
         assert!(report.regressions[0].contains("fingerprint changed"));
         assert!(report.regressions[1].contains("missing from current"));
@@ -362,14 +290,10 @@ mod tests {
         let base = vec![ok_row("a")];
         let mut cur = vec![ok_row("a")];
         cur[0].digest = 8;
-        let report = diff_tables(&base, &cur, &Tolerances::default());
+        let report = diff_tables(&base, &cur, false);
         assert!(report.passed());
         assert!(report.notes[0].contains("digest changed"), "{report:?}");
-        let strict = Tolerances {
-            strict_digest: true,
-            ..Tolerances::default()
-        };
-        assert!(!diff_tables(&base, &cur, &strict).passed());
+        assert!(!diff_tables(&base, &cur, true).passed());
     }
 
     #[test]
@@ -378,10 +302,10 @@ mod tests {
         let mut cur = vec![ok_row("a")];
         cur[0].status = RowStatus::Failed;
         cur[0].error = "boom".into();
-        let report = diff_tables(&base, &cur, &Tolerances::default());
+        let report = diff_tables(&base, &cur, false);
         assert!(report.regressions[0].contains("now failed"), "{report:?}");
         // The reverse direction is an improvement.
-        let report = diff_tables(&cur, &base, &Tolerances::default());
+        let report = diff_tables(&cur, &base, false);
         assert!(report.passed());
         assert!(report.notes[0].contains("now ok"));
     }
@@ -390,8 +314,8 @@ mod tests {
     fn render_summarizes() {
         let base = vec![ok_row("a")];
         let mut cur = vec![ok_row("a")];
-        cur[0].goodput_gbps = 1.0;
-        let text = diff_tables(&base, &cur, &Tolerances::default()).render();
+        cur[0].set("goodput_gbps", 1.0);
+        let text = diff_tables(&base, &cur, false).render();
         assert!(text.contains("REGRESSION"));
         assert!(text.contains("1 row(s) compared, 1 regression(s)"));
     }

@@ -18,8 +18,10 @@
 //! * [`LabRunner`] — expansion → cache partition → isolated parallel
 //!   execution → `table.json` / `table.csv` artifacts (plus telemetry
 //!   traces for flagged points).
-//! * [`diff_tables`] — the regression gate: per-metric tolerances over
-//!   two tables, for `lab diff` and CI.
+//! * The column table (`store::COLUMNS`) — every row metric, declared
+//!   once: the JSON and CSV writers and the regression gate iterate it.
+//! * [`diff_tables`] — the regression gate: the table's per-column gates
+//!   over two tables, for `lab diff` and CI.
 //!
 //! The `lab` binary (in the workspace root) wraps all of this in a small
 //! CLI: `lab run`, `lab ls`, `lab diff`.
@@ -35,6 +37,6 @@ pub mod tomlmini;
 
 pub use axes::{CcKind, EcnId, FaultId, ProbeId, SchemeId, TopoId, WorkloadId};
 pub use campaign::{Campaign, PointMatch, PointOverride, PointSpec};
-pub use diff::{diff_tables, DiffReport, Tolerances};
+pub use diff::{diff_tables, DiffReport};
 pub use runner::{CampaignOutcome, LabRunner, RunOptions};
-pub use store::{read_table, sort_rows_for_ls, LsSort, ResultsStore, Row, RowStatus};
+pub use store::{events_rate, read_table, Group, ResultsStore, Row, RowStatus};

@@ -187,7 +187,7 @@ impl<'a> LabRunner<'a> {
                     Err(panic_msg) => {
                         let p = &points[*slot];
                         self.say(&format!("  FAILED {}: {panic_msg}", p.label()));
-                        let row = Row::failed(&p.label(), &fps[*slot], &panic_msg, 0.0);
+                        let row = Row::failed(&p.label(), &fps[*slot], &panic_msg);
                         self.store.append(&campaign.name, &row)?;
                         row
                     }
@@ -239,7 +239,7 @@ pub fn sanitize_label(label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::{diff_tables, Tolerances};
+    use crate::diff::diff_tables;
     use crate::store::read_table;
     use presto_simcore::SimDuration;
     use std::fs;
@@ -328,16 +328,16 @@ mod tests {
             .run(&tiny_campaign("halved"))
             .unwrap();
         let table = read_table(&fresh.table_json).unwrap();
-        let tol = Tolerances::default();
-        assert!(diff_tables(&table, &table, &tol).passed());
+        assert!(diff_tables(&table, &table, false).passed());
         let halved: Vec<Row> = table
             .iter()
-            .map(|row| Row {
-                goodput_gbps: row.goodput_gbps * 0.5,
-                ..row.clone()
+            .map(|row| {
+                let mut row = row.clone();
+                row.set("goodput_gbps", row.get("goodput_gbps") * 0.5);
+                row
             })
             .collect();
-        let report = diff_tables(&table, &halved, &tol);
+        let report = diff_tables(&table, &halved, false);
         assert_eq!(report.regressions.len(), table.len(), "{report:?}");
         assert!(report.regressions.iter().all(|r| r.contains("goodput")));
         let _ = fs::remove_dir_all(&dir);
@@ -412,7 +412,7 @@ mod tests {
         store
             .append(
                 "failrow",
-                &Row::failed(&bad.label(), &bad.fingerprint(), "injected panic", 0.0),
+                &Row::failed(&bad.label(), &bad.fingerprint(), "injected panic"),
             )
             .unwrap();
         let outcome = LabRunner::new(&store, RunOptions::default())

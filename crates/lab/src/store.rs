@@ -23,8 +23,13 @@
 //! form, so decoding a cached row and re-encoding it reproduces the
 //! original bytes — the property behind the "cached re-run emits an
 //! identical results table" guarantee.
+//!
+//! Every metric is declared once, in `COLUMNS`: its key, its kind, how
+//! it is read from a finished run, its group and its `lab diff` gate. The
+//! JSON line, the CSV and the regression gate all iterate that table.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -34,6 +39,194 @@ use presto_metrics::MetricSummary;
 use presto_telemetry::json::{json_f64, json_str, json_u64, push_f64, push_str_field};
 use presto_testbed::Report;
 
+/// Whether a column holds a count or a measurement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A count, written as a JSON integer.
+    Int,
+    /// A measurement, written in shortest round-trip form.
+    Float,
+}
+
+/// A run of columns headed by a count: a row *has* the group when that
+/// count is nonzero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Group {
+    /// Mice flow-completion times. Always written.
+    Fct,
+    /// Incast deadline accounting. Written only by rows that have it, so
+    /// tables from before incast workloads re-encode to their bytes.
+    Deadline,
+    /// Receiver-load probe counters. Written only by rows that have them,
+    /// so tables from before probing re-encode to their bytes.
+    Probe,
+}
+
+impl Group {
+    /// Index in [`COLUMNS`] of the count that heads the group.
+    pub(crate) fn head(self) -> usize {
+        COLUMNS
+            .iter()
+            .position(|c| c.group == Some(self))
+            .expect("every group has columns")
+    }
+
+    /// Whether rows that lack the group leave its columns out.
+    fn optional(self) -> bool {
+        self != Group::Fct
+    }
+}
+
+/// How far `lab diff` lets a column move against the baseline before the
+/// row regresses; moving as far the other way is noted as an improvement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Gate {
+    /// May fall by at most this fraction of the baseline value.
+    DropRel(f64),
+    /// May rise by at most this fraction of the baseline value.
+    RiseRel(f64),
+    /// May rise by at most this much.
+    RiseAbs(f64),
+    /// Taken as a share of its group's count, may rise by at most this much.
+    ShareRiseAbs(f64),
+}
+
+/// What a measured column reads: one finished run, with its latency
+/// summaries computed once.
+struct Run<'a> {
+    report: &'a Report,
+    fct: MetricSummary,
+    rtt: MetricSummary,
+    wall_ms: f64,
+}
+
+/// Where a column's value comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// Read from the finished run.
+    Measured(fn(&Run) -> f64),
+    /// Computed from the row's other columns: written, never stored.
+    Derived(fn(&Row) -> f64),
+}
+
+/// One metric column of the results table.
+#[derive(Clone, Copy)]
+pub(crate) struct Column {
+    /// JSON key and CSV header.
+    pub(crate) key: &'static str,
+    /// Count or measurement.
+    kind: Kind,
+    source: Source,
+    /// The group the column belongs to, if any.
+    pub(crate) group: Option<Group>,
+    /// The `lab diff` gate, if any.
+    pub(crate) gate: Option<Gate>,
+}
+
+const fn int(key: &'static str, read: fn(&Run) -> f64) -> Column {
+    Column::new(key, Kind::Int, Source::Measured(read))
+}
+
+const fn float(key: &'static str, read: fn(&Run) -> f64) -> Column {
+    Column::new(key, Kind::Float, Source::Measured(read))
+}
+
+const fn derived(key: &'static str, derive: fn(&Row) -> f64) -> Column {
+    Column::new(key, Kind::Float, Source::Derived(derive))
+}
+
+impl Column {
+    const fn new(key: &'static str, kind: Kind, source: Source) -> Column {
+        Column {
+            key,
+            kind,
+            source,
+            group: None,
+            gate: None,
+        }
+    }
+
+    const fn of(self, group: Group) -> Column {
+        Column {
+            group: Some(group),
+            ..self
+        }
+    }
+
+    const fn gated(self, gate: Gate) -> Column {
+        Column {
+            gate: Some(gate),
+            ..self
+        }
+    }
+
+    /// Append `v` in the column's JSON form.
+    fn push(&self, out: &mut String, v: f64) {
+        match self.kind {
+            Kind::Int => {
+                let _ = write!(out, "{}", v as u64);
+            }
+            Kind::Float => push_f64(out, v),
+        }
+    }
+}
+
+/// The results table's metric columns, in JSON and CSV order.
+pub(crate) const COLUMNS: &[Column] = &[
+    float("goodput_gbps", |r| r.report.mean_elephant_tput()).gated(Gate::DropRel(0.05)),
+    float("fairness", |r| r.report.fairness()),
+    float("loss_rate", |r| r.report.loss_rate).gated(Gate::RiseAbs(0.002)),
+    int("fct_count", |r| r.fct.count as f64).of(Group::Fct),
+    float("fct_mean", |r| r.fct.mean).of(Group::Fct),
+    float("fct_min", |r| r.fct.min).of(Group::Fct),
+    float("fct_p50", |r| r.fct.p50).of(Group::Fct),
+    float("fct_p90", |r| r.fct.p90).of(Group::Fct),
+    float("fct_p99", |r| r.fct.p99)
+        .of(Group::Fct)
+        .gated(Gate::RiseRel(0.10)),
+    float("fct_max", |r| r.fct.max).of(Group::Fct),
+    int("rtt_count", |r| r.rtt.count as f64),
+    float("rtt_mean", |r| r.rtt.mean),
+    float("rtt_min", |r| r.rtt.min),
+    float("rtt_p50", |r| r.rtt.p50),
+    float("rtt_p90", |r| r.rtt.p90),
+    float("rtt_p99", |r| r.rtt.p99),
+    float("rtt_max", |r| r.rtt.max),
+    int("retrans", |r| r.report.retransmissions as f64),
+    int("events", |r| r.report.events_processed as f64),
+    // Machine-dependent: cached re-runs keep the stored value, so tables
+    // stay byte-identical across machines.
+    float("wall_ms", |r| r.wall_ms),
+    derived("events_per_sec", Row::events_per_sec),
+    int("deadline_total", |r| r.report.incast_requests as f64).of(Group::Deadline),
+    int("deadline_misses", |r| {
+        r.report.incast_deadline_misses as f64
+    })
+    .of(Group::Deadline)
+    .gated(Gate::ShareRiseAbs(0.02)),
+    int("probe_rounds", |r| r.report.probe_rounds as f64).of(Group::Probe),
+    int("probe_samples", |r| r.report.probe_pool_samples as f64).of(Group::Probe),
+    int("probe_hot", |r| r.report.probe_pool_hot as f64).of(Group::Probe),
+    int("probe_cold", |r| r.report.probe_pool_cold as f64).of(Group::Probe),
+];
+
+/// Events per wall-clock second; zero when no time was measured.
+pub fn events_rate(events: f64, wall_ms: f64) -> f64 {
+    if wall_ms > 0.0 {
+        events * 1e3 / wall_ms
+    } else {
+        0.0
+    }
+}
+
+/// Index of `key` in [`COLUMNS`]; an unknown key is a programming error.
+fn column(key: &str) -> usize {
+    COLUMNS
+        .iter()
+        .position(|c| c.key == key)
+        .unwrap_or_else(|| panic!("no results column `{key}`"))
+}
+
 /// Terminal state of one grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowStatus {
@@ -41,6 +234,15 @@ pub enum RowStatus {
     Ok,
     /// The scenario panicked; the row carries the panic message.
     Failed,
+}
+
+impl RowStatus {
+    fn as_str(self) -> &'static str {
+        match self {
+            RowStatus::Ok => "ok",
+            RowStatus::Failed => "failed",
+        }
+    }
 }
 
 /// One results-table row: the summary a paper table or the regression
@@ -55,167 +257,102 @@ pub struct Row {
     pub status: RowStatus,
     /// `Report::digest()` of the run (zero for failed rows).
     pub digest: u64,
-    /// Mean elephant goodput, Gbps.
-    pub goodput_gbps: f64,
-    /// Jain's fairness index over elephant goodputs.
-    pub fairness: f64,
-    /// Fabric loss rate over the measurement window.
-    pub loss_rate: f64,
-    /// Mice flow-completion-time summary, milliseconds.
-    pub fct_ms: MetricSummary,
-    /// Probe RTT summary, milliseconds.
-    pub rtt_ms: MetricSummary,
-    /// Total TCP retransmissions.
-    pub retransmissions: u64,
-    /// Engine events processed (health/size indicator).
-    pub events: u64,
-    /// Wall-clock execution time, milliseconds. Cached re-runs keep the
-    /// stored value, so tables stay byte-identical across machines.
-    pub wall_ms: f64,
-    /// Engine throughput: events processed per wall-clock second (zero
-    /// for failed rows). Derived from `events` and `wall_ms` at record
-    /// time and stored, so cached tables stay byte-identical.
-    pub events_per_sec: f64,
-    /// Completed incast requests in the measurement window (zero for
-    /// points without an incast workload; such rows omit the deadline
-    /// fields entirely, keeping pre-incast tables byte-identical).
-    pub deadline_total: u64,
-    /// Incast requests whose last response landed after the deadline.
-    pub deadline_misses: u64,
-    /// Receiver-load probe rounds executed (zero for non-probing points;
-    /// such rows omit every probe field, keeping old tables byte-identical).
-    pub probe_rounds: u64,
-    /// Probe-pool occupancy samples folded across hosts and rounds.
-    pub probe_samples: u64,
-    /// Of those samples, entries the HCL rule classified hot.
-    pub probe_hot: u64,
-    /// Of those samples, entries classified cold.
-    pub probe_cold: u64,
+    /// One value per [`COLUMNS`] entry (derived columns' slots stay zero).
+    /// Counts are held as `f64`, exact below 2^53.
+    values: [f64; COLUMNS.len()],
     /// Panic message for failed rows; empty otherwise.
     pub error: String,
 }
 
-/// Events per wall-clock second; zero when no time was measured.
-fn events_rate(events: u64, wall_ms: f64) -> f64 {
-    if wall_ms > 0.0 {
-        events as f64 * 1e3 / wall_ms
-    } else {
-        0.0
-    }
-}
-
 impl Row {
-    /// Fraction of incast requests that missed their deadline; zero when
-    /// the point tracked none.
-    pub fn deadline_miss_fraction(&self) -> f64 {
-        if self.deadline_total == 0 {
-            0.0
-        } else {
-            self.deadline_misses as f64 / self.deadline_total as f64
+    /// Engine throughput: events processed per wall-clock second (zero
+    /// for failed rows).
+    pub fn events_per_sec(&self) -> f64 {
+        events_rate(self.get("events"), self.get("wall_ms"))
+    }
+
+    /// The value of column `key`. Panics on a key not in `COLUMNS`.
+    pub fn get(&self, key: &str) -> f64 {
+        self.value(column(key))
+    }
+
+    /// Overwrite the stored value of column `key`.
+    pub fn set(&mut self, key: &str, v: f64) {
+        let i = column(key);
+        assert!(
+            matches!(COLUMNS[i].source, Source::Measured(_)),
+            "`{key}` is derived"
+        );
+        self.values[i] = v;
+    }
+
+    /// The value of `COLUMNS[i]`.
+    pub(crate) fn value(&self, i: usize) -> f64 {
+        match COLUMNS[i].source {
+            Source::Measured(_) => self.values[i],
+            Source::Derived(derive) => derive(self),
         }
+    }
+
+    /// Whether the row has `group` (its heading count is nonzero).
+    pub fn has(&self, group: Group) -> bool {
+        self.values[group.head()] != 0.0
     }
 
     /// Summarize a completed run.
     pub fn from_report(label: &str, fp: &str, report: &Report, wall_ms: f64) -> Self {
+        let run = Run {
+            report,
+            fct: MetricSummary::of(&report.mice_fct_ms),
+            rtt: MetricSummary::of(&report.rtt_ms),
+            wall_ms,
+        };
+        let mut values = [0.0; COLUMNS.len()];
+        for (v, c) in values.iter_mut().zip(COLUMNS) {
+            if let Source::Measured(read) = c.source {
+                *v = read(&run);
+            }
+        }
         Row {
             label: label.to_string(),
             fp: fp.to_string(),
             status: RowStatus::Ok,
             digest: report.digest(),
-            goodput_gbps: report.mean_elephant_tput(),
-            fairness: report.fairness(),
-            loss_rate: report.loss_rate,
-            fct_ms: MetricSummary::of(&report.mice_fct_ms),
-            rtt_ms: MetricSummary::of(&report.rtt_ms),
-            retransmissions: report.retransmissions,
-            events: report.events_processed,
-            wall_ms,
-            events_per_sec: events_rate(report.events_processed, wall_ms),
-            deadline_total: report.incast_requests,
-            deadline_misses: report.incast_deadline_misses,
-            probe_rounds: report.probe_rounds,
-            probe_samples: report.probe_pool_samples,
-            probe_hot: report.probe_pool_hot,
-            probe_cold: report.probe_pool_cold,
+            values,
             error: String::new(),
         }
     }
 
-    /// Record a panicking configuration.
-    pub fn failed(label: &str, fp: &str, error: &str, wall_ms: f64) -> Self {
+    /// Record a panicking configuration: every metric is zero.
+    pub fn failed(label: &str, fp: &str, error: &str) -> Self {
         Row {
             label: label.to_string(),
             fp: fp.to_string(),
             status: RowStatus::Failed,
             digest: 0,
-            goodput_gbps: 0.0,
-            fairness: 0.0,
-            loss_rate: 0.0,
-            fct_ms: MetricSummary::default(),
-            rtt_ms: MetricSummary::default(),
-            retransmissions: 0,
-            events: 0,
-            wall_ms,
-            events_per_sec: 0.0,
-            deadline_total: 0,
-            deadline_misses: 0,
-            probe_rounds: 0,
-            probe_samples: 0,
-            probe_hot: 0,
-            probe_cold: 0,
+            values: [0.0; COLUMNS.len()],
             error: error.to_string(),
         }
     }
 
     /// Encode as one flat-JSON line (no trailing newline). Field order is
     /// fixed, floats are shortest-roundtrip: identical rows encode to
-    /// identical bytes.
+    /// identical bytes. Optional groups the row lacks are left out.
     pub fn encode(&self) -> String {
-        let mut s = String::with_capacity(384);
+        let mut s = String::with_capacity(512);
         s.push_str("{\"label\":");
         push_str_field(&mut s, &self.label);
         s.push_str(",\"fp\":");
         push_str_field(&mut s, &self.fp);
         s.push_str(",\"status\":");
-        push_str_field(
-            &mut s,
-            match self.status {
-                RowStatus::Ok => "ok",
-                RowStatus::Failed => "failed",
-            },
-        );
-        s.push_str(&format!(",\"digest\":\"{:016x}\"", self.digest));
-        for (key, v) in [
-            ("goodput_gbps", self.goodput_gbps),
-            ("fairness", self.fairness),
-            ("loss_rate", self.loss_rate),
-        ] {
-            s.push_str(&format!(",\"{key}\":"));
-            push_f64(&mut s, v);
-        }
-        encode_summary(&mut s, "fct", &self.fct_ms);
-        encode_summary(&mut s, "rtt", &self.rtt_ms);
-        s.push_str(&format!(",\"retrans\":{}", self.retransmissions));
-        s.push_str(&format!(",\"events\":{}", self.events));
-        s.push_str(",\"wall_ms\":");
-        push_f64(&mut s, self.wall_ms);
-        s.push_str(",\"events_per_sec\":");
-        push_f64(&mut s, self.events_per_sec);
-        // Deadline accounting only appears for incast points, so every
-        // pre-incast table re-encodes to its original bytes.
-        if self.deadline_total != 0 {
-            s.push_str(&format!(
-                ",\"deadline_total\":{},\"deadline_misses\":{}",
-                self.deadline_total, self.deadline_misses
-            ));
-        }
-        // Same contract for the probe counters: only probing points carry
-        // them, so non-probing tables re-encode to their original bytes.
-        if self.probe_rounds != 0 {
-            s.push_str(&format!(
-                ",\"probe_rounds\":{},\"probe_samples\":{},\"probe_hot\":{},\"probe_cold\":{}",
-                self.probe_rounds, self.probe_samples, self.probe_hot, self.probe_cold
-            ));
+        push_str_field(&mut s, self.status.as_str());
+        let _ = write!(s, ",\"digest\":\"{:016x}\"", self.digest);
+        for (i, c) in COLUMNS.iter().enumerate() {
+            if c.group.is_some_and(|g| g.optional() && !self.has(g)) {
+                continue;
+            }
+            let _ = write!(s, ",\"{}\":", c.key);
+            c.push(&mut s, self.value(i));
         }
         s.push_str(",\"error\":");
         push_str_field(&mut s, &self.error);
@@ -223,7 +360,9 @@ impl Row {
         s
     }
 
-    /// Decode one line; `None` for malformed or truncated lines.
+    /// Decode one line; `None` for malformed or truncated lines. Derived
+    /// columns are recomputed, never read back; absent optional groups
+    /// decode to zeros.
     pub fn decode(line: &str) -> Option<Row> {
         let line = line.trim();
         if !line.starts_with('{') || !line.ends_with('}') {
@@ -234,62 +373,30 @@ impl Row {
             "failed" => RowStatus::Failed,
             _ => return None,
         };
-        let events = json_u64(line, "events")?;
-        let wall_ms = json_f64(line, "wall_ms")?;
+        let mut values = [0.0; COLUMNS.len()];
+        for (v, c) in values.iter_mut().zip(COLUMNS) {
+            if let Source::Derived(_) = c.source {
+                continue;
+            }
+            let read = match c.kind {
+                Kind::Int => json_u64(line, c.key).map(|n| n as f64),
+                Kind::Float => json_f64(line, c.key),
+            };
+            *v = match read {
+                Some(x) => x,
+                None if c.group.is_some_and(Group::optional) => 0.0,
+                None => return None,
+            };
+        }
         Some(Row {
             label: json_str(line, "label")?,
             fp: json_str(line, "fp")?,
             status,
             digest: u64::from_str_radix(&json_str(line, "digest")?, 16).ok()?,
-            goodput_gbps: json_f64(line, "goodput_gbps")?,
-            fairness: json_f64(line, "fairness")?,
-            loss_rate: json_f64(line, "loss_rate")?,
-            fct_ms: decode_summary(line, "fct")?,
-            rtt_ms: decode_summary(line, "rtt")?,
-            retransmissions: json_u64(line, "retrans")?,
-            events,
-            wall_ms,
-            // Rows written before the field existed derive it on load.
-            events_per_sec: json_f64(line, "events_per_sec")
-                .unwrap_or_else(|| events_rate(events, wall_ms)),
-            // Absent on non-incast rows (and every pre-incast row).
-            deadline_total: json_u64(line, "deadline_total").unwrap_or(0),
-            deadline_misses: json_u64(line, "deadline_misses").unwrap_or(0),
-            // Absent on non-probing rows (and every pre-probe row).
-            probe_rounds: json_u64(line, "probe_rounds").unwrap_or(0),
-            probe_samples: json_u64(line, "probe_samples").unwrap_or(0),
-            probe_hot: json_u64(line, "probe_hot").unwrap_or(0),
-            probe_cold: json_u64(line, "probe_cold").unwrap_or(0),
+            values,
             error: json_str(line, "error")?,
         })
     }
-}
-
-fn encode_summary(out: &mut String, prefix: &str, s: &MetricSummary) {
-    out.push_str(&format!(",\"{prefix}_count\":{}", s.count));
-    for (key, v) in [
-        ("mean", s.mean),
-        ("min", s.min),
-        ("p50", s.p50),
-        ("p90", s.p90),
-        ("p99", s.p99),
-        ("max", s.max),
-    ] {
-        out.push_str(&format!(",\"{prefix}_{key}\":"));
-        push_f64(out, v);
-    }
-}
-
-fn decode_summary(line: &str, prefix: &str) -> Option<MetricSummary> {
-    Some(MetricSummary {
-        count: json_u64(line, &format!("{prefix}_count"))?,
-        mean: json_f64(line, &format!("{prefix}_mean"))?,
-        min: json_f64(line, &format!("{prefix}_min"))?,
-        p50: json_f64(line, &format!("{prefix}_p50"))?,
-        p90: json_f64(line, &format!("{prefix}_p90"))?,
-        p99: json_f64(line, &format!("{prefix}_p99"))?,
-        max: json_f64(line, &format!("{prefix}_max"))?,
-    })
 }
 
 /// A directory of per-campaign result caches. Appends are serialized by
@@ -411,85 +518,32 @@ impl ResultsStore {
     }
 }
 
-/// Render rows as CSV (header + one line per row). Labels contain no
-/// commas by construction; the error column is quoted.
+/// Render rows as CSV: the JSON keys as header, one line per row, every
+/// column written (absent groups as zeros). Labels contain no commas by
+/// construction; the error column is quoted.
 pub fn rows_to_csv(rows: &[&Row]) -> String {
-    let mut out = String::from(
-        "label,fp,status,digest,goodput_gbps,fairness,loss_rate,\
-         fct_count,fct_mean_ms,fct_p50_ms,fct_p99_ms,rtt_p50_ms,rtt_p99_ms,\
-         retrans,events,wall_ms,events_per_sec,deadline_total,deadline_misses,error\n",
-    );
+    let mut out = String::from("label,fp,status,digest");
+    for c in COLUMNS {
+        out.push(',');
+        out.push_str(c.key);
+    }
+    out.push_str(",error\n");
     for r in rows {
-        let status = match r.status {
-            RowStatus::Ok => "ok",
-            RowStatus::Failed => "failed",
-        };
-        out.push_str(&format!(
-            "{},{},{status},{:016x},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},\"{}\"\n",
+        let _ = write!(
+            out,
+            "{},{},{},{:016x}",
             r.label,
             r.fp,
-            r.digest,
-            r.goodput_gbps,
-            r.fairness,
-            r.loss_rate,
-            r.fct_ms.count,
-            r.fct_ms.mean,
-            r.fct_ms.p50,
-            r.fct_ms.p99,
-            r.rtt_ms.p50,
-            r.rtt_ms.p99,
-            r.retransmissions,
-            r.events,
-            r.wall_ms,
-            r.events_per_sec,
-            r.deadline_total,
-            r.deadline_misses,
-            r.error.replace('"', "'"),
-        ));
+            r.status.as_str(),
+            r.digest
+        );
+        for (i, c) in COLUMNS.iter().enumerate() {
+            out.push(',');
+            c.push(&mut out, r.value(i));
+        }
+        let _ = writeln!(out, ",\"{}\"", r.error.replace('"', "'"));
     }
     out
-}
-
-/// Sort order of `lab ls <campaign>` row listings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LsSort {
-    /// Label ascending (the default; matches grid order lexically).
-    Label,
-    /// Wall-clock time descending — slowest points first.
-    Wall,
-    /// Engine events/s descending — fastest points first.
-    Rate,
-}
-
-impl LsSort {
-    /// Parse a `--sort` value.
-    pub fn parse(raw: &str) -> Option<LsSort> {
-        match raw {
-            "label" => Some(LsSort::Label),
-            "wall" => Some(LsSort::Wall),
-            "rate" => Some(LsSort::Rate),
-            _ => None,
-        }
-    }
-}
-
-/// Sort rows for listing. Numeric orders are descending (the interesting
-/// rows — slowest or fastest — surface first) with label as tiebreaker,
-/// so the output is total and deterministic.
-pub fn sort_rows_for_ls(rows: &mut [Row], sort: LsSort) {
-    match sort {
-        LsSort::Label => rows.sort_by(|a, b| a.label.cmp(&b.label)),
-        LsSort::Wall => rows.sort_by(|a, b| {
-            b.wall_ms
-                .total_cmp(&a.wall_ms)
-                .then_with(|| a.label.cmp(&b.label))
-        }),
-        LsSort::Rate => rows.sort_by(|a, b| {
-            b.events_per_sec
-                .total_cmp(&a.events_per_sec)
-                .then_with(|| a.label.cmp(&b.label))
-        }),
-    }
 }
 
 /// Read a table artifact (`table.json` — one row per line) back into rows
@@ -532,6 +586,27 @@ mod tests {
     }
 
     #[test]
+    fn column_table_is_well_formed() {
+        for (i, c) in COLUMNS.iter().enumerate() {
+            assert!(
+                COLUMNS[..i].iter().all(|d| d.key != c.key),
+                "{} repeats",
+                c.key
+            );
+            if let Some(g) = c.group {
+                assert_eq!(
+                    COLUMNS[g.head()].kind,
+                    Kind::Int,
+                    "{g:?} is headed by a count"
+                );
+            }
+            if let Some(Gate::ShareRiseAbs(_)) = c.gate {
+                assert!(c.group.is_some(), "{} has no count to share", c.key);
+            }
+        }
+    }
+
+    #[test]
     fn encode_decode_round_trips_byte_identically() {
         let row = sample_row();
         let line = row.encode();
@@ -543,70 +618,55 @@ mod tests {
     #[test]
     fn events_per_sec_is_derived_and_survives_legacy_rows() {
         let row = sample_row();
-        assert!((row.events_per_sec - 123_456.0 * 1e3 / 84.25).abs() < 1e-6);
-        // A pre-field store line still decodes, deriving the rate.
-        let legacy = row.encode().replace(
-            &format!(",\"events_per_sec\":{}", {
-                let mut s = String::new();
-                push_f64(&mut s, row.events_per_sec);
-                s
-            }),
-            "",
-        );
+        assert_eq!(row.events_per_sec(), 123_456.0 * 1e3 / 84.25);
+        // A line from before the column existed still decodes, and
+        // re-encodes with the derived rate.
+        let line = row.encode();
+        let mut rate = String::from(",\"events_per_sec\":");
+        push_f64(&mut rate, row.events_per_sec());
+        let legacy = line.replace(&rate, "");
         assert!(!legacy.contains("events_per_sec"));
         let back = Row::decode(&legacy).expect("legacy rows decode");
-        assert!((back.events_per_sec - row.events_per_sec).abs() < 1e-6);
+        assert_eq!(back, row);
+        assert_eq!(back.encode(), line);
     }
 
     #[test]
-    fn deadline_fields_are_conditional_and_round_trip() {
-        // Non-incast rows omit the fields entirely: pre-incast tables
-        // re-encode byte-identically and legacy lines decode to zeros.
-        let row = sample_row();
-        assert_eq!(row.deadline_total, 0);
-        assert!(!row.encode().contains("deadline"));
-        assert_eq!(row.deadline_miss_fraction(), 0.0);
-        // Incast rows carry both counters and round-trip.
-        let mut incast = sample_row();
-        incast.deadline_total = 40;
-        incast.deadline_misses = 7;
-        let line = incast.encode();
-        assert!(line.contains("\"deadline_total\":40,\"deadline_misses\":7"));
-        let back = Row::decode(&line).unwrap();
-        assert_eq!(back, incast);
-        assert_eq!(back.encode(), line);
-        assert!((back.deadline_miss_fraction() - 0.175).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probe_fields_are_conditional_and_round_trip() {
-        // Non-probing rows omit the fields entirely, so pre-probe tables
-        // re-encode byte-identically and legacy lines decode to zeros.
-        let row = sample_row();
-        assert_eq!(row.probe_rounds, 0);
-        assert!(!row.encode().contains("probe"));
-        let mut probing = sample_row();
-        probing.probe_rounds = 990;
-        probing.probe_samples = 640;
-        probing.probe_hot = 120;
-        probing.probe_cold = 480;
-        let line = probing.encode();
-        assert!(line.contains(
-            "\"probe_rounds\":990,\"probe_samples\":640,\"probe_hot\":120,\"probe_cold\":480"
-        ));
-        let back = Row::decode(&line).unwrap();
-        assert_eq!(back, probing);
-        assert_eq!(back.encode(), line);
+    fn optional_groups_are_written_only_when_present_and_round_trip() {
+        for group in [Group::Deadline, Group::Probe] {
+            let keys: Vec<&str> = COLUMNS
+                .iter()
+                .filter(|c| c.group == Some(group))
+                .map(|c| c.key)
+                .collect();
+            // Rows without the group omit every one of its keys, so older
+            // tables re-encode byte-identically and decode to zeros.
+            let row = sample_row();
+            assert!(!row.has(group));
+            let line = row.encode();
+            for key in &keys {
+                assert!(!line.contains(key), "{key} written while absent");
+            }
+            assert_eq!(Row::decode(&line).unwrap(), row);
+            // Rows with it carry all of its columns, and round-trip.
+            let mut with = sample_row();
+            for (n, key) in keys.iter().enumerate() {
+                with.set(key, 40.0 - n as f64);
+            }
+            assert!(with.has(group));
+            let line = with.encode();
+            for (n, key) in keys.iter().enumerate() {
+                assert!(line.contains(&format!("\"{key}\":{}", 40 - n)), "{line}");
+            }
+            let back = Row::decode(&line).unwrap();
+            assert_eq!(back, with);
+            assert_eq!(back.encode(), line);
+        }
     }
 
     #[test]
     fn failed_rows_round_trip_with_their_message() {
-        let row = Row::failed(
-            "p/t/w/f/cell64k/s1",
-            "cd34",
-            "index out of bounds: \"7\"",
-            3.5,
-        );
+        let row = Row::failed("p/t/w/f/cell64k/s1", "cd34", "index out of bounds: \"7\"");
         let back = Row::decode(&row.encode()).unwrap();
         assert_eq!(back.status, RowStatus::Failed);
         assert_eq!(back.error, "index out of bounds: \"7\"");
@@ -621,7 +681,7 @@ mod tests {
         let mut row = sample_row();
         store.append("demo", &row).unwrap();
         row.fp = "ef56".into();
-        row.goodput_gbps = 7.5;
+        row.set("goodput_gbps", 7.5);
         store.append("demo", &row).unwrap();
         // Simulate a crash mid-append: a truncated trailing line.
         let path = store.results_path("demo");
@@ -630,43 +690,12 @@ mod tests {
         drop(file);
         let rows = store.load("demo").unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows["ef56"].goodput_gbps, 7.5);
+        assert_eq!(rows["ef56"].get("goodput_gbps"), 7.5);
         // A re-run appends an updated duplicate: later wins.
-        row.goodput_gbps = 9.9;
+        row.set("goodput_gbps", 9.9);
         store.append("demo", &row).unwrap();
-        assert_eq!(store.load("demo").unwrap()["ef56"].goodput_gbps, 9.9);
+        assert_eq!(store.load("demo").unwrap()["ef56"].get("goodput_gbps"), 9.9);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn ls_sorts_are_total_and_deterministic() {
-        let mut a = sample_row();
-        a.label = "a".into();
-        a.wall_ms = 10.0;
-        a.events_per_sec = 100.0;
-        let mut b = sample_row();
-        b.label = "b".into();
-        b.wall_ms = 30.0;
-        b.events_per_sec = 300.0;
-        let mut c = sample_row();
-        c.label = "c".into();
-        c.wall_ms = 30.0; // ties with b → label breaks the tie
-        c.events_per_sec = 200.0;
-        let mut rows = vec![c.clone(), a.clone(), b.clone()];
-        sort_rows_for_ls(&mut rows, LsSort::Label);
-        assert_eq!(labels(&rows), ["a", "b", "c"]);
-        sort_rows_for_ls(&mut rows, LsSort::Wall);
-        assert_eq!(labels(&rows), ["b", "c", "a"]);
-        sort_rows_for_ls(&mut rows, LsSort::Rate);
-        assert_eq!(labels(&rows), ["b", "c", "a"]);
-        assert_eq!(LsSort::parse("wall"), Some(LsSort::Wall));
-        assert_eq!(LsSort::parse("rate"), Some(LsSort::Rate));
-        assert_eq!(LsSort::parse("label"), Some(LsSort::Label));
-        assert_eq!(LsSort::parse("speed"), None);
-    }
-
-    fn labels(rows: &[Row]) -> Vec<&str> {
-        rows.iter().map(|r| r.label.as_str()).collect()
     }
 
     #[test]
@@ -696,5 +725,35 @@ mod tests {
         assert!(csv.starts_with("label,"));
         assert_eq!(csv.lines().count(), 3);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn csv_carries_every_json_column() {
+        let mut probing = sample_row();
+        for (key, v) in [
+            ("probe_rounds", 990.0),
+            ("probe_samples", 640.0),
+            ("probe_hot", 120.0),
+            ("probe_cold", 480.0),
+        ] {
+            probing.set(key, v);
+        }
+        let csv = rows_to_csv(&[&probing]);
+        let mut lines = csv.lines();
+        let keys: Vec<&str> = COLUMNS.iter().map(|c| c.key).collect();
+        let header = format!("label,fp,status,digest,{},error", keys.join(","));
+        assert_eq!(lines.next(), Some(header.as_str()));
+        // Every metric cell is the JSON value, byte for byte; absent
+        // groups (deadline, here) are zeros.
+        let json = probing.encode();
+        let cells: Vec<&str> = lines.next().unwrap().split(',').collect();
+        for (key, cell) in keys.iter().zip(&cells[4..]) {
+            if json.contains(&format!("\"{key}\":")) {
+                assert!(json.contains(&format!("\"{key}\":{cell},")), "{key}={cell}");
+            } else {
+                assert_eq!(*cell, "0", "{key}");
+            }
+        }
+        assert!(cells.contains(&"990") && cells.contains(&"480"));
     }
 }

@@ -15,7 +15,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use presto_lab::runner::sanitize_label;
-use presto_lab::{read_table, ResultsStore, Row, RowStatus};
+use presto_lab::{read_table, Group, ResultsStore, Row, RowStatus};
+use presto_metrics::MetricSummary;
 use presto_telemetry::TelemetryReport;
 
 use crate::spec::{
@@ -155,13 +156,13 @@ impl CampaignData {
         let probe_rows: Vec<ProbePoolRow> = self
             .ok_rows()
             .iter()
-            .filter(|r| r.probe_rounds > 0)
+            .filter(|r| r.has(Group::Probe))
             .map(|r| ProbePoolRow {
                 label: r.label.clone(),
-                rounds: r.probe_rounds,
-                samples: r.probe_samples,
-                hot: r.probe_hot,
-                cold: r.probe_cold,
+                rounds: r.get("probe_rounds") as u64,
+                samples: r.get("probe_samples") as u64,
+                hot: r.get("probe_hot") as u64,
+                cold: r.get("probe_cold") as u64,
             })
             .collect();
         if !probe_rows.is_empty() {
@@ -212,7 +213,7 @@ impl CampaignData {
             for scheme in &schemes {
                 let staircases: Vec<Vec<(f64, f64)>> = select(scheme)
                     .iter()
-                    .map(|r| r.fct_ms.quantile_points())
+                    .map(|r| fct_summary(r).quantile_points())
                     .filter(|p| !p.is_empty())
                     .collect();
                 if let Some(points) = average_staircases(&staircases) {
@@ -237,8 +238,8 @@ impl CampaignData {
             for scheme in &schemes {
                 let mut values: Vec<f64> = select(scheme)
                     .iter()
-                    .filter(|r| r.goodput_gbps > 0.0)
-                    .map(|r| r.goodput_gbps)
+                    .map(|r| r.get("goodput_gbps"))
+                    .filter(|&g| g > 0.0)
                     .collect();
                 if values.is_empty() {
                     continue;
@@ -264,6 +265,20 @@ impl CampaignData {
             }
         }
         figures
+    }
+}
+
+/// The row's mice-FCT summary, read back from its `fct_*` columns.
+fn fct_summary(r: &Row) -> MetricSummary {
+    let f = |stat: &str| r.get(&format!("fct_{stat}"));
+    MetricSummary {
+        count: f("count") as u64,
+        mean: f("mean"),
+        min: f("min"),
+        p50: f("p50"),
+        p90: f("p90"),
+        p99: f("p99"),
+        max: f("max"),
     }
 }
 
@@ -303,31 +318,28 @@ fn load_traces(dir: &Path, rows: &[Row]) -> BTreeMap<String, TelemetryReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_metrics::MetricSummary;
 
     fn row(label: &str, goodput: f64, fct: Option<MetricSummary>) -> Row {
-        Row {
-            label: label.into(),
-            fp: format!("fp-{label}"),
-            status: RowStatus::Ok,
-            digest: 1,
-            goodput_gbps: goodput,
-            fairness: 1.0,
-            loss_rate: 0.0,
-            fct_ms: fct.unwrap_or_default(),
-            rtt_ms: MetricSummary::default(),
-            retransmissions: 0,
-            events: 100,
-            wall_ms: 5.0,
-            events_per_sec: 20_000.0,
-            deadline_total: 0,
-            deadline_misses: 0,
-            probe_rounds: 0,
-            probe_samples: 0,
-            probe_hot: 0,
-            probe_cold: 0,
-            error: String::new(),
+        let mut r = Row::failed(label, &format!("fp-{label}"), "");
+        r.status = RowStatus::Ok;
+        r.digest = 1;
+        let s = fct.unwrap_or_default();
+        for (key, v) in [
+            ("goodput_gbps", goodput),
+            ("fairness", 1.0),
+            ("fct_count", s.count as f64),
+            ("fct_mean", s.mean),
+            ("fct_min", s.min),
+            ("fct_p50", s.p50),
+            ("fct_p90", s.p90),
+            ("fct_p99", s.p99),
+            ("fct_max", s.max),
+            ("events", 100.0),
+            ("wall_ms", 5.0),
+        ] {
+            r.set(key, v);
         }
+        r
     }
 
     #[test]
@@ -438,10 +450,10 @@ mod tests {
             0.0,
             None,
         );
-        r.probe_rounds = 10;
-        r.probe_samples = 320;
-        r.probe_hot = 80;
-        r.probe_cold = 240;
+        r.set("probe_rounds", 10.0);
+        r.set("probe_samples", 320.0);
+        r.set("probe_hot", 80.0);
+        r.set("probe_cold", 240.0);
         let data = CampaignData {
             campaign: "t".into(),
             rows: vec![r],

@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use presto_lab::{DiffReport, Row, RowStatus};
+use presto_lab::{DiffReport, Group, Row, RowStatus};
 
 use crate::extract::CampaignData;
 use crate::spec::Figure;
@@ -127,7 +127,7 @@ fn deadline_verdict(out: &mut String, data: &CampaignData) {
     let rows: Vec<&Row> = data
         .rows
         .iter()
-        .filter(|r| r.status == RowStatus::Ok && r.deadline_total > 0)
+        .filter(|r| r.status == RowStatus::Ok && r.has(Group::Deadline))
         .collect();
     if rows.is_empty() {
         return;
@@ -138,18 +138,15 @@ fn deadline_verdict(out: &mut String, data: &CampaignData) {
     }
     out.push_str("</tr>\n");
     for r in rows {
-        let class = if r.deadline_misses == 0 {
-            "pass"
-        } else {
-            "fail"
-        };
+        let (misses, total) = (r.get("deadline_misses"), r.get("deadline_total"));
+        let class = if misses == 0.0 { "pass" } else { "fail" };
         let _ = writeln!(
             out,
             "<tr><td><code>{}</code></td><td class=\"{class}\">{}</td><td>{}</td><td>{:.1}%</td></tr>",
             xml_escape(&r.label),
-            r.deadline_misses,
-            r.deadline_total,
-            r.deadline_misses as f64 / r.deadline_total as f64 * 100.0,
+            misses,
+            total,
+            misses / total * 100.0,
         );
     }
     out.push_str("</table>\n");
@@ -162,9 +159,9 @@ fn trend_section(out: &mut String, data: &CampaignData) {
     let points: Vec<(f64, f64)> = data
         .rows
         .iter()
-        .filter(|r| r.status == RowStatus::Ok && r.events_per_sec > 0.0)
+        .filter(|r| r.status == RowStatus::Ok && r.events_per_sec() > 0.0)
         .enumerate()
-        .map(|(i, r)| (i as f64, r.events_per_sec / 1e6))
+        .map(|(i, r)| (i as f64, r.events_per_sec() / 1e6))
         .collect();
     if points.is_empty() {
         return;
@@ -219,13 +216,13 @@ fn table_section(out: &mut String, data: &CampaignData) {
             }
         }
         for v in [
-            format!("{:.3}", r.goodput_gbps),
-            format!("{:.3}", r.fairness),
-            format!("{:.5}", r.loss_rate),
-            fct_cell(r, |s| s.p50),
-            fct_cell(r, |s| s.p99),
-            r.retransmissions.to_string(),
-            format!("{:.2}M", r.events_per_sec / 1e6),
+            format!("{:.3}", r.get("goodput_gbps")),
+            format!("{:.3}", r.get("fairness")),
+            format!("{:.5}", r.get("loss_rate")),
+            fct_cell(r, "fct_p50"),
+            fct_cell(r, "fct_p99"),
+            r.get("retrans").to_string(),
+            format!("{:.2}M", r.events_per_sec() / 1e6),
         ] {
             let _ = write!(out, "<td>{v}</td>");
         }
@@ -234,11 +231,11 @@ fn table_section(out: &mut String, data: &CampaignData) {
     out.push_str("</table>\n");
 }
 
-fn fct_cell(r: &Row, pick: impl Fn(&presto_metrics::MetricSummary) -> f64) -> String {
-    if r.fct_ms.count == 0 {
-        "—".into()
+fn fct_cell(r: &Row, key: &str) -> String {
+    if r.has(Group::Fct) {
+        format!("{:.3}", r.get(key))
     } else {
-        format!("{:.3}", pick(&r.fct_ms))
+        "—".into()
     }
 }
 
@@ -293,28 +290,19 @@ mod tests {
     #[test]
     fn deadline_counters_render_next_to_the_verdict() {
         let mut data = sample_data();
-        let mut row = Row {
-            label: "prequal/testbed16/incast:8:64:1000:900/none/cell64k/s1".into(),
-            fp: "fp".into(),
-            status: RowStatus::Ok,
-            digest: 1,
-            goodput_gbps: 1.0,
-            fairness: 1.0,
-            loss_rate: 0.0,
-            fct_ms: Default::default(),
-            rtt_ms: Default::default(),
-            retransmissions: 0,
-            events: 100,
-            wall_ms: 5.0,
-            events_per_sec: 20_000.0,
-            deadline_total: 40,
-            deadline_misses: 3,
-            probe_rounds: 0,
-            probe_samples: 0,
-            probe_hot: 0,
-            probe_cold: 0,
-            error: String::new(),
+        let report = presto_testbed::Report {
+            elephant_tputs: vec![1.0],
+            events_processed: 100,
+            incast_requests: 40,
+            incast_deadline_misses: 3,
+            ..Default::default()
         };
+        let mut row = Row::from_report(
+            "prequal/testbed16/incast:8:64:1000:900/none/cell64k/s1",
+            "fp",
+            &report,
+            5.0,
+        );
         data.rows.push(row.clone());
         let html = render_report(
             &data,
@@ -329,8 +317,8 @@ mod tests {
         assert!(html.contains("<td class=\"fail\">3</td><td>40</td><td>7.5%</td>"));
 
         // Rows that never tracked deadlines keep the section out entirely.
-        row.deadline_total = 0;
-        row.deadline_misses = 0;
+        row.set("deadline_total", 0.0);
+        row.set("deadline_misses", 0.0);
         data.rows = vec![row];
         let html = render_report(
             &data,

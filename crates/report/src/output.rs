@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use presto_lab::runner::sanitize_label;
-use presto_lab::{diff_tables, read_table, DiffReport, ResultsStore, Tolerances};
+use presto_lab::{diff_tables, read_table, DiffReport, ResultsStore};
 
 use crate::extract::CampaignData;
 use crate::html::{render_report, ReportContext};
@@ -83,7 +83,7 @@ pub fn write_report(
         None => None,
         Some(path) => {
             let baseline = read_table(path)?;
-            Some(diff_tables(&baseline, &data.rows, &Tolerances::default()))
+            Some(diff_tables(&baseline, &data.rows, false))
         }
     };
 

@@ -4,9 +4,7 @@
 //! lab run <campaign.toml> [--store DIR] [--workers N] [--no-traces]
 //!         [--retry-failed] [--require-cached] [--quiet]
 //! lab ls  [CAMPAIGN] [--store DIR] [--sort label|wall|rate]
-//! lab diff <baseline.json> <current.json>
-//!         [--goodput-tol F] [--p99-fct-tol F] [--loss-tol F]
-//!         [--deadline-tol F] [--wall-tol F] [--strict-digest]
+//! lab diff <baseline.json> <current.json> [--strict-digest]
 //! lab report <campaign> [--store DIR] [--out DIR] [--baseline FILE]
 //!         [--viewer] [--quiet]
 //! lab schemes [--json]
@@ -16,8 +14,9 @@
 //! immediately, so interrupting a campaign (Ctrl-C) and re-running the
 //! same command continues from the last completed point. A second run of
 //! a completed campaign executes nothing and rewrites the identical
-//! table. `diff` exits 1 when the current table regresses beyond the
-//! tolerances, 2 on usage errors.
+//! table. `diff` exits 1 when the current table regresses past a gate of
+//! the lab's column table (`crates/lab/src/store.rs`) or lost a gated
+//! metric the baseline has, 2 on usage errors.
 //!
 //! `report` renders the committed store into the paper's figures
 //! (`figures/*.svg` + canonical `figures/*.txt`, both byte-deterministic)
@@ -34,8 +33,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use presto_lab::{
-    diff_tables, read_table, sort_rows_for_ls, Campaign, LabRunner, LsSort, ResultsStore,
-    RunOptions, Tolerances,
+    diff_tables, events_rate, read_table, Campaign, LabRunner, ResultsStore, Row, RowStatus,
+    RunOptions,
 };
 use presto_report::{write_report, ReportOptions};
 
@@ -67,10 +66,7 @@ usage:
   lab run <campaign.toml> [--store DIR] [--workers N] [--no-traces]
           [--retry-failed] [--require-cached] [--quiet]
   lab ls  [CAMPAIGN] [--store DIR] [--sort label|wall|rate]
-  lab diff <baseline.json> <current.json>
-          [--goodput-tol F] [--p99-fct-tol F] [--loss-tol F]
-          [--deadline-tol F]
-          [--wall-tol F] [--strict-digest]
+  lab diff <baseline.json> <current.json> [--strict-digest]
   lab report <campaign> [--store DIR] [--out DIR] [--baseline FILE]
           [--viewer] [--quiet]
   lab schemes [--json]
@@ -159,17 +155,14 @@ fn cmd_run(rest: &[String]) -> Result<ExitCode, String> {
 fn cmd_ls(rest: &[String]) -> Result<ExitCode, String> {
     let mut args = rest.to_vec();
     let store_dir = take_value(&mut args, "--store")?.unwrap_or_else(|| "lab-store".into());
-    let sort = match take_value(&mut args, "--sort")? {
-        None => LsSort::Label,
-        Some(raw) => {
-            LsSort::parse(&raw).ok_or_else(|| format!("--sort: `{raw}` (want label|wall|rate)"))?
-        }
-    };
+    let raw = take_value(&mut args, "--sort")?.unwrap_or_else(|| "label".into());
+    let sort =
+        ls_sort_key(&raw).ok_or_else(|| format!("--sort: `{raw}` (want label|wall|rate)"))?;
     let mut args = positionals_up_to(args, 1, "at most one campaign name")?;
     let store = ResultsStore::open(&store_dir)?;
 
-    // `lab ls <campaign>`: per-row listing with the stored events/s —
-    // cached rows keep the rate they recorded when they actually ran.
+    // `lab ls <campaign>`: per-row listing with the events/s of the stored
+    // wall time — cached rows keep the rate of the run that recorded them.
     if let Some(name) = args.pop() {
         let mut rows: Vec<_> = store.load(&name)?.into_values().collect();
         if rows.is_empty() {
@@ -179,12 +172,14 @@ fn cmd_ls(rest: &[String]) -> Result<ExitCode, String> {
         sort_rows_for_ls(&mut rows, sort);
         for r in &rows {
             let status = match r.status {
-                presto_lab::RowStatus::Ok => "ok",
-                presto_lab::RowStatus::Failed => "FAILED",
+                RowStatus::Ok => "ok",
+                RowStatus::Failed => "FAILED",
             };
             println!(
                 "{:<52} {status:<6} {:>9.1} ms {:>10.0} events/s",
-                r.label, r.wall_ms, r.events_per_sec
+                r.label,
+                r.get("wall_ms"),
+                r.events_per_sec()
             );
         }
         return Ok(ExitCode::SUCCESS);
@@ -207,21 +202,16 @@ fn cmd_ls(rest: &[String]) -> Result<ExitCode, String> {
         let rows = store.load(&name)?;
         let failed = rows
             .values()
-            .filter(|r| r.status == presto_lab::RowStatus::Failed)
+            .filter(|r| r.status == RowStatus::Failed)
             .count();
-        let wall_ms: f64 = rows.values().map(|r| r.wall_ms).sum();
-        let events: u64 = rows.values().map(|r| r.events).sum();
-        let rate = if wall_ms > 0.0 {
-            events as f64 * 1e3 / wall_ms
-        } else {
-            0.0
-        };
+        let wall_ms: f64 = rows.values().map(|r| r.get("wall_ms")).sum();
+        let events: f64 = rows.values().map(|r| r.get("events")).sum();
         let table = store.campaign_dir(&name).join("table.json");
         println!(
             "{name}: {} cached point(s), {failed} failed, {:.1} s wall, {:.0} events/s{}",
             rows.len(),
             wall_ms / 1e3,
-            rate,
+            events_rate(events, wall_ms),
             if table.exists() {
                 format!(", table {}", table.display())
             } else {
@@ -313,31 +303,66 @@ fn positionals_up_to(args: Vec<String>, max: usize, what: &str) -> Result<Vec<St
 
 fn cmd_diff(rest: &[String]) -> Result<ExitCode, String> {
     let mut args = rest.to_vec();
-    let mut tol = Tolerances::default();
-    if let Some(v) = take_value(&mut args, "--goodput-tol")? {
-        tol.goodput_drop_rel = parse_num("--goodput-tol", &v)?;
-    }
-    if let Some(v) = take_value(&mut args, "--p99-fct-tol")? {
-        tol.p99_fct_rise_rel = parse_num("--p99-fct-tol", &v)?;
-    }
-    if let Some(v) = take_value(&mut args, "--loss-tol")? {
-        tol.loss_rise_abs = parse_num("--loss-tol", &v)?;
-    }
-    if let Some(v) = take_value(&mut args, "--wall-tol")? {
-        tol.wall_rise_rel = parse_num("--wall-tol", &v)?;
-    }
-    if let Some(v) = take_value(&mut args, "--deadline-tol")? {
-        tol.deadline_miss_rise_abs = parse_num("--deadline-tol", &v)?;
-    }
-    tol.strict_digest = take_flag(&mut args, "--strict-digest");
+    let strict_digest = take_flag(&mut args, "--strict-digest");
     let paths = positionals(args, 2, "<baseline.json> <current.json>")?;
     let baseline = read_table(&PathBuf::from(&paths[0]))?;
     let current = read_table(&PathBuf::from(&paths[1]))?;
-    let report = diff_tables(&baseline, &current, &tol);
+    let report = diff_tables(&baseline, &current, strict_digest);
     print!("{}", report.render());
     Ok(if report.passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
     })
+}
+
+/// The key a `lab ls <campaign> --sort` value orders rows by, descending
+/// (the slowest or fastest points surface first); `label` keys every row
+/// alike, leaving the label order.
+fn ls_sort_key(raw: &str) -> Option<fn(&Row) -> f64> {
+    match raw {
+        "label" => Some(|_| 0.0),
+        "wall" => Some(|r| r.get("wall_ms")),
+        "rate" => Some(Row::events_per_sec),
+        _ => None,
+    }
+}
+
+/// Sort rows for listing: descending by `key`, label ascending among
+/// ties, so the output is total and deterministic.
+fn sort_rows_for_ls(rows: &mut [Row], key: fn(&Row) -> f64) {
+    rows.sort_by(|a, b| {
+        key(b)
+            .total_cmp(&key(a))
+            .then_with(|| a.label.cmp(&b.label))
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(label: &str, wall_ms: f64, events: f64) -> Row {
+        let mut r = Row::failed(label, "fp", "");
+        r.set("wall_ms", wall_ms);
+        r.set("events", events);
+        r
+    }
+
+    fn sorted(rows: &mut [Row], sort: &str) -> Vec<String> {
+        sort_rows_for_ls(rows, ls_sort_key(sort).expect("a --sort value"));
+        rows.iter().map(|r| r.label.clone()).collect()
+    }
+
+    #[test]
+    fn ls_sorts_are_total_and_deterministic() {
+        let a = row("a", 10.0, 1.0); // 100 events/s
+        let b = row("b", 30.0, 9.0); // 300 events/s
+        let c = row("c", 30.0, 6.0); // ties with b on wall → label breaks the tie
+        let mut rows = vec![c, a, b];
+        assert_eq!(sorted(&mut rows, "label"), ["a", "b", "c"]);
+        assert_eq!(sorted(&mut rows, "wall"), ["b", "c", "a"]);
+        assert_eq!(sorted(&mut rows, "rate"), ["b", "c", "a"]);
+        assert!(ls_sort_key("speed").is_none());
+    }
 }

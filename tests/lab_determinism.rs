@@ -62,7 +62,7 @@ fn cached_rows_match_fresh_digests_across_workers_and_telemetry() {
             let fresh = LabRunner::new(&store, opts.clone()).run(&campaign).unwrap();
             for row in &fresh.rows {
                 assert_eq!(row.status, RowStatus::Ok, "{}", row.label);
-                assert!(row.events_per_sec > 0.0, "{}: rate recorded", row.label);
+                assert!(row.events_per_sec() > 0.0, "{}: rate recorded", row.label);
             }
             let fresh_digests: Vec<u64> = fresh.rows.iter().map(|r| r.digest).collect();
             assert_eq!(
@@ -118,8 +118,7 @@ fn interrupted_campaign_resumes_from_the_store() {
         rows.iter()
             .cloned()
             .map(|mut r| {
-                r.wall_ms = 0.0;
-                r.events_per_sec = 0.0;
+                r.set("wall_ms", 0.0);
                 r
             })
             .collect::<Vec<_>>()

@@ -206,7 +206,7 @@ fn committed_baseline_fingerprints_are_unchanged() {
                 row.label
             );
             if never_probes {
-                assert_eq!(row.probe_rounds, 0, "{}: never probed", row.label);
+                assert_eq!(row.get("probe_rounds"), 0.0, "{}: never probed", row.label);
             }
         }
     }
