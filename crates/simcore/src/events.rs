@@ -87,17 +87,19 @@ impl<E> Ord for Key<E> {
 
 /// Slots in the wheel. Power of two so slot lookup is a mask.
 ///
-/// Every slot keeps the capacity its busiest bucket needed, so the wheel's
-/// retained memory is about `SLOTS` × peak keys per bucket × 32 bytes;
-/// 512 slots keep that small while the horizon still covers every
-/// per-packet timer (see `WIDTH_SHIFT`).
+/// An empty slot holds no buffer: a slot that drains hands its keys'
+/// buffer to the queue's spare list and its next first key takes one
+/// back (see `EventQueue::spare`). So the wheel retains one buffer per
+/// slot occupied at once, not one per slot, and an idle slot costs only
+/// its empty header; 512 slots keep the horizon over every per-packet
+/// timer (see `WIDTH_SHIFT`).
 const SLOTS: usize = 512;
 /// log2 of the bucket width in nanoseconds: 256 ns per bucket.
 ///
 /// Tuned for the simulator's event mix. A busy run schedules about 120
 /// events per simulated µs, so a 256 ns bucket holds about 17 keys when
 /// it is popped (a 4096 ns one held about 164), which keeps the sorted
-/// insert's back-scan short and the capacity each slot retains small.
+/// insert's back-scan short and each key buffer small.
 /// One MTU transmission at 10 Gbps is ~1.2 µs, NIC coalescing 20 µs and
 /// GRO holds ≤ 85 µs — all land within the `SLOTS * 256 ns ≈ 131 µs`
 /// horizon, leaving only RTO-scale timers (10 ms+) and scenario
@@ -113,11 +115,11 @@ fn bucket_of(time: SimTime) -> u64 {
 
 /// One wheel slot: pending keys of a single bucket in ascending `(time,
 /// seq)` order from `head` on. Keys before `head` have been popped; they
-/// stay in place until the slot drains, when `keys` is cleared (keeping
-/// its capacity) and `head` rewinds to 0, or until a push finds `keys`
-/// full, when the popped prefix is reclaimed instead of growing. Popping
-/// is therefore a read and a cursor bump, with none of a ring buffer's
-/// wrap arithmetic.
+/// stay in place until the slot drains, when `keys` is cleared and moved
+/// to the queue's spare list and `head` rewinds to 0, or until a push
+/// finds `keys` full, when the popped prefix is reclaimed instead of
+/// growing. Popping is therefore a read and a cursor bump, with none of a
+/// ring buffer's wrap arithmetic.
 struct Slot<E> {
     keys: Vec<Key<E>>,
     head: usize,
@@ -139,10 +141,13 @@ impl<E> Slot<E> {
         self.keys.get(self.head)
     }
 
-    /// Drop every key and rewind the cursor, keeping the allocation.
+    /// Drop every key, rewind the cursor and move the emptied buffer to
+    /// `spare`, leaving the slot without one.
     #[inline]
-    fn clear(&mut self) {
-        self.keys.clear();
+    fn release(&mut self, spare: &mut Vec<Vec<Key<E>>>) {
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        spare.push(keys);
         self.head = 0;
     }
 }
@@ -227,6 +232,11 @@ pub struct EventQueue<E> {
     /// and a pop is a cursor bump. Keys carry their payload inline: a pop
     /// copies one key out, with no side table to index.
     slots: Vec<Slot<E>>,
+    /// Emptied key buffers of drained slots. A slot's first key takes the
+    /// last one pushed, so the wheel holds one buffer per slot occupied
+    /// at once rather than 512 that each keep the capacity of the worst
+    /// burst their slot ever saw.
+    spare: Vec<Vec<Key<E>>>,
     /// One bit per slot: set iff the slot is non-empty.
     occupied: [u64; WORDS],
     /// Events beyond the wheel horizon, min-ordered by `(time, seq)`.
@@ -257,6 +267,7 @@ impl<E: Copy> EventQueue<E> {
             lanes: std::array::from_fn(|_| VecDeque::new()),
             heads: [NO_HEAD; LANES + 1],
             slots,
+            spare: Vec::new(),
             occupied: [0; WORDS],
             overflow: BinaryHeap::new(),
             cur_bucket: 0,
@@ -336,7 +347,10 @@ impl<E: Copy> EventQueue<E> {
     fn insert_wheel(&mut self, bucket: u64, key: Key<E>) {
         let slot = (bucket & SLOT_MASK) as usize;
         let Slot { keys, head } = &mut self.slots[slot];
-        if *head > 0 && keys.len() == keys.capacity() {
+        if keys.capacity() == 0 {
+            // The slot's first key: it takes a drained slot's buffer.
+            *keys = self.spare.pop().unwrap_or_default();
+        } else if *head > 0 && keys.len() == keys.capacity() {
             // Full: reclaim the popped prefix instead of growing.
             keys.drain(..*head);
             *head = 0;
@@ -452,7 +466,7 @@ impl<E: Copy> EventQueue<E> {
         self.heads[LANES] = match wheel_slot.front() {
             Some(next) => pack(next),
             None => {
-                wheel_slot.clear();
+                wheel_slot.release(&mut self.spare);
                 self.occupied[slot / 64] &= !(1u64 << (slot % 64));
                 self.wheel_tier_min().map_or(NO_HEAD, pack)
             }
@@ -502,7 +516,7 @@ impl<E: Copy> EventQueue<E> {
             let mut word = self.occupied[w];
             while word != 0 {
                 let slot = w * 64 + word.trailing_zeros() as usize;
-                self.slots[slot].clear();
+                self.slots[slot].release(&mut self.spare);
                 word &= word - 1;
             }
             self.occupied[w] = 0;
@@ -1399,6 +1413,131 @@ mod tests {
         q.push(HORIZON_NS - 1);
         assert_eq!(q.busy_lane_delays(), [HORIZON_NS - 1]);
         q.drain();
+    }
+
+    /// Heap allocation calls made by this thread. Tests run on threads of
+    /// their own, so each counts only its own queue's allocations.
+    mod counting {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        struct CountingAlloc;
+
+        fn count() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+
+        // SAFETY: every method forwards its arguments unchanged to
+        // `System`, which upholds the `GlobalAlloc` contract; the counter
+        // is a thread-local `Cell` that needs no allocation.
+        unsafe impl GlobalAlloc for CountingAlloc {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                count();
+                System.alloc(layout)
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                count();
+                System.alloc_zeroed(layout)
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                count();
+                System.realloc(ptr, layout, new_size)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: CountingAlloc = CountingAlloc;
+
+        pub(super) fn allocs() -> u64 {
+            ALLOCS.with(Cell::get)
+        }
+    }
+
+    /// Push 3,000 keys at `offset(i)` ns after the watermark for key `i`,
+    /// with the delay lanes parked so every key takes the wheel; return
+    /// the number of slots the keys occupy, then drain the queue.
+    fn burst(q: &mut EventQueue<u64>, offset: impl Fn(u64) -> u64) -> usize {
+        let now = q.watermark.as_nanos();
+        for i in 0..LANES as u64 {
+            q.push(SimTime::from_nanos(now + PARKED_DELAY - i), u64::MAX);
+        }
+        for i in 0..3_000 {
+            q.push(SimTime::from_nanos(now + 1 + offset(i)), i);
+        }
+        let occupied = q.occupied.iter().map(|w| w.count_ones() as usize).sum();
+        while q.pop().is_some() {}
+        occupied
+    }
+
+    /// Pseudo-random offsets under 100 µs, squared so that early buckets
+    /// get many keys and late ones few: about 390 slots, 1 to 20 keys each.
+    fn skewed(i: u64) -> u64 {
+        let r = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 10_000;
+        r * r / 1_000
+    }
+
+    /// Eight keys in each of 375 buckets, pushed in a scattered order.
+    fn even(i: u64) -> u64 {
+        ((i * 7 % 375) << WIDTH_SHIFT) | (i % 8)
+    }
+
+    /// Key buffers the queue holds, in slots and on the spare list.
+    fn buffers(q: &EventQueue<u64>) -> usize {
+        let in_slots = q.slots.iter().filter(|s| s.keys.capacity() > 0).count();
+        in_slots + q.spare.len()
+    }
+
+    #[test]
+    fn a_drained_wheel_keeps_one_buffer_per_slot_occupied_at_once() {
+        let mut q = EventQueue::new();
+        let mut peak = 0;
+        for _ in 0..4 {
+            peak = peak.max(burst(&mut q, skewed));
+            assert!(peak > 300, "the burst spans {peak} slots");
+            assert!(q.slots.iter().all(|s| s.keys.capacity() == 0));
+            assert!(buffers(&q) <= peak, "{} buffers", buffers(&q));
+        }
+    }
+
+    #[test]
+    fn a_repeat_of_a_burst_allocates_nothing() {
+        let mut q = EventQueue::new();
+        assert_eq!(burst(&mut q, even), 375);
+        let before = counting::allocs();
+        assert_eq!(burst(&mut q, even), 375);
+        assert_eq!(counting::allocs() - before, 0, "a warm wheel allocated");
+        assert_eq!(buffers(&q), 375);
+    }
+
+    #[test]
+    fn clear_moves_occupied_slots_buffers_to_the_spare_list() {
+        let mut q = EventQueue::new();
+        for i in 0..3_000 {
+            q.push(SimTime::from_nanos(1 + even(i)), i);
+        }
+        for _ in 0..1_000 {
+            q.pop();
+        }
+        q.clear();
+        assert!(q.slots.iter().all(|s| s.keys.capacity() == 0));
+        assert_eq!(buffers(&q), 375);
+        let before = counting::allocs();
+        assert_eq!(burst(&mut q, even), 375);
+        assert_eq!(
+            counting::allocs() - before,
+            0,
+            "the cleared queue allocated"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use presto_endhost::{
     make_ack, tso_split_into, CpuCosts, CpuModel, EdgePolicy, PathSignal, ReceiveOffload, RxAction,
     RxRing, Segment, TxSegment, VSwitch,
 };
-use presto_metrics::TimeSeries;
+use presto_metrics::{Samples, TimeSeries};
 use presto_netsim::{
     FlowKey, HostId, LinkId, NetEvent, NetScheduler, Packet, PacketKind, SwitchId, Topology,
 };
@@ -211,8 +211,12 @@ pub struct HostNode {
 /// below [`EGRESS_TARGET_BYTES`].
 #[derive(Default)]
 pub struct HostEgress {
-    order: std::collections::VecDeque<FlowKey>,
-    queues: FxHashMap<FlowKey, std::collections::VecDeque<TxSegment>>,
+    order: VecDeque<FlowKey>,
+    /// Each flow with staged segments, and its queue.
+    queues: FxHashMap<FlowKey, VecDeque<TxSegment>>,
+    /// Emptied queues of drained flows: a flow staging its first segment
+    /// takes one, so re-staging a flow allocates nothing.
+    spare: Vec<VecDeque<TxSegment>>,
     drain_at: Option<SimTime>,
     /// Segments staged over the host's lifetime (instrumentation).
     pub staged_total: u64,
@@ -225,10 +229,14 @@ pub const EGRESS_TARGET_BYTES: u64 = 128 * 1024;
 impl HostEgress {
     fn stage(&mut self, seg: TxSegment) {
         self.staged_total += 1;
-        let q = self.queues.entry(seg.flow).or_default();
-        // A flow sits in `order` iff its queue is non-empty (`pop` removes
-        // drained queues), so the emptiness check alone decides membership
-        // — no O(n) scan of `order` per staged segment.
+        let spare = &mut self.spare;
+        let q = self
+            .queues
+            .entry(seg.flow)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        // A flow sits in `order` iff its queue is non-empty (`pop` moves
+        // drained queues to `spare`), so the emptiness check alone decides
+        // membership — no O(n) scan of `order` per staged segment.
         if q.is_empty() {
             debug_assert!(!self.order.contains(&seg.flow));
             self.order.push_back(seg.flow);
@@ -242,7 +250,8 @@ impl HostEgress {
         let q = self.queues.get_mut(&flow).expect("queued flow");
         let seg = q.pop_front().expect("non-empty flow queue");
         if q.is_empty() {
-            self.queues.remove(&flow);
+            let q = self.queues.remove(&flow).expect("queued flow");
+            self.spare.push(q);
         } else {
             self.order.push_back(flow);
         }
@@ -305,44 +314,40 @@ enum Transport {
 }
 
 impl Transport {
-    /// Hand the application's bytes (`None`: an unbounded elephant) to
-    /// the senders; yields each subflow's first output, in subflow order.
-    fn start(&mut self, now: SimTime, bytes: Option<u64>) -> impl Iterator<Item = SenderOutput> {
-        let (tcp, mptcp) = match self {
-            Transport::Tcp(sender) => {
-                let out = match bytes {
-                    Some(b) => sender.app_write(now, b),
-                    None => sender.set_unlimited(now),
-                };
-                (Some(out), Vec::new())
-            }
-            Transport::Mptcp(conn) => (None, conn.start(now)),
-        };
-        // An empty `Vec` does not allocate: single-path TCP starts
-        // without a heap allocation of its own.
-        tcp.into_iter().chain(mptcp)
+    /// Hand subflow `sub` its share of the application's bytes (`None`:
+    /// an unbounded elephant), adding its first output to `out`. Each
+    /// subflow is started once, in subflow order.
+    fn start_into(&mut self, now: SimTime, sub: usize, bytes: Option<u64>, out: &mut SenderOutput) {
+        match self {
+            Transport::Tcp(sender) => match bytes {
+                Some(b) => sender.app_write_into(now, b, out),
+                None => sender.set_unlimited_into(now, out),
+            },
+            Transport::Mptcp(conn) => conn.start_into(now, sub, out),
+        }
     }
 
-    fn on_ack(
+    fn on_ack_into(
         &mut self,
         now: SimTime,
         sub: usize,
         ack: u64,
         sack_hi: u64,
         ece: bool,
-    ) -> SenderOutput {
+        out: &mut SenderOutput,
+    ) {
         match self {
-            Transport::Tcp(sender) => sender.on_ack_ecn(now, ack, sack_hi, ece),
+            Transport::Tcp(sender) => sender.on_ack_into(now, ack, sack_hi, ece, out),
             // MPTCP subflows run the coupled Lia controller, which ignores
             // ECE (its `on_ce_echo` is the default no-op).
-            Transport::Mptcp(conn) => conn.on_ack(now, sub, ack, sack_hi),
+            Transport::Mptcp(conn) => conn.on_ack_into(now, sub, ack, sack_hi, out),
         }
     }
 
-    fn on_rto(&mut self, now: SimTime, sub: usize, gen: u64) -> SenderOutput {
+    fn on_rto_into(&mut self, now: SimTime, sub: usize, gen: u64, out: &mut SenderOutput) {
         match self {
-            Transport::Tcp(sender) => sender.on_rto(now, gen),
-            Transport::Mptcp(conn) => conn.on_rto(now, sub, gen),
+            Transport::Tcp(sender) => sender.on_rto_into(now, gen, out),
+            Transport::Mptcp(conn) => conn.on_rto_into(now, sub, gen, out),
         }
     }
 
@@ -377,7 +382,8 @@ struct Flow {
 #[derive(Default)]
 pub struct Stats {
     /// Segment sizes pushed up receive stacks (bytes), post-warmup.
-    pub segment_bytes: Vec<f64>,
+    /// `finish` moves them into the report.
+    pub segment_bytes: Samples,
     /// Per-flow flowcell-ID sequences in push-up order (Fig 5a), only when
     /// reorder collection is enabled.
     pub cell_sequences: HashMap<FlowKey, Vec<u64>>,
@@ -548,6 +554,8 @@ struct Scratch {
     completions: Vec<(SimTime, Segment)>,
     /// One path-feedback round's signals, `tree_count` per leaf.
     path_signals: Vec<PathSignal>,
+    /// What one sender interaction (start, ACK, RTO) produced.
+    sender: SenderOutput,
 }
 
 /// The composed simulator.
@@ -888,14 +896,32 @@ impl Simulation {
                 },
             );
         }
-        for (sub, out) in self.conns[idx].transport.start(self.now, bytes).enumerate() {
-            self.emit(Subflow::new(idx, sub), out);
+        for sub in 0..subflows {
+            self.drive(Subflow::new(idx, sub), |transport, now, out| {
+                transport.start_into(now, sub, bytes, out)
+            });
         }
+    }
+
+    /// Run one interaction with `sf`'s connection on the scratch sender
+    /// output, then emit what it produced.
+    fn drive(
+        &mut self,
+        sf: Subflow,
+        interact: impl FnOnce(&mut Transport, SimTime, &mut SenderOutput),
+    ) {
+        // Taken for the interaction, as the other scratch buffers are:
+        // `emit` needs all of `self`.
+        let mut out = std::mem::take(&mut self.scratch.sender);
+        interact(&mut self.conns[sf.conn()].transport, self.now, &mut out);
+        self.emit(sf, &out);
+        out.clear();
+        self.scratch.sender = out;
     }
 
     /// Process a sender's output: transmit segments, arm timers, handle
     /// completion.
-    fn emit(&mut self, sf: Subflow, out: SenderOutput) {
+    fn emit(&mut self, sf: Subflow, out: &SenderOutput) {
         let flow = self.conns[sf.conn()].flow(sf.sub());
         for a in &out.to_send {
             self.send_segment(flow, a.seq, a.len, a.retx);
@@ -1073,12 +1099,9 @@ impl Simulation {
                 debug_assert_eq!(done, self.now, "CPU completions fire in order");
                 self.on_segment_up(h, seg);
             }
-            Event::Rto(sf, gen) => {
-                let out = self.conns[sf.conn()]
-                    .transport
-                    .on_rto(self.now, sf.sub(), gen);
-                self.emit(sf, out);
-            }
+            Event::Rto(sf, gen) => self.drive(sf, |transport, now, out| {
+                transport.on_rto_into(now, sf.sub(), gen, out)
+            }),
             Event::FlowStart(i) => self.start_flow(self.apps.flow(i)),
             Event::MiceNext(i) => {
                 let (mouse, every) = self.apps.mouse(i);
@@ -1342,7 +1365,7 @@ impl Simulation {
     /// A segment finished CPU processing: hand to TCP, emit the ACK.
     fn on_segment_up(&mut self, h: HostId, seg: Segment) {
         if self.now >= self.warmup {
-            self.stats.segment_bytes.push(seg.len as f64);
+            self.stats.segment_bytes.add(seg.len as f64);
         }
         if self.collect_reorder {
             self.stats
@@ -1378,10 +1401,9 @@ impl Simulation {
         let Some(sf) = self.flows.get(&ack_flow.reverse()).map(|f| f.subflow) else {
             return;
         };
-        let out = self.conns[sf.conn()]
-            .transport
-            .on_ack(self.now, sf.sub(), ack, sack_hi, ece);
-        self.emit(sf, out);
+        self.drive(sf, |transport, now, out| {
+            transport.on_ack_into(now, sf.sub(), ack, sack_hi, ece, out)
+        });
     }
 
     fn on_probe_send(&mut self, i: usize) {
@@ -1617,9 +1639,7 @@ impl Simulation {
             report.fast_retransmits += fast_retx;
         }
         self.apps.report(&mut report);
-        for v in &self.stats.segment_bytes {
-            report.segment_bytes.add(*v);
-        }
+        report.segment_bytes = std::mem::take(&mut self.stats.segment_bytes);
         // Flow order, not hash order: the samples fold into the digest in
         // insertion order.
         let mut cell_flows: Vec<_> = self.stats.cell_sequences.iter().collect();

@@ -76,54 +76,69 @@ impl MptcpConnection {
     /// Start the connection: deal the initial chunk to every subflow.
     /// Returns one [`SenderOutput`] per subflow (same order).
     pub fn start(&mut self, now: SimTime) -> Vec<SenderOutput> {
-        let n = self.subflows.len();
-        let mut outs = Vec::with_capacity(n);
-        for i in 0..n {
-            let grant = self.next_grant();
-            let out = if grant > 0 {
-                let o = self.subflows[i].app_write(now, grant);
-                self.dispatched += grant;
-                o
-            } else if self.total_bytes == u64::MAX {
-                self.subflows[i].set_unlimited(now)
-            } else {
-                SenderOutput::default()
-            };
-            outs.push(out);
+        (0..self.subflows.len())
+            .map(|i| SenderOutput::collect(|out| self.start_into(now, i, out)))
+            .collect()
+    }
+
+    /// Start subflow `i`, adding its output to `out`: deal it the next
+    /// chunk and recouple windows. [`Self::start`] calls this for every
+    /// subflow in order; a caller that starts the subflows itself must
+    /// too, since each deal takes the chunk after the last one.
+    pub fn start_into(&mut self, now: SimTime, i: usize, out: &mut SenderOutput) {
+        // An elephant's chunks never run out (so it needs no unbounded
+        // stream); a small finite flow may run out before its last
+        // subflows, which then start idle.
+        let grant = self.next_grant();
+        if grant > 0 {
+            self.subflows[i].app_write_into(now, grant, out);
+            self.dispatched += grant;
         }
         self.recouple();
-        outs
     }
 
     /// Process an ACK on subflow `i`; refills the subflow's stream from
     /// the connection backlog and recouples windows.
     pub fn on_ack(&mut self, now: SimTime, i: usize, ack: u64, sack_hi: u64) -> SenderOutput {
-        let mut out = self.subflows[i].on_ack(now, ack, sack_hi);
-        out.completed = false; // subflow completion != connection completion
-                               // Refill: keep each subflow holding at most one undelivered chunk.
+        SenderOutput::collect(|out| self.on_ack_into(now, i, ack, sack_hi, out))
+    }
+
+    /// [`Self::on_ack`], adding to `out`.
+    pub fn on_ack_into(
+        &mut self,
+        now: SimTime,
+        i: usize,
+        ack: u64,
+        sack_hi: u64,
+        out: &mut SenderOutput,
+    ) {
+        // A subflow's completion is not the connection's.
+        let completed = out.completed;
+        self.subflows[i].on_ack_into(now, ack, sack_hi, false, out);
+        out.completed = completed;
+        // Refill: keep each subflow holding at most one undelivered chunk.
         if self.subflows[i].is_idle() {
             let grant = self.next_grant();
             if grant > 0 {
-                let more = self.subflows[i].app_write(now, grant);
+                self.subflows[i].app_write_into(now, grant, out);
                 self.dispatched += grant;
-                out.to_send.extend(more.to_send);
-                if more.arm_rto.is_some() {
-                    out.arm_rto = more.arm_rto;
-                }
             }
         }
         self.recouple();
         if self.check_complete() {
             out.completed = true;
         }
-        out
     }
 
     /// Process an RTO firing on subflow `i`.
     pub fn on_rto(&mut self, now: SimTime, i: usize, gen: u64) -> SenderOutput {
-        let out = self.subflows[i].on_rto(now, gen);
+        SenderOutput::collect(|out| self.on_rto_into(now, i, gen, out))
+    }
+
+    /// [`Self::on_rto`], adding to `out`.
+    pub fn on_rto_into(&mut self, now: SimTime, i: usize, gen: u64, out: &mut SenderOutput) {
+        self.subflows[i].on_rto_into(now, gen, out);
         self.recouple();
-        out
     }
 
     /// Total bytes reliably delivered across subflows.

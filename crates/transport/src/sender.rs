@@ -15,7 +15,10 @@
 //!
 //! The machine is pure: inputs are ACKs, timer firings and application
 //! writes; outputs are [`SenderOutput`] — segments to transmit and a timer
-//! to (re)arm. The composed host in `presto-testbed` owns the event queue.
+//! to (re)arm. The composed host in `presto-testbed` owns the event queue
+//! and one output it fills through the `_into` methods and clears after
+//! each interaction, so an ACK allocates nothing; the by-value methods
+//! return a fresh output instead.
 
 use presto_simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -72,7 +75,13 @@ pub struct SendAction {
 }
 
 /// Everything a sender interaction produced.
-#[derive(Debug, Default)]
+///
+/// The `_into` methods add to a caller-owned output: they append segments
+/// to `to_send`, set `arm_rto` when they arm the timer and `completed`
+/// when the stream completes, and leave the rest as it was. One output
+/// can therefore serve every interaction, [`SenderOutput::clear`]ed
+/// between them.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct SenderOutput {
     /// Segments to hand to the vSwitch/NIC, in order.
     pub to_send: Vec<SendAction>,
@@ -82,6 +91,23 @@ pub struct SenderOutput {
     pub arm_rto: Option<(SimTime, u64)>,
     /// The stream just became fully acknowledged.
     pub completed: bool,
+}
+
+impl SenderOutput {
+    /// Empty the output for the next interaction, keeping the capacity of
+    /// `to_send`.
+    pub fn clear(&mut self) {
+        self.to_send.clear();
+        self.arm_rto = None;
+        self.completed = false;
+    }
+
+    /// The output of one `_into` interaction run on a fresh output.
+    pub(crate) fn collect(interact: impl FnOnce(&mut SenderOutput)) -> SenderOutput {
+        let mut out = SenderOutput::default();
+        interact(&mut out);
+        out
+    }
 }
 
 /// # Example
@@ -173,20 +199,26 @@ impl<C: CongestionControl> TcpSender<C> {
     /// Commit `bytes` more application data and emit whatever the window
     /// allows.
     pub fn app_write(&mut self, now: SimTime, bytes: u64) -> SenderOutput {
+        SenderOutput::collect(|out| self.app_write_into(now, bytes, out))
+    }
+
+    /// [`Self::app_write`], adding to `out`.
+    pub fn app_write_into(&mut self, now: SimTime, bytes: u64, out: &mut SenderOutput) {
         debug_assert!(self.write_limit != u64::MAX);
         self.write_limit = self.write_limit.saturating_add(bytes);
         self.completed = false;
-        let mut out = SenderOutput::default();
-        self.pump(now, &mut out);
-        out
+        self.pump(now, out);
     }
 
     /// Mark the stream unbounded (an elephant that always has data).
     pub fn set_unlimited(&mut self, now: SimTime) -> SenderOutput {
+        SenderOutput::collect(|out| self.set_unlimited_into(now, out))
+    }
+
+    /// [`Self::set_unlimited`], adding to `out`.
+    pub fn set_unlimited_into(&mut self, now: SimTime, out: &mut SenderOutput) {
         self.write_limit = u64::MAX;
-        let mut out = SenderOutput::default();
-        self.pump(now, &mut out);
-        out
+        self.pump(now, out);
     }
 
     /// Oldest unacked byte (== application bytes reliably delivered).
@@ -219,22 +251,28 @@ impl<C: CongestionControl> TcpSender<C> {
         self.snd_una == self.snd_nxt
     }
 
-    /// Process a cumulative acknowledgement.
+    /// Process a cumulative acknowledgement without ECN-Echo.
     pub fn on_ack(&mut self, now: SimTime, ack: u64, sack_hi: u64) -> SenderOutput {
-        self.on_ack_ecn(now, ack, sack_hi, false)
+        SenderOutput::collect(|out| self.on_ack_into(now, ack, sack_hi, false, out))
     }
 
-    /// Process a cumulative acknowledgement that may carry ECN-Echo.
-    /// `ece = true` means the receiver saw CE marks on the acknowledged
-    /// segment: the newly-acked bytes are reported to the congestion
-    /// control via [`CongestionControl::on_ce_echo`] before its normal
-    /// `on_ack` growth step. ECN-oblivious algorithms ignore the echo, so
-    /// with unmarked traffic this is byte-identical to [`Self::on_ack`].
-    pub fn on_ack_ecn(&mut self, now: SimTime, ack: u64, sack_hi: u64, ece: bool) -> SenderOutput {
-        let mut out = SenderOutput::default();
+    /// Process a cumulative acknowledgement that may carry ECN-Echo,
+    /// adding to `out`. `ece = true` means the receiver saw CE marks on
+    /// the acknowledged segment: the newly-acked bytes are reported to the
+    /// congestion control via [`CongestionControl::on_ce_echo`] before its
+    /// normal `on_ack` growth step. ECN-oblivious algorithms ignore the
+    /// echo, so with unmarked traffic `ece` changes nothing.
+    pub fn on_ack_into(
+        &mut self,
+        now: SimTime,
+        ack: u64,
+        sack_hi: u64,
+        ece: bool,
+        out: &mut SenderOutput,
+    ) {
         if ack > self.max_sent {
             // Beyond anything ever transmitted: corrupt; ignore.
-            return out;
+            return;
         }
         if ack > self.snd_nxt {
             // Legitimate after a timeout rewound snd_nxt: an original
@@ -293,21 +331,24 @@ impl<C: CongestionControl> TcpSender<C> {
                 // hole persisted while more data was delivered above it.
                 self.hole_dups += 1;
                 if self.hole_dups >= 2 && self.snd_una >= self.recovery_retx_next {
-                    self.retransmit_one(now, &mut out);
+                    self.retransmit_one(now, out);
                 }
             } else if self.dup_acks == self.cfg.dupack_threshold {
-                self.enter_recovery(now, sack_hi, &mut out);
+                self.enter_recovery(now, sack_hi, out);
             }
         }
-        self.pump(now, &mut out);
-        out
+        self.pump(now, out);
     }
 
     /// The retransmission timer fired. Stale generations are no-ops.
     pub fn on_rto(&mut self, now: SimTime, gen: u64) -> SenderOutput {
-        let mut out = SenderOutput::default();
+        SenderOutput::collect(|out| self.on_rto_into(now, gen, out))
+    }
+
+    /// [`Self::on_rto`], adding to `out`.
+    pub fn on_rto_into(&mut self, now: SimTime, gen: u64, out: &mut SenderOutput) {
         if gen != self.rto_gen || self.completed || self.flight() == 0 {
-            return out;
+            return;
         }
         self.timeouts += 1;
         self.rto_backoff = (self.rto_backoff + 1).min(10);
@@ -321,9 +362,8 @@ impl<C: CongestionControl> TcpSender<C> {
         // are actually resent.
         self.snd_nxt = self.snd_una;
         self.send_times.clear(); // Karn
-        self.pump(now, &mut out);
-        self.arm_timer(now, &mut out);
-        out
+        self.pump(now, out);
+        self.arm_timer(now, out);
     }
 
     fn enter_recovery(&mut self, now: SimTime, _sack_hi: u64, out: &mut SenderOutput) {
@@ -425,7 +465,7 @@ impl<C: CongestionControl> TcpSender<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{Reno, MSS_F};
+    use crate::cc::{Dctcp, Reno, MSS_F};
 
     fn sender() -> TcpSender<Reno> {
         TcpSender::new(TcpConfig::default(), Reno::new(10))
@@ -636,6 +676,125 @@ mod tests {
         let before = s.srtt();
         s.on_ack(t(50_000), 14600, 14600);
         assert_eq!(s.srtt(), before);
+    }
+
+    /// Twin senders driven through one sequence of interactions: `value`
+    /// through the by-value methods, `reused` through the `_into`
+    /// methods with one output cleared between interactions, `piled`
+    /// through the `_into` methods with one output never cleared.
+    struct Twins {
+        value: TcpSender<Dctcp>,
+        reused: TcpSender<Dctcp>,
+        out: SenderOutput,
+        piled: TcpSender<Dctcp>,
+        pile: SenderOutput,
+        /// The by-value outputs merged as `pile` should hold them: every
+        /// segment in order, the timer last armed, completed if any was.
+        merged: SenderOutput,
+        /// The generation of the timer last armed.
+        gen: u64,
+    }
+
+    impl Twins {
+        fn new() -> Self {
+            let mk = || TcpSender::new(TcpConfig::default(), Dctcp::new(10));
+            Twins {
+                value: mk(),
+                reused: mk(),
+                out: SenderOutput::default(),
+                piled: mk(),
+                pile: SenderOutput::default(),
+                merged: SenderOutput::default(),
+                gen: 0,
+            }
+        }
+
+        /// Run one interaction on all three and check they agree.
+        fn step(
+            &mut self,
+            by_value: impl FnOnce(&mut TcpSender<Dctcp>) -> SenderOutput,
+            into: impl Fn(&mut TcpSender<Dctcp>, &mut SenderOutput),
+        ) {
+            let want = by_value(&mut self.value);
+            self.out.clear();
+            into(&mut self.reused, &mut self.out);
+            assert_eq!(self.out, want);
+            into(&mut self.piled, &mut self.pile);
+            self.merged.to_send.extend(&want.to_send);
+            if let Some((_, gen)) = want.arm_rto {
+                self.gen = gen;
+                self.merged.arm_rto = want.arm_rto;
+            }
+            self.merged.completed |= want.completed;
+            assert_eq!(self.pile, self.merged);
+            let state = format!("{:?}", self.value);
+            assert_eq!(format!("{:?}", self.reused), state);
+            assert_eq!(format!("{:?}", self.piled), state);
+        }
+    }
+
+    proptest::proptest! {
+        /// Random application writes, advancing, duplicate and corrupt
+        /// ACKs with and without ECN-Echo, and RTO firings of the current
+        /// and of stale generations: the `_into` methods produce exactly
+        /// the by-value results whether their output is reused or piles
+        /// up, and leave the sender in the same state.
+        #[test]
+        fn into_methods_match_the_by_value_results(
+            unlimited in 0u64..2,
+            ops in proptest::collection::vec(0u64..u64::MAX, 1..300),
+        ) {
+            let mut tw = Twins::new();
+            let mut now = t(0);
+            if unlimited == 1 {
+                tw.step(|s| s.set_unlimited(now), |s, o| s.set_unlimited_into(now, o));
+            }
+            for &op in &ops {
+                now += SimDuration::from_nanos(op >> 44);
+                let (una, flight) = (tw.value.acked_bytes(), tw.value.flight());
+                let arg = op >> 8;
+                match op % 8 {
+                    0 if unlimited == 0 => {
+                        // Mostly small writes, so that streams complete.
+                        let bytes = 1 + arg % if op & 0x10 != 0 { 200_000 } else { 5_000 };
+                        tw.step(
+                            |s| s.app_write(now, bytes),
+                            |s, o| s.app_write_into(now, bytes, o),
+                        );
+                    }
+                    0..=2 => {
+                        // Part of the flight, or (op % 8 == 2) all of it.
+                        let ack = una + if op % 8 == 2 { flight } else { arg % (flight + 1) };
+                        let sack_hi = ack + arg % 30_000;
+                        let ece = op & 0x10 != 0;
+                        tw.step(
+                            |s| SenderOutput::collect(|o| s.on_ack_into(now, ack, sack_hi, ece, o)),
+                            |s, o| s.on_ack_into(now, ack, sack_hi, ece, o),
+                        );
+                    }
+                    3 | 4 => {
+                        // A duplicate ACK while data is in flight.
+                        let hi = una + flight;
+                        tw.step(
+                            |s| s.on_ack(now, una, hi),
+                            |s, o| s.on_ack_into(now, una, hi, false, o),
+                        );
+                    }
+                    5 => {
+                        // Beyond anything sent so far.
+                        let ack = una + flight + 1 + arg % 10_000_000;
+                        tw.step(
+                            |s| s.on_ack(now, ack, ack),
+                            |s, o| s.on_ack_into(now, ack, ack, false, o),
+                        );
+                    }
+                    _ => {
+                        let gen = tw.gen.saturating_sub(arg % 2);
+                        tw.step(|s| s.on_rto(now, gen), |s, o| s.on_rto_into(now, gen, o));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

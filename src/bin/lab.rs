@@ -24,11 +24,16 @@
 //! timeline. With `--baseline`, the report embeds the diff verdict and
 //! the command exits 1 on regressions, so CI can gate on it directly.
 //!
+//! Output goes through a locked stdout. A reader that stops reading early
+//! (`lab ls | head`) ends the output, not the command: `lab` finishes
+//! quietly with its own exit status.
+//!
 //! Build with `cargo build --profile lab` (or any unwinding profile):
 //! panic isolation — a crashing grid point becoming a `Failed` row
 //! instead of killing the sweep — requires unwinding, which the plain
 //! release profile disables.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -71,6 +76,31 @@ usage:
           [--viewer] [--quiet]
   lab schemes [--json]
 ";
+
+/// Print to stdout, as `print!` does, returning from the command on a
+/// write error.
+macro_rules! put {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// [`put!`] with a newline, as `println!`.
+macro_rules! putln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
+/// Write `text` through the locked stdout. A write that finds the pipe
+/// closed is dropped: the reader has all it wanted. Any other write error
+/// is the command's failure.
+fn write_stdout(text: std::fmt::Arguments) -> Result<(), String> {
+    match io::stdout().lock().write_fmt(text) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        written => written.map_err(|e| format!("write to stdout: {e}")),
+    }
+}
 
 /// Pull the value of `--flag VALUE` out of `args`, removing both tokens.
 fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
@@ -136,7 +166,11 @@ fn cmd_run(rest: &[String]) -> Result<ExitCode, String> {
     let store = ResultsStore::open(&store_dir)?;
     let mut runner = LabRunner::new(&store, opts);
     if !quiet {
-        runner = runner.with_narrator(Box::new(|line: &str| println!("{line}")));
+        runner = runner.with_narrator(Box::new(|line: &str| {
+            if let Err(e) = write_stdout(format_args!("{line}\n")) {
+                eprintln!("lab: {e}");
+            }
+        }));
     }
     let outcome = runner.run(&campaign)?;
     Ok(if outcome.failed > 0 {
@@ -166,7 +200,7 @@ fn cmd_ls(rest: &[String]) -> Result<ExitCode, String> {
     if let Some(name) = args.pop() {
         let mut rows: Vec<_> = store.load(&name)?.into_values().collect();
         if rows.is_empty() {
-            println!("(no cached rows for {name})");
+            putln!("(no cached rows for {name})");
             return Ok(ExitCode::SUCCESS);
         }
         sort_rows_for_ls(&mut rows, sort);
@@ -175,7 +209,7 @@ fn cmd_ls(rest: &[String]) -> Result<ExitCode, String> {
                 RowStatus::Ok => "ok",
                 RowStatus::Failed => "FAILED",
             };
-            println!(
+            putln!(
                 "{:<52} {status:<6} {:>9.1} ms {:>10.0} events/s",
                 r.label,
                 r.get("wall_ms"),
@@ -195,7 +229,7 @@ fn cmd_ls(rest: &[String]) -> Result<ExitCode, String> {
         .collect();
     campaigns.sort();
     if campaigns.is_empty() {
-        println!("(no campaigns in {})", store.root().display());
+        putln!("(no campaigns in {})", store.root().display());
         return Ok(ExitCode::SUCCESS);
     }
     for name in campaigns {
@@ -207,7 +241,7 @@ fn cmd_ls(rest: &[String]) -> Result<ExitCode, String> {
         let wall_ms: f64 = rows.values().map(|r| r.get("wall_ms")).sum();
         let events: f64 = rows.values().map(|r| r.get("events")).sum();
         let table = store.campaign_dir(&name).join("table.json");
-        println!(
+        putln!(
             "{name}: {} cached point(s), {failed} failed, {:.1} s wall, {:.0} events/s{}",
             rows.len(),
             wall_ms / 1e3,
@@ -236,16 +270,16 @@ fn cmd_report(rest: &[String]) -> Result<ExitCode, String> {
     let out = write_report(&store, &campaign, &opts)?;
     if !quiet {
         for (slug, path) in &out.figures {
-            println!("{slug}: {}", path.display());
+            putln!("{slug}: {}", path.display());
         }
-        println!("report: {}", out.index.display());
+        putln!("report: {}", out.index.display());
         if let Some(viewer) = &out.viewer {
-            println!("viewer: {}", viewer.display());
+            putln!("viewer: {}", viewer.display());
         }
     }
     if let Some(diff) = &out.diff {
         if !quiet {
-            print!("{}", diff.render());
+            put!("{}", diff.render());
         }
         if !diff.passed() {
             return Ok(ExitCode::from(1));
@@ -280,11 +314,11 @@ fn cmd_schemes(rest: &[String]) -> Result<ExitCode, String> {
             out.push('}');
         }
         out.push_str("\n]\n");
-        print!("{out}");
+        put!("{out}");
     } else {
         for e in presto_testbed::SCHEMES {
             let spec = (e.build)();
-            println!("{:<20} {:<28} {}", e.token, spec.policy.name(), e.summary);
+            putln!("{:<20} {:<28} {}", e.token, spec.policy.name(), e.summary);
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -308,7 +342,7 @@ fn cmd_diff(rest: &[String]) -> Result<ExitCode, String> {
     let baseline = read_table(&PathBuf::from(&paths[0]))?;
     let current = read_table(&PathBuf::from(&paths[1]))?;
     let report = diff_tables(&baseline, &current, strict_digest);
-    print!("{}", report.render());
+    put!("{}", report.render());
     Ok(if report.passed() {
         ExitCode::SUCCESS
     } else {

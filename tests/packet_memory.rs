@@ -6,7 +6,7 @@
 //! the paper-grid headline point and the 8192-host three-tier workload:
 //! a change that stores packets more loosely, or moves when they are
 //! queued, moves it. Once the arena has grown, a packet's hops allocate
-//! nothing.
+//! nothing, and the headline run as a whole allocates little.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -113,6 +113,19 @@ fn eight_thousand_host_fabric_holds_one_slot_per_packet_held_at_once() {
     let (digest, slots) = digest_and_slots(&eight_thousand_hosts());
     assert_eq!(digest, 0xa541e7e93c48f261, "the run itself moved");
     assert_eq!(slots, 12_522);
+}
+
+#[test]
+fn headline_run_allocates_little_once_built() {
+    // A warm run reuses its buffers: the event wheel's slots, the sender
+    // output of each ACK and the egress flow queues are recycled, so what
+    // remains is growth to the run's high-water marks.
+    let mut sim = headline().build();
+    let before = allocs();
+    let digest = sim.run().digest();
+    let during = allocs() - before;
+    assert_eq!(digest, 0x6a0e2d56a214c967, "the run itself moved");
+    assert!(during <= 1_500, "the run made {during} allocations");
 }
 
 /// A fabric driver that allocates nothing once its buffers have grown:
